@@ -2,9 +2,10 @@
 """Exhaustive interval scan over a range of orders.
 
 For every connected threshold graph of each order, counts eigenvalues inside
-[(-1-sqrt(2))/2, (-1+sqrt(2))/2] by inertia and compares with the trivial
-multiplicities.  Any disagreement is a counterexample to the interval
-statement and exits with status 2.
+((-1-sqrt(2))/2, (-1+sqrt(2))/2) by inertia and compares with the trivial
+multiplicities; open or closed is the same question, since neither endpoint
+can be an eigenvalue of an integer matrix.  Any disagreement is a
+counterexample to the interval statement and exits with status 2.
 
 Example:
     python3 scripts/run_gap_scan.py --max-order 14 --workers 4 --csv-dir out/

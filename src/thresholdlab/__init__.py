@@ -31,7 +31,6 @@ from .spectra import (
     eta_extremes,
     quotient_matrix,
     symmetric_eigenvalues,
-    tridiagonalize,
     trivial_multiplicities,
 )
 from .verify import (

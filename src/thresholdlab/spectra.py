@@ -10,18 +10,18 @@ spectrum reproduces the full adjacency spectrum, which is what
 
 Interval membership questions are never answered by comparing computed
 eigenvalues against endpoints; :func:`count_eigs_leq` counts eigenvalues by
-Sturm sign agreement on the Householder tridiagonal form, which returns exact
-integers even for clustered spectra.
+the signs of the pivots of a congruence that runs on the creation sequence in
+O(n) with no matrix at all, which returns exact integers even for clustered
+spectra.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import NsgForm
+from .graphs import DOMINATING, CreationSequence, NsgForm
 
 SYMMETRY_ATOL = 1e-10
 CLASSIFY_EPS = 1e-8  # matching tolerance for the trivial eigenvalues 0 and -1
@@ -160,67 +160,33 @@ def assemble_spectrum(form: NsgForm) -> Spectrum:
     return Spectrum(values, source="quotient-assembled")
 
 
-def tridiagonalize(mat) -> tuple[np.ndarray, np.ndarray]:
-    """Householder reduction of a symmetric matrix to tridiagonal form.
-
-    Returns (diagonal, subdiagonal).  Similarity transform, so eigenvalues
-    are preserved.
-    """
-    a = _as_symmetric(mat).copy()
-    n = a.shape[0]
-    for k in range(n - 2):
-        x = a[k + 1:, k]
-        norm = float(np.linalg.norm(x))
-        if norm == 0.0:
-            continue
-        alpha = -math.copysign(norm, x[0]) if x[0] != 0.0 else -norm
-        v = x.copy()
-        v[0] -= alpha
-        v /= np.linalg.norm(v)
-        sub = a[k + 1:, k + 1:]
-        u = sub @ v
-        w = u - v * float(v @ u)
-        sub -= 2.0 * np.outer(v, w)
-        sub -= 2.0 * np.outer(w, v)
-        a[k + 1, k] = a[k, k + 1] = alpha
-        a[k + 2:, k] = 0.0
-        a[k, k + 2:] = 0.0
-    return np.diag(a).copy(), np.diag(a, 1).copy()
-
-
-def _sturm_count(diag, offdiag, x: float) -> int:
-    """Eigenvalues of the tridiagonal matrix that are <= x, by pivot signs.
-
-    Counts negative pivots of the LDL^T factorization of T - xI; tiny pivots
-    are clamped negative so exact-tie breakdowns lean toward counting.
-    """
-    d = [float(t) for t in diag]
-    e2 = [float(t) * float(t) for t in offdiag]
-    pivmin = _SAFMIN * max(1.0, max(e2, default=1.0))
-    count = 0
-    q = d[0] - x
-    if abs(q) <= pivmin:
-        q = -pivmin
-    if q < 0.0:
-        count += 1
-    for i in range(1, len(d)):
-        q = (d[i] - x) - e2[i - 1] / q
-        if abs(q) <= pivmin:
-            q = -pivmin
-        if q < 0.0:
-            count += 1
-    return count
-
-
-def count_eigs_leq(mat, x: float) -> int:
-    """Number of eigenvalues of a symmetric matrix that are <= x.
+def count_eigs_leq(seq: CreationSequence, x: float) -> int:
+    """Number of eigenvalues of the threshold graph's adjacency that are <= x.
 
     Exact integer whenever x is not within rounding distance of an
     eigenvalue, no matter how clustered the spectrum is; at an exact
     eigenvalue the answer is between the strict and the inclusive count.
+
+    Counts the negative pivots of a congruence on A - xI that eliminates the
+    vertices from the last to the first.  For i < j the entry A_ij is the
+    j-th creation symbol b_j, so after each step the block that is left has
+    one shared diagonal d and off-diagonal entries d + x + b_j: the scalar d
+    is the whole state, and eliminating a vertex with symbol b maps it to
+    -2a - a^2/d with a = x + b.  Pivots within pivmin of zero are clamped
+    negative, which keeps the next step finite.
     """
-    d, e = tridiagonalize(mat)
-    return _sturm_count(d, e, float(x))
+    x = float(x)
+    pivmin = _SAFMIN * (seq.order + abs(x) + 1.0) ** 2
+    count = 0
+    d = -x
+    for symbol in reversed(seq.symbols):
+        if abs(d) <= pivmin:
+            d = -pivmin
+        if d < 0.0:
+            count += 1
+        a = x + 1.0 if symbol == DOMINATING else x
+        d = -2.0 * a - a * a / d
+    return count
 
 
 def eta_extremes(spectrum: Spectrum) -> tuple[float | None, float | None]:

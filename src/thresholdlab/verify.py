@@ -1,9 +1,10 @@
 """Executable checks for the eigenvalue-free interval of threshold graphs.
 
 The headline claim: apart from the trivial eigenvalues -1 and 0, no threshold
-graph has an eigenvalue in [(-1-sqrt(2))/2, (-1+sqrt(2))/2].  ``check_gap``
-decides this for one graph by inertia counting (an exact integer test), the
-scan functions sweep entire orders exhaustively, and the reduction machinery
+graph has an eigenvalue in ((-1-sqrt(2))/2, (-1+sqrt(2))/2), open or closed
+alike (see ``check_gap``).  ``check_gap`` decides this for one graph by
+inertia counting on the creation sequence (an exact integer test), the scan
+functions sweep entire orders exhaustively, and the reduction machinery
 walks the same vertex-deletion chain the inductive argument walks: every
 non-anti-regular graph has a vertex whose removal drops exactly one trivial
 eigenvalue, and iterating lands on an anti-regular graph whose extreme
@@ -21,6 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .graphs import (
+    CreationSequence,
     NsgForm,
     OrderTooSmallError,
     anti_regular,
@@ -33,11 +35,10 @@ from .graphs import (
 from .spectra import (
     Spectrum,
     assemble_spectrum,
+    count_eigs_leq,
     eta_extremes,
     symmetric_eigenvalues,
-    tridiagonalize,
     trivial_multiplicities,
-    _sturm_count,
 )
 
 # Correctly rounded doubles: -1.2071067811865475..., 0.20710678118654757...
@@ -144,29 +145,33 @@ def _min_nontrivial_distance(spectrum: Spectrum) -> float:
     return best
 
 
-def check_gap(form: NsgForm) -> GapReport:
-    """Count eigenvalues inside [GAP_LOWER, GAP_UPPER] and compare with the forecast.
-
-    The count is count_eigs_leq(A, upper) - count_eigs_leq(A, lower); it must
-    equal mult0 + multm1, i.e. only the trivial eigenvalues (both strictly
-    inside the interval) may appear there.  Also reports how far the nearest
-    nontrivial eigenvalue stays clear of the closed interval.
-    """
-    seq = nsg_to_creation(form)
-    adjacency = nsg_to_graph(form).adjacency.astype(np.float64)
-    d, e = tridiagonalize(adjacency)
-    count = _sturm_count(d, e, GAP_UPPER) - _sturm_count(d, e, GAP_LOWER)
+def _gap_report(form: NsgForm, seq: CreationSequence, spectrum: Spectrum) -> GapReport:
+    count = count_eigs_leq(seq, GAP_UPPER) - count_eigs_leq(seq, GAP_LOWER)
     mults = trivial_multiplicities(form)
     expected = mults.mult0 + mults.multm1
-    distance = _min_nontrivial_distance(assemble_spectrum(form))
     return GapReport(
         sequence=str(seq),
         order=form.order,
         count_in_interval=count,
         expected_trivial=expected,
-        min_nontrivial_distance=distance,
+        min_nontrivial_distance=_min_nontrivial_distance(spectrum),
         passed=count == expected,
     )
+
+
+def check_gap(form: NsgForm) -> GapReport:
+    """Count eigenvalues inside the interval and compare with the forecast.
+
+    The count is count_eigs_leq(seq, GAP_UPPER) - count_eigs_leq(seq,
+    GAP_LOWER), the eigenvalues in (GAP_LOWER, GAP_UPPER]; it must equal
+    mult0 + multm1, i.e. only the trivial eigenvalues (both strictly inside
+    the interval) may appear there.  Open or closed is the same question: the
+    exact endpoints are roots of 4x^2 + 4x - 1, which is not monic, so neither
+    is an algebraic integer and no integer matrix has either as an
+    eigenvalue.  Also reports how far the nearest nontrivial eigenvalue stays
+    clear of the closed interval.
+    """
+    return _gap_report(form, nsg_to_creation(form), assemble_spectrum(form))
 
 
 def check_interlacing(form: NsgForm, vertex_class: tuple[str, int]) -> InterlacingReport:
@@ -282,14 +287,15 @@ def _scan_chunk(args) -> tuple:
     for index in range(lo, hi):
         seq = sequence_at(order, index, connected_only=True)
         form = creation_to_nsg(seq)
-        eta_plus, eta_minus = eta_extremes(assemble_spectrum(form))
+        spectrum = assemble_spectrum(form)
+        eta_plus, eta_minus = eta_extremes(spectrum)
         if eta_plus is not None and (best_plus is None or eta_plus < best_plus[0]):
             best_plus = (eta_plus, str(seq))
         if eta_minus is not None and (best_minus is None or eta_minus > best_minus[0]):
             best_minus = (eta_minus, str(seq))
         report = None
         if kind == "gap":
-            report = check_gap(form)
+            report = _gap_report(form, seq, spectrum)
             if not report.passed:
                 failures.append(report)
         if keep_rows:

@@ -282,11 +282,11 @@ def test_criterion_9_counting_vs_dense():
     for _ in range(100):
         order = int(rng.integers(1, 21))
         bits = "0" + "".join(rng.choice(["0", "1"], size=order - 1))
-        adjacency = build_adjacency(parse_creation_sequence(bits)).adjacency.astype(float)
-        dense_vals = np.linalg.eigvalsh(adjacency)
+        seq = parse_creation_sequence(bits)
+        dense_vals = np.linalg.eigvalsh(build_adjacency(seq).adjacency.astype(float))
         for x in rng.uniform(-order - 1.0, order + 1.0, size=200):
             comparisons += 1
-            if count_eigs_leq(adjacency, float(x)) != int(np.count_nonzero(dense_vals <= x)):
+            if count_eigs_leq(seq, float(x)) != int(np.count_nonzero(dense_vals <= x)):
                 mismatches += 1
     assert report(
         9,

@@ -13,6 +13,7 @@ from thresholdlab.graphs import (
     build_adjacency,
     creation_to_nsg,
     enumerate_threshold,
+    nsg_to_creation,
     nsg_to_graph,
     parse_creation_sequence,
 )
@@ -28,7 +29,6 @@ from thresholdlab.spectra import (
     eta_extremes,
     quotient_matrix,
     symmetric_eigenvalues,
-    tridiagonalize,
     trivial_multiplicities,
 )
 
@@ -208,34 +208,36 @@ def test_assembled_trace_vanishes():
 
 
 def test_count_eigs_leq_examples():
-    a = nsg_to_graph(NsgForm([3], [2])).adjacency.astype(float)
+    form = NsgForm([3], [2])
+    seq = nsg_to_creation(form)
     # spectrum is [3, 0, 0, -1, -2]
-    assert count_eigs_leq(a, -1.5) == 1
-    assert count_eigs_leq(a, -1e-6) == 2
-    assert count_eigs_leq(a, 1e-6) == 4
-    assert count_eigs_leq(a, 0.5) == 4
-    assert count_eigs_leq(a, -2.5) == 0
-    gershgorin = 1.0 + float(a.sum(axis=1).max())
-    assert count_eigs_leq(a, gershgorin) == 5
+    assert count_eigs_leq(seq, -1.5) == 1
+    assert count_eigs_leq(seq, -1e-6) == 2
+    assert count_eigs_leq(seq, 1e-6) == 4
+    assert count_eigs_leq(seq, 0.5) == 4
+    assert count_eigs_leq(seq, -2.5) == 0
+    gershgorin = 1.0 + float(nsg_to_graph(form).adjacency.sum(axis=1).max())
+    assert count_eigs_leq(seq, gershgorin) == 5
 
 
 def test_count_eigs_leq_at_exact_eigenvalue_is_bracketed():
     # x = 0 sits on a double eigenvalue; the count may fall anywhere between
     # the strict and the inclusive answer, never outside
-    a = nsg_to_graph(NsgForm([3], [2])).adjacency.astype(float)
-    assert 2 <= count_eigs_leq(a, 0.0) <= 4
-
-
-def test_count_eigs_leq_rejects_nonsymmetric():
-    with pytest.raises(NotSymmetricError):
-        count_eigs_leq([[0.0, 1.0], [2.0, 0.0]], 0.0)
+    assert 2 <= count_eigs_leq(nsg_to_creation(NsgForm([3], [2])), 0.0) <= 4
+    # the same at the trivial eigenvalues 0 and -1 of every small graph
+    for order in range(1, 11):
+        for seq in enumerate_threshold(order):
+            vals = np.linalg.eigvalsh(build_adjacency(seq).adjacency.astype(float))
+            for x in (0.0, -1.0):
+                strict = int(np.count_nonzero(vals < x - 1e-9))
+                inclusive = int(np.count_nonzero(vals <= x + 1e-9))
+                assert strict <= count_eigs_leq(seq, x) <= inclusive, (str(seq), x)
 
 
 def test_count_eigs_leq_clustered_spectrum():
     # 40 duplicated vertices force a 39-fold eigenvalue 0
-    form = NsgForm([40], [2])
-    a = nsg_to_graph(form).adjacency.astype(float)
-    assert count_eigs_leq(a, 1e-9) - count_eigs_leq(a, -1e-9) == 39
+    seq = nsg_to_creation(NsgForm([40], [2]))
+    assert count_eigs_leq(seq, 1e-9) - count_eigs_leq(seq, -1e-9) == 39
 
 
 @given(sequences, st.floats(min_value=-13.0, max_value=13.0))
@@ -244,29 +246,7 @@ def test_count_matches_dense_oracle(seq, x):
     a = build_adjacency(seq).adjacency.astype(float)
     vals = np.linalg.eigvalsh(a)
     assume(float(np.min(np.abs(vals - x))) > 1e-9)
-    assert count_eigs_leq(a, x) == oracles.dense_count_leq(a, x)
-
-
-# ---------------------------------------------------------------- tridiagonal
-
-
-def test_tridiagonalize_preserves_spectrum():
-    rng = np.random.default_rng(11)
-    for n in (1, 2, 3, 5, 9, 14):
-        a = rng.standard_normal((n, n))
-        a = a + a.T
-        d, e = tridiagonalize(a)
-        assert d.shape == (n,) and e.shape == (max(n - 1, 0),)
-        t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-        assert np.allclose(np.linalg.eigvalsh(t), np.linalg.eigvalsh(a), atol=1e-9)
-
-
-def test_tridiagonalize_keeps_tridiagonal_shape():
-    # reflections may flip subdiagonal signs, which is a diagonal similarity
-    t = np.diag([1.0, 2.0, 3.0]) + np.diag([0.5, -0.5], 1) + np.diag([0.5, -0.5], -1)
-    d, e = tridiagonalize(t)
-    assert d.tolist() == [1.0, 2.0, 3.0]
-    assert np.abs(e).tolist() == [0.5, 0.5]
+    assert count_eigs_leq(seq, x) == oracles.dense_count_leq(a, x)
 
 
 # ---------------------------------------------------------------- eta

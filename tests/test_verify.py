@@ -97,6 +97,19 @@ def test_check_gap_handles_disconnected_and_edgeless():
     assert report.count_in_interval == 4
 
 
+def test_check_gap_builds_no_dense_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("check_gap built a dense matrix")
+
+    monkeypatch.setattr("thresholdlab.graphs.build_adjacency", refuse)
+    monkeypatch.setattr("thresholdlab.verify.nsg_to_graph", refuse)
+    report = check_gap(NsgForm([3], [2]))
+    assert report.passed and report.count_in_interval == 3
+    report = check_gap(NsgForm([100000], [1]))
+    assert report.passed
+    assert report.count_in_interval == report.expected_trivial == 99999
+
+
 def test_check_gap_order_9_exhaustive():
     for form in connected(9):
         assert check_gap(form).passed

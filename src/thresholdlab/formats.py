@@ -4,7 +4,8 @@ Formats:
   * creation sequences: '0'/'1' strings;
   * NSG text: ``nsg(m1,...,mh;n1,...,nh[;+k])``, ``+k`` = isolated count,
     e.g. ``nsg(3;2)``, ``nsg(1,2;1,1)``, ``nsg(;;+3)`` for 3K_1;
-  * edge lists: first line ``n m``, then m lines ``u v`` (0-based);
+  * edge lists: first line ``n m`` with n <= EDGE_ORDER_CAP, then m lines
+    ``u v`` (0-based);
   * spectra as CSV rows: sequence, order, eigenvalues descending at 12
     significant digits.
 """
@@ -18,6 +19,10 @@ from typing import Iterable
 from .graphs import NsgForm
 from .spectra import Spectrum
 from .verify import BoundsReport, GapReport, InterlacingReport, ReductionStep, ScanReport
+
+# Recognition builds an n x n matrix from the header's n, so an edge file
+# may not ask for more vertices than this.
+EDGE_ORDER_CAP = 2000
 
 
 def sig12(x: float) -> str:
@@ -69,6 +74,8 @@ def parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
     if len(head) != 2:
         raise ValueError(f"first line must be 'n m', got {lines[0]!r}")
     order, count = int(head[0]), int(head[1])
+    if order > EDGE_ORDER_CAP:
+        raise ValueError(f"edge-list order {order} is above the cap {EDGE_ORDER_CAP}")
     if len(lines) - 1 != count:
         raise ValueError(f"header promises {count} edges, found {len(lines) - 1}")
     edges = []

@@ -13,6 +13,14 @@ eigenvalues against endpoints; :func:`count_eigs_leq` counts eigenvalues by
 the signs of the pivots of a congruence that runs on the creation sequence in
 O(n) with no matrix at all, which returns exact integers even for clustered
 spectra.
+
+Exhaustive scans work on blocks of graphs rather than one graph at a time:
+:func:`count_eigs_leq_rows` runs the same congruence on a (k, n) array of
+creation symbols, column by column, the quotients of all forms that share h
+are built by one broadcast into a (k, 2h, 2h) stack and solved by one
+stacked ``eigvalsh`` call, and :func:`eta_extremes` and
+:func:`trivial_forecast` take such stacks too.  Every per-graph value is the
+same float as on the single-graph route.
 """
 
 from __future__ import annotations
@@ -86,6 +94,25 @@ def _as_symmetric(mat) -> np.ndarray:
     return a
 
 
+def quotient_stack(m: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Raw and symmetrized divisor matrices of k forms that share one h.
+
+    ``m`` and ``n`` are (k, h) arrays of class sizes; both results are
+    (k, 2h, 2h) stacks in the cell order of :func:`quotient_matrix`, built by
+    broadcasting, entry for entry the same floats for any k.
+    """
+    k, h = m.shape
+    i = np.arange(h)
+    upper = i[:, None] <= i  # j >= i
+    raw = np.zeros((k, 2 * h, 2 * h))
+    raw[:, :h, :h] = n[:, None, :] - (i[:, None] == i)
+    raw[:, :h, h:] = m[:, None, :] * upper
+    raw[:, h:, :h] = n[:, None, :] * upper.T
+    scale = np.sqrt(np.concatenate([n, m], axis=1))
+    symmetrized = raw * scale[:, :, None] / scale[:, None, :]
+    return raw, symmetrized
+
+
 def quotient_matrix(form: NsgForm) -> QuotientPair:
     """Divisor matrix of the equitable partition {V_1..V_h, U_1..U_h}.
 
@@ -94,21 +121,10 @@ def quotient_matrix(form: NsgForm) -> QuotientPair:
     nothing in any U_j.  Isolated vertices are not cells; the caller accounts
     for them.
     """
-    h = form.h
-    if h == 0:
+    if form.h == 0:
         raise EmptyNsgError("edgeless graphs have no quotient matrix")
-    raw = np.zeros((2 * h, 2 * h))
-    for i in range(h):
-        for j in range(h):
-            raw[i, j] = form.n[j] - (i == j)
-            if j >= i:
-                raw[i, h + j] = form.m[j]
-            if j <= i:
-                raw[h + i, j] = form.n[j]
-    sizes = form.n + form.m
-    scale = np.sqrt(np.asarray(sizes, dtype=np.float64))
-    symmetrized = raw * scale[:, None] / scale[None, :]
-    return QuotientPair(raw, symmetrized, sizes)
+    raw, symmetrized = quotient_stack(np.array([form.m]), np.array([form.n]))
+    return QuotientPair(raw[0], symmetrized[0], form.n + form.m)
 
 
 def symmetric_eigenvalues(mat) -> np.ndarray:
@@ -124,32 +140,43 @@ def dense_spectrum(adjacency) -> Spectrum:
     return Spectrum(symmetric_eigenvalues(adjacency), source="dense")
 
 
+def trivial_forecast(m, n, isolated=0) -> tuple:
+    """The trivial-eigenvalue forecast over class sizes, as (pad0, padm1, inside).
+
+    Every vertex beyond the first in a coclique class is a duplicate and every
+    extra clique-class vertex a coduplicate: they force pad0 = sum(m_i - 1) +
+    isolated zeros and padm1 = sum(n_i - 1) copies of -1, none of which the
+    quotient sees.  ``inside`` is 1 when m_h = 1: the lone top coclique vertex
+    then closes up with V_h to give one more -1, which the quotient carries.
+    ``m`` and ``n`` run over i = 1..h on their first axis: tuples for one
+    form, or (h, k) arrays for k forms, which get k-vectors back.
+    """
+    h = len(m)
+    pad0 = sum(m) - h + isolated
+    padm1 = sum(n) - h
+    inside = (m[-1] == 1) * 1 if h else 0
+    return pad0, padm1, inside
+
+
 def trivial_multiplicities(form: NsgForm) -> TrivialMults:
     """Closed-form multiplicities of 0 and -1 from the class sizes.
 
-    Every vertex beyond the first in a coclique class is a duplicate (adds a
-    0), every extra clique-class vertex a coduplicate (adds a -1), and when
-    m_h = 1 the lone top coclique vertex closes up with V_h to give one more
-    -1.  Isolated vertices each add a 0.
+    mult0 = pad0 and multm1 = padm1 + inside of :func:`trivial_forecast`.
     """
-    mult0 = sum(mi - 1 for mi in form.m) + form.isolated
-    multm1 = sum(ni - 1 for ni in form.n)
-    if form.h >= 1 and form.m[-1] == 1:
-        multm1 += 1
-    return TrivialMults(mult0, multm1)
+    pad0, padm1, inside = trivial_forecast(form.m, form.n, form.isolated)
+    return TrivialMults(pad0, padm1 + inside)
 
 
 def assemble_spectrum(form: NsgForm) -> Spectrum:
     """Full spectrum as quotient eigenvalues plus forced 0 / -1 padding.
 
-    The padding holds sum(m_i - 1) + isolated zeros and sum(n_i - 1) copies
-    of -1; the extra -1 of the m_h = 1 case arises inside the quotient.
+    The padding is :func:`trivial_forecast`'s pad0 zeros and padm1 copies of -1;
+    the extra -1 of the m_h = 1 case arises inside the quotient.
     """
-    pad0 = sum(mi - 1 for mi in form.m) + form.isolated
-    padm1 = sum(ni - 1 for ni in form.n)
     if form.h == 0:
         values = np.zeros(form.isolated)
     else:
+        pad0, padm1, _ = trivial_forecast(form.m, form.n, form.isolated)
         quotient = quotient_matrix(form)
         values = np.concatenate([
             symmetric_eigenvalues(quotient.symmetrized),
@@ -189,16 +216,42 @@ def count_eigs_leq(seq: CreationSequence, x: float) -> int:
     return count
 
 
-def eta_extremes(spectrum: Spectrum) -> tuple[float | None, float | None]:
+def count_eigs_leq_rows(symbols: np.ndarray, x: float) -> np.ndarray:
+    """:func:`count_eigs_leq` for every row of a (k, n) integer array of 0/1 symbols.
+
+    Runs the same recurrence on all k rows at once, one column at a time from
+    the last.  Each row goes through the same float operations in the same
+    order as the scalar form, so the counts are equal to its counts exactly.
+    """
+    x = float(x)
+    k, order = symbols.shape
+    pivmin = _SAFMIN * (order + abs(x) + 1.0) ** 2
+    a_of_symbol = np.array([x, x + 1.0])
+    counts = np.zeros(k, dtype=np.int64)
+    d = np.full(k, -x)
+    for column in range(order - 1, -1, -1):
+        d[np.abs(d) <= pivmin] = -pivmin
+        counts += d < 0.0
+        a = a_of_symbol[symbols[:, column]]
+        d = -2.0 * a - a * a / d
+    return counts
+
+
+def eta_extremes(spectrum: Spectrum | np.ndarray):
     """(smallest eigenvalue > 0, largest eigenvalue < -1), None when absent.
 
     The classification margin is ``spectrum.tolerance``, which keeps the
-    trivial eigenvalues 0 and -1 out of both slots.
+    trivial eigenvalues 0 and -1 out of both slots.  Given a (k, w) array
+    instead, one spectrum (or any part of it that holds every nontrivial
+    eigenvalue) per row, returns two length-k arrays under CLASSIFY_EPS,
+    with +inf and -inf where a slot is empty.
     """
-    eps = spectrum.tolerance
-    values = spectrum.values
-    positive = values[values > eps]
-    below = values[values < -1.0 - eps]
-    eta_plus = float(positive.min()) if positive.size else None
-    eta_minus = float(below.max()) if below.size else None
-    return eta_plus, eta_minus
+    stack = not isinstance(spectrum, Spectrum)
+    values = spectrum if stack else spectrum.values
+    eps = CLASSIFY_EPS if stack else spectrum.tolerance
+    plus = np.where(values > eps, values, np.inf).min(axis=-1, initial=np.inf)
+    minus = np.where(values < -1.0 - eps, values, -np.inf).max(axis=-1, initial=-np.inf)
+    if stack:
+        return plus, minus
+    return (float(plus) if plus < np.inf else None,
+            float(minus) if minus > -np.inf else None)

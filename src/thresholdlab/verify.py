@@ -22,22 +22,22 @@ from enum import Enum
 import numpy as np
 
 from .graphs import (
-    CreationSequence,
     NsgForm,
     OrderTooSmallError,
     anti_regular,
     count_threshold,
-    creation_to_nsg,
     nsg_to_creation,
     nsg_to_graph,
-    sequence_at,
 )
 from .spectra import (
-    Spectrum,
+    CLASSIFY_EPS,
     assemble_spectrum,
     count_eigs_leq,
+    count_eigs_leq_rows,
     eta_extremes,
+    quotient_stack,
     symmetric_eigenvalues,
+    trivial_forecast,
     trivial_multiplicities,
 )
 
@@ -46,6 +46,10 @@ GAP_LOWER = (-1.0 - math.sqrt(2.0)) / 2.0
 GAP_UPPER = (-1.0 + math.sqrt(2.0)) / 2.0
 
 DEFAULT_ORDER_CAP = 22
+# Scans take consecutive indices in blocks of at most this many stacked
+# quotient entries (order^2 per graph bounds (2h)^2), so memory stays flat
+# as the order grows.  Blocks sit on a fixed grid of indices.
+SCAN_BLOCK_ENTRIES = 1 << 17
 INTERLACING_TOL = 1e-7
 
 
@@ -130,33 +134,15 @@ class ScanReport:
         return ok
 
 
-def _min_nontrivial_distance(spectrum: Spectrum) -> float:
-    eps = spectrum.tolerance
-    best = math.inf
-    for lam in spectrum.values:
-        if abs(lam) <= eps or abs(lam + 1.0) <= eps:
-            continue
-        if lam > GAP_UPPER:
-            best = min(best, lam - GAP_UPPER)
-        elif lam < GAP_LOWER:
-            best = min(best, GAP_LOWER - lam)
-        else:
-            return 0.0
-    return best
+def _clearance(values: np.ndarray, eps: float = CLASSIFY_EPS) -> np.ndarray:
+    """How far the nontrivial eigenvalues stay clear of [GAP_LOWER, GAP_UPPER].
 
-
-def _gap_report(form: NsgForm, seq: CreationSequence, spectrum: Spectrum) -> GapReport:
-    count = count_eigs_leq(seq, GAP_UPPER) - count_eigs_leq(seq, GAP_LOWER)
-    mults = trivial_multiplicities(form)
-    expected = mults.mult0 + mults.multm1
-    return GapReport(
-        sequence=str(seq),
-        order=form.order,
-        count_in_interval=count,
-        expected_trivial=expected,
-        min_nontrivial_distance=_min_nontrivial_distance(spectrum),
-        passed=count == expected,
-    )
+    Reduces the last axis: 0 when a nontrivial eigenvalue lies inside, inf
+    when there is none.  Eigenvalues within eps of 0 or -1 are trivial.
+    """
+    trivial = (np.abs(values) <= eps) | (np.abs(values + 1.0) <= eps)
+    outside = np.maximum(np.maximum(values - GAP_UPPER, GAP_LOWER - values), 0.0)
+    return np.where(trivial, np.inf, outside).min(axis=-1, initial=np.inf)
 
 
 def check_gap(form: NsgForm) -> GapReport:
@@ -171,7 +157,19 @@ def check_gap(form: NsgForm) -> GapReport:
     eigenvalue.  Also reports how far the nearest nontrivial eigenvalue stays
     clear of the closed interval.
     """
-    return _gap_report(form, nsg_to_creation(form), assemble_spectrum(form))
+    seq = nsg_to_creation(form)
+    spectrum = assemble_spectrum(form)
+    count = count_eigs_leq(seq, GAP_UPPER) - count_eigs_leq(seq, GAP_LOWER)
+    mults = trivial_multiplicities(form)
+    expected = mults.mult0 + mults.multm1
+    return GapReport(
+        sequence=str(seq),
+        order=form.order,
+        count_in_interval=count,
+        expected_trivial=expected,
+        min_nontrivial_distance=float(_clearance(spectrum.values, spectrum.tolerance)),
+        passed=count == expected,
+    )
 
 
 def check_interlacing(form: NsgForm, vertex_class: tuple[str, int]) -> InterlacingReport:
@@ -272,48 +270,101 @@ def _check_scan_order(order: int, order_cap: int) -> None:
         raise OrderCapExceededError(f"order {order} above cap {order_cap}")
 
 
+def _block_symbols(order: int, lo: int, hi: int) -> np.ndarray:
+    """0/1 symbols of connected sequences lo..hi-1, numbered as by ``sequence_at``."""
+    index = np.arange(lo, hi, dtype=np.int64)
+    shifts = np.arange(order - 3, -1, -1)  # index bits, most significant first
+    symbols = np.zeros((hi - lo, order), dtype=np.uint8)
+    symbols[:, 1:-1] = (index[:, None] >> shifts) & 1
+    symbols[:, -1] = 1
+    return symbols
+
+
+def _scan_block(order: int, lo: int, hi: int, gap: bool) -> tuple:
+    """Per-graph arrays for connected sequences lo..hi-1 of one order.
+
+    Returns (symbols, eta_plus, eta_minus, gap_columns).  Rows are grouped
+    by h; each group's symmetrized quotients form one (k_h, 2h, 2h) stack
+    with a single eigensolve.  The eigenvalues are kept zero-padded to a
+    common width: 0 is trivial, so the padding counts for neither eta nor
+    the clearance.  For gap scans, gap_columns holds the interval count by
+    the block kernel, the trivial forecast and the clearance; else None.
+    """
+    symbols = _block_symbols(order, lo, hi)
+    changes = symbols[:, 1:] != symbols[:, :-1]
+    h_of = (changes.sum(axis=1) + 1) // 2  # runs alternate 0, 1, ..., 1
+    eigs = np.zeros((hi - lo, 2 * int(h_of.max())))
+    expected = np.zeros(hi - lo, dtype=np.int64)
+    for h in np.flatnonzero(np.bincount(h_of)).tolist():
+        rows = np.flatnonzero(h_of == h)
+        cuts = np.nonzero(changes[rows])[1].reshape(len(rows), 2 * h - 1) + 1
+        edges = np.concatenate([np.zeros((len(rows), 1), dtype=np.int64), cuts,
+                                np.full((len(rows), 1), order)], axis=1)
+        runs = np.diff(edges, axis=1)  # a_1 b_1 ... a_h b_h: m_h = a_1, n_1 = b_h
+        m, n = runs[:, -2::-2], runs[:, :0:-2]
+        eigs[rows, :2 * h] = np.linalg.eigvalsh(quotient_stack(m, n)[1])
+        pad0, padm1, inside = trivial_forecast(m.T, n.T)
+        expected[rows] = pad0 + padm1 + inside
+    eta_plus, eta_minus = eta_extremes(eigs)
+    if not gap:
+        return symbols, eta_plus, eta_minus, None
+    count = count_eigs_leq_rows(symbols, GAP_UPPER) - count_eigs_leq_rows(symbols, GAP_LOWER)
+    return symbols, eta_plus, eta_minus, (count, expected, _clearance(eigs))
+
+
+def _block_rows(order: int, text, eta_plus, eta_minus, gap_columns) -> list[dict]:
+    columns = [text.tolist(),
+               [v if v < math.inf else None for v in eta_plus.tolist()],
+               [v if v > -math.inf else None for v in eta_minus.tolist()]]
+    if gap_columns is not None:
+        columns += [column.tolist() for column in gap_columns]
+    rows = []
+    for seq, plus, minus, *gap in zip(*columns):
+        row = {"sequence": seq.decode(), "order": order, "eta_plus": plus, "eta_minus": minus}
+        if gap:
+            count, expected, clearance = gap
+            row.update(count_in_interval=count, expected_trivial=expected,
+                       min_nontrivial_distance=clearance,
+                       verdict="pass" if count == expected else "fail")
+        rows.append(row)
+    return rows
+
+
 def _scan_chunk(args) -> tuple:
     """Scan sequences [lo, hi) of an order; returns a mergeable partial result.
 
-    Top-level function so process pools can pickle it.  Iteration is in
-    lexicographic index order, and merging preserves chunk order, so reports
-    are identical for any worker count.
+    Top-level function so process pools can pickle it.  Works block by block
+    (see SCAN_BLOCK_ENTRIES) and builds strings and reports only for
+    failures, new extremes and kept rows.  Ties go to the lowest index, and
+    merging preserves chunk order, so reports are identical for any worker
+    count.
     """
     kind, order, lo, hi, keep_rows = args
+    size = max(1, SCAN_BLOCK_ENTRIES // (order * order))
     failures: list[GapReport] = []
     rows: list[dict] = []
     best_plus: tuple[float, str] | None = None
     best_minus: tuple[float, str] | None = None
-    for index in range(lo, hi):
-        seq = sequence_at(order, index, connected_only=True)
-        form = creation_to_nsg(seq)
-        spectrum = assemble_spectrum(form)
-        eta_plus, eta_minus = eta_extremes(spectrum)
-        if eta_plus is not None and (best_plus is None or eta_plus < best_plus[0]):
-            best_plus = (eta_plus, str(seq))
-        if eta_minus is not None and (best_minus is None or eta_minus > best_minus[0]):
-            best_minus = (eta_minus, str(seq))
-        report = None
-        if kind == "gap":
-            report = _gap_report(form, seq, spectrum)
-            if not report.passed:
-                failures.append(report)
+    start = lo
+    while start < hi:
+        stop = min(hi, (start // size + 1) * size)
+        symbols, plus, minus, gap_columns = _scan_block(order, start, stop, kind == "gap")
+        text = (symbols + ord("0")).view(f"S{order}").ravel()
+        i = int(np.argmin(plus))
+        if plus[i] < np.inf and (best_plus is None or plus[i] < best_plus[0]):
+            best_plus = (float(plus[i]), text[i].decode())
+        i = int(np.argmax(minus))
+        if minus[i] > -np.inf and (best_minus is None or minus[i] > best_minus[0]):
+            best_minus = (float(minus[i]), text[i].decode())
+        if gap_columns is not None:
+            count, expected, clearance = gap_columns
+            for i in np.flatnonzero(count != expected).tolist():
+                failures.append(GapReport(text[i].decode(), order, int(count[i]),
+                                          int(expected[i]), float(clearance[i]), False))
         if keep_rows:
-            row = {
-                "sequence": str(seq),
-                "order": order,
-                "eta_plus": eta_plus,
-                "eta_minus": eta_minus,
-            }
-            if report is not None:
-                row.update(
-                    count_in_interval=report.count_in_interval,
-                    expected_trivial=report.expected_trivial,
-                    min_nontrivial_distance=report.min_nontrivial_distance,
-                    verdict="pass" if report.passed else "fail",
-                )
-            rows.append(row)
-    return len(range(lo, hi)), failures, best_plus, best_minus, rows
+            rows += _block_rows(order, text, plus, minus, gap_columns)
+        start = stop
+    return hi - lo, failures, best_plus, best_minus, rows
 
 
 def _run_scan(kind: str, order: int, workers: int, order_cap: int, keep_rows: bool) -> ScanReport:
@@ -372,7 +423,11 @@ def scan_gap(
     order_cap: int = DEFAULT_ORDER_CAP,
     keep_rows: bool = False,
 ) -> ScanReport:
-    """Run :func:`check_gap` on every connected threshold graph of the order."""
+    """Run the :func:`check_gap` test on every connected threshold graph of the order.
+
+    Graphs are checked block by block (see ``_scan_chunk``); every per-graph
+    value is the one ``check_gap`` reports.
+    """
     return _run_scan("gap", order, workers, order_cap, keep_rows)
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from thresholdlab import cli
 from thresholdlab.formats import (
+    EDGE_ORDER_CAP,
     format_edge_list,
     format_nsg,
     parse_edge_list,
@@ -43,10 +44,11 @@ def test_edge_list_round_trip():
     text = format_edge_list(4, [(0, 1), (2, 3)])
     assert text == "4 2\n0 1\n2 3\n"
     assert parse_edge_list(text) == (4, [(0, 1), (2, 3)])
+    assert parse_edge_list(f"{EDGE_ORDER_CAP} 0\n") == (EDGE_ORDER_CAP, [])
 
 
 def test_edge_list_rejects_malformed():
-    for text in ("", "4\n", "4 2\n0 1\n", "2 1\n0 1 2\n"):
+    for text in ("", "4\n", "4 2\n0 1\n", "2 1\n0 1 2\n", f"{EDGE_ORDER_CAP + 1} 0\n"):
         with pytest.raises(ValueError):
             parse_edge_list(text)
 
@@ -225,6 +227,16 @@ def test_check_gap_rejects_non_threshold_edges(tmp_path, capsys):
     code, _, err = run(capsys, "check-gap", "--edges", str(path))
     assert code == 1
     assert "not a threshold graph" in err
+
+
+def test_huge_edge_file_header_exits_1(tmp_path, capsys):
+    # refused from the header alone, before any n x n matrix is allocated
+    path = tmp_path / "huge.txt"
+    path.write_text("100000000 0\n")
+    for command in ("recognize", "check-gap"):
+        code, out, err = run(capsys, command, "--edges", str(path))
+        assert (code, out) == (1, "")
+        assert "above the cap" in err
 
 
 # ---------------------------------------------------------------- exit codes

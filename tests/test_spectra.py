@@ -25,12 +25,14 @@ from thresholdlab.spectra import (
     TrivialMults,
     assemble_spectrum,
     count_eigs_leq,
+    count_eigs_leq_rows,
     dense_spectrum,
     eta_extremes,
     quotient_matrix,
     symmetric_eigenvalues,
     trivial_multiplicities,
 )
+from thresholdlab.verify import GAP_LOWER, GAP_UPPER
 
 sequences = st.text(alphabet="01", min_size=1, max_size=12).map(parse_creation_sequence)
 
@@ -240,6 +242,17 @@ def test_count_eigs_leq_clustered_spectrum():
     assert count_eigs_leq(seq, 1e-9) - count_eigs_leq(seq, -1e-9) == 39
 
 
+def test_count_eigs_leq_rows_equals_scalar_kernel():
+    # the block kernel against the scalar one on every connected graph up to
+    # order 14, at both interval endpoints and at the trivial eigenvalues
+    for order in range(1, 15):
+        seqs = list(enumerate_threshold(order, connected_only=True))
+        symbols = np.array([[int(c) for c in str(seq)] for seq in seqs], dtype=np.uint8)
+        for x in (GAP_LOWER, GAP_UPPER, 0.0, -1.0):
+            expected = [count_eigs_leq(seq, x) for seq in seqs]
+            assert count_eigs_leq_rows(symbols, x).tolist() == expected, (order, x)
+
+
 @given(sequences, st.floats(min_value=-13.0, max_value=13.0))
 @settings(max_examples=80)
 def test_count_matches_dense_oracle(seq, x):
@@ -267,3 +280,7 @@ def test_eta_extremes_tolerance_policy():
     outside = Spectrum(np.array([0.5, -1.0 - 5e-8]), source="dense")
     assert eta_extremes(outside) == (0.5, -1.0 - 5e-8)
     assert eta_extremes(Spectrum(np.zeros(3), source="dense")) == (None, None)
+    # a (k, w) stack gets the same policy row by row, with +-inf for absent
+    plus, minus = eta_extremes(np.array([[0.5, -1.0 - 5e-9], [0.5, -1.0 - 5e-8], [0.0, 0.0]]))
+    assert plus.tolist() == [0.5, 0.5, np.inf]
+    assert minus.tolist() == [-np.inf, -1.0 - 5e-8, -np.inf]

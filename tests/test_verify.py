@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,12 +14,15 @@ from thresholdlab.graphs import (
     nsg_to_creation,
     nsg_to_graph,
     parse_creation_sequence,
+    sequence_at,
 )
+from thresholdlab import verify
 from thresholdlab.spectra import assemble_spectrum, eta_extremes, symmetric_eigenvalues
 from thresholdlab.verify import (
     DEFAULT_ORDER_CAP,
     GAP_LOWER,
     GAP_UPPER,
+    SCAN_BLOCK_ENTRIES,
     DisconnectedError,
     EmptyClassError,
     GapReport,
@@ -34,6 +38,7 @@ from thresholdlab.verify import (
     reduction_chain,
     scan_conjecture,
     scan_gap,
+    _scan_chunk,
 )
 
 connected_forms = (
@@ -298,6 +303,62 @@ def test_scan_order_limits():
 def test_scan_deterministic_across_workers():
     assert scan_gap(8, workers=1) == scan_gap(8, workers=3)
     assert scan_conjecture(7, workers=1) == scan_conjecture(7, workers=2)
+    # order 14 spans several scan blocks, and 2 or 3 workers cut it off the
+    # block grid, inside blocks that mix several h
+    block = SCAN_BLOCK_ENTRIES // 14**2
+    assert block < 4096 and 2048 % block and 1365 % block and 2730 % block
+    assert scan_gap(14, workers=1, keep_rows=True) == scan_gap(14, workers=3, keep_rows=True)
+    assert (scan_conjecture(14, workers=1, keep_rows=True)
+            == scan_conjecture(14, workers=2, keep_rows=True))
+
+
+def test_scan_chunk_matches_single_checks():
+    # the batched chunk gives, per graph, exactly the values of check_gap
+    # and of eta_extremes on the assembled spectrum
+    for order in range(2, 15):
+        total = 2 ** (order - 2)
+        count, failures, _, _, rows = _scan_chunk(("gap", order, 0, total, True))
+        assert count == total and failures == [] and len(rows) == total
+        for index, row in enumerate(rows):
+            seq = sequence_at(order, index, connected_only=True)
+            form = creation_to_nsg(seq)
+            report = check_gap(form)
+            eta_plus, eta_minus = eta_extremes(assemble_spectrum(form))
+            assert row == {
+                "sequence": str(seq),
+                "order": order,
+                "eta_plus": eta_plus,
+                "eta_minus": eta_minus,
+                "count_in_interval": report.count_in_interval,
+                "expected_trivial": report.expected_trivial,
+                "min_nontrivial_distance": report.min_nontrivial_distance,
+                "verdict": "pass",
+            }
+        conjecture_rows = _scan_chunk(("conjecture", order, 0, total, True))[4]
+        assert conjecture_rows == [
+            {key: row[key] for key in ("sequence", "order", "eta_plus", "eta_minus")}
+            for row in rows
+        ]
+
+
+def test_scan_reports_failures_like_check_gap(monkeypatch):
+    # a forecast that is one too high makes every graph fail; each failure
+    # and row must carry check_gap's values with that forecast
+    honest = verify.trivial_forecast
+
+    def one_too_many(m, n):
+        pad0, padm1, inside = honest(m, n)
+        return pad0 + 1, padm1, inside
+
+    monkeypatch.setattr(verify, "trivial_forecast", one_too_many)
+    report = scan_gap(6, keep_rows=True)
+    assert not report.passed and len(report.failures) == report.graphs_checked == 16
+    for failure, row in zip(report.failures, report.rows):
+        truth = check_gap(creation_to_nsg(parse_creation_sequence(failure.sequence)))
+        assert failure == dataclasses.replace(
+            truth, expected_trivial=truth.expected_trivial + 1, passed=False)
+        assert row["sequence"] == failure.sequence and row["verdict"] == "fail"
+        assert row["expected_trivial"] == failure.expected_trivial
 
 
 def test_scan_rows_collection():

@@ -5,7 +5,7 @@ Formats:
   * NSG text: ``nsg(m1,...,mh;n1,...,nh[;+k])``, ``+k`` = isolated count,
     e.g. ``nsg(3;2)``, ``nsg(1,2;1,1)``, ``nsg(;;+3)`` for 3K_1;
   * edge lists: first line ``n m`` with n <= EDGE_ORDER_CAP, then m lines
-    ``u v`` (0-based);
+    ``u v`` (0-based); lines starting with ``#`` are comments;
   * spectra as CSV rows: sequence, order, eigenvalues descending at 12
     significant digits.
 """
@@ -67,7 +67,7 @@ def format_edge_list(order: int, edges: Iterable[tuple[int, int]]) -> str:
 
 
 def parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
     if not lines:
         raise ValueError("empty edge-list input")
     head = lines[0].split()

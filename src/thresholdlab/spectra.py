@@ -16,11 +16,14 @@ spectra.
 
 Exhaustive scans work on blocks of graphs rather than one graph at a time:
 :func:`count_eigs_leq_rows` runs the same congruence on a (k, n) array of
-creation symbols, column by column, the quotients of all forms that share h
-are built by one broadcast into a (k, 2h, 2h) stack and solved by one
-stacked ``eigvalsh`` call, and :func:`eta_extremes` and
-:func:`trivial_forecast` take such stacks too.  Every per-graph value is the
-same float as on the single-graph route.
+creation symbols at several points in one pass, column by column, the
+quotients of all forms that share h are built by one broadcast into a
+(k, 2h, 2h) stack and solved by one stacked ``eigvalsh`` call, and
+:func:`eta_extremes` and :func:`trivial_forecast` take such stacks too.
+Every per-graph value is the same float as on the single-graph route.  The
+counts also decide which rows a scan solves at all: a scan that keeps no
+rows solves only the graphs with an eigenvalue near the anti-regular
+graph's extremes (see ``verify._scan_block``).
 """
 
 from __future__ import annotations
@@ -216,24 +219,29 @@ def count_eigs_leq(seq: CreationSequence, x: float) -> int:
     return count
 
 
-def count_eigs_leq_rows(symbols: np.ndarray, x: float) -> np.ndarray:
-    """:func:`count_eigs_leq` for every row of a (k, n) integer array of 0/1 symbols.
+def count_eigs_leq_rows(symbols: np.ndarray, xs) -> np.ndarray:
+    """:func:`count_eigs_leq` at each point of ``xs`` for every row of a (k, n)
+    integer array of 0/1 symbols; returns (len(xs), k) counts.
 
-    Runs the same recurrence on all k rows at once, one column at a time from
-    the last.  Each row goes through the same float operations in the same
-    order as the scalar form, so the counts are equal to its counts exactly.
+    Runs the same recurrence on all points and rows at once, one column at a
+    time from the last.  Each (point, row) pair goes through the same float
+    operations in the same order as the scalar form, so the counts are equal
+    to its counts exactly.
     """
-    x = float(x)
+    xs = [float(x) for x in xs]
     k, order = symbols.shape
-    pivmin = _SAFMIN * (order + abs(x) + 1.0) ** 2
-    a_of_symbol = np.array([x, x + 1.0])
-    counts = np.zeros(k, dtype=np.int64)
-    d = np.full(k, -x)
+    pivmin = np.array([_SAFMIN * (order + abs(x) + 1.0) ** 2 for x in xs])[:, None]
+    x = np.array(xs)[:, None]
+    counts = np.zeros((len(xs), k), dtype=np.int64)
+    d = np.repeat(-x, k, axis=1)
     for column in range(order - 1, -1, -1):
-        d[np.abs(d) <= pivmin] = -pivmin
+        np.copyto(d, -pivmin, where=np.abs(d) <= pivmin)
         counts += d < 0.0
-        a = a_of_symbol[symbols[:, column]]
-        d = -2.0 * a - a * a / d
+        a = x + symbols[:, column]  # x + 0.0 is x: the scalar form's a, exactly
+        quotient = a * a
+        quotient /= d
+        d = -2.0 * a
+        d -= quotient
     return counts
 
 

@@ -3,13 +3,16 @@
 The headline claim: apart from the trivial eigenvalues -1 and 0, no threshold
 graph has an eigenvalue in ((-1-sqrt(2))/2, (-1+sqrt(2))/2), open or closed
 alike (see ``check_gap``).  ``check_gap`` decides this for one graph by
-inertia counting on the creation sequence (an exact integer test), the scan
-functions sweep entire orders exhaustively, and the reduction machinery
-walks the same vertex-deletion chain the inductive argument walks: every
-non-anti-regular graph has a vertex whose removal drops exactly one trivial
-eigenvalue, and iterating lands on an anti-regular graph whose extreme
-nontrivial eigenvalues clear the interval strictly, by a margin that shrinks
-like ~1/n^2 (the endpoints are their large-n limits).
+inertia counting on the creation sequence (an exact integer test).  The scan
+functions sweep entire orders exhaustively; they solve the small eigenproblem
+only for the graphs their report needs: kept rows, failures, and the few
+whose inertia counts find an eigenvalue in (0, eta+(A_n)] or [eta-(A_n), -1)
+up to a small margin, since only those can hold an eta extreme.  The
+reduction machinery walks the same vertex-deletion chain the inductive
+argument walks: every non-anti-regular graph has a vertex whose removal drops
+exactly one trivial eigenvalue, and iterating lands on an anti-regular graph
+whose extreme nontrivial eigenvalues clear the interval strictly, by a margin
+that shrinks like ~1/n^2 (the endpoints are their large-n limits).
 """
 
 from __future__ import annotations
@@ -46,6 +49,17 @@ GAP_LOWER = (-1.0 - math.sqrt(2.0)) / 2.0
 GAP_UPPER = (-1.0 + math.sqrt(2.0)) / 2.0
 
 DEFAULT_ORDER_CAP = 22
+# No scan order may pass this, whatever the cap: sequence indices run up to
+# 2^(order-2), which int64 holds up to order 64.  There, eigvalsh's error on
+# a 2h x 2h quotient of norm <= order, about 2h * eps * order <= 1e-12, is
+# still far below PRUNE_MARGIN.
+ORDER_CEILING = 64
+# A scan run without rows solves a row only when the kernel finds an
+# eigenvalue within this margin beyond A_n's eta (see _scan_block).  It must
+# exceed eigvalsh's absolute error on the row's quotient (about 2h * eps *
+# order, 1e-13 at order 22), so that every row whose solved eta could reach
+# A_n's is still solved and the extremes and their ties are unchanged.
+PRUNE_MARGIN = 1e-9
 # Scans take consecutive indices in blocks of at most this many stacked
 # quotient entries (order^2 per graph bounds (2h)^2), so memory stays flat
 # as the order grows.  Blocks sit on a fixed grid of indices.
@@ -266,6 +280,9 @@ def check_antiregular_bounds(order: int) -> BoundsReport:
 def _check_scan_order(order: int, order_cap: int) -> None:
     if order < 2:
         raise OrderTooSmallError(f"scans need order >= 2, got {order}")
+    if order > ORDER_CEILING:
+        raise OrderCapExceededError(
+            f"order {order} above the ceiling {ORDER_CEILING} of any scan")
     if order > order_cap:
         raise OrderCapExceededError(f"order {order} above cap {order_cap}")
 
@@ -280,7 +297,20 @@ def _block_symbols(order: int, lo: int, hi: int) -> np.ndarray:
     return symbols
 
 
-def _scan_block(order: int, lo: int, hi: int, gap: bool) -> tuple:
+def _prune_thresholds(order: int) -> tuple[float, float]:
+    """eta+ and eta- of A_n, the bounds the order's eta extremes cannot miss.
+
+    The smallest eta+ of the order is at most eta+(A_n) and the largest eta-
+    at least eta-(A_n), so no row whose eigenvalues stay off (0, t+] and
+    [t-, -1) can hold an extreme.  An empty slot of A_n bounds nothing:
+    every eigenvalue of the order lies in (-order, order).
+    """
+    plus, minus = eta_extremes(assemble_spectrum(anti_regular(order)))
+    return (order if plus is None else plus), (-order if minus is None else minus)
+
+
+def _scan_block(order: int, lo: int, hi: int, gap: bool,
+                thresholds: tuple[float, float] | None) -> tuple:
     """Per-graph arrays for connected sequences lo..hi-1 of one order.
 
     Returns (symbols, eta_plus, eta_minus, gap_columns).  Rows are grouped
@@ -289,8 +319,24 @@ def _scan_block(order: int, lo: int, hi: int, gap: bool) -> tuple:
     common width: 0 is trivial, so the padding counts for neither eta nor
     the clearance.  For gap scans, gap_columns holds the interval count by
     the block kernel, the trivial forecast and the clearance; else None.
+
+    With ``thresholds`` = (t+, t-) from :func:`_prune_thresholds`, only the
+    rows a report without rows needs are solved: those where the kernel
+    finds an eigenvalue in (CLASSIFY_EPS/2, t+ + PRUNE_MARGIN] or in
+    (t- - PRUNE_MARGIN, -1 - CLASSIFY_EPS/2], and failed gap rows.  The
+    other rows read eta +inf / -inf and clearance inf.  With None, every
+    row is solved.
     """
     symbols = _block_symbols(order, lo, hi)
+    points = (GAP_LOWER, GAP_UPPER) if gap else ()
+    if thresholds is not None:
+        t_plus, t_minus = thresholds
+        points += (CLASSIFY_EPS / 2, t_plus + PRUNE_MARGIN,
+                   t_minus - PRUNE_MARGIN, -1.0 - CLASSIFY_EPS / 2)
+    counts = count_eigs_leq_rows(symbols, points) if points else None
+    count = counts[1] - counts[0] if gap else None
+    solve = None if thresholds is None else (
+        (counts[-3] > counts[-4]) | (counts[-1] > counts[-2]))
     changes = symbols[:, 1:] != symbols[:, :-1]
     h_of = (changes.sum(axis=1) + 1) // 2  # runs alternate 0, 1, ..., 1
     eigs = np.zeros((hi - lo, 2 * int(h_of.max())))
@@ -302,13 +348,20 @@ def _scan_block(order: int, lo: int, hi: int, gap: bool) -> tuple:
                                 np.full((len(rows), 1), order)], axis=1)
         runs = np.diff(edges, axis=1)  # a_1 b_1 ... a_h b_h: m_h = a_1, n_1 = b_h
         m, n = runs[:, -2::-2], runs[:, :0:-2]
-        eigs[rows, :2 * h] = np.linalg.eigvalsh(quotient_stack(m, n)[1])
         pad0, padm1, inside = trivial_forecast(m.T, n.T)
         expected[rows] = pad0 + padm1 + inside
+        if solve is None:
+            picked = slice(None)
+        else:
+            if gap:
+                solve[rows] |= count[rows] != expected[rows]
+            picked = solve[rows]
+        solved = rows[picked]
+        if len(solved):
+            eigs[solved, :2 * h] = np.linalg.eigvalsh(quotient_stack(m[picked], n[picked])[1])
     eta_plus, eta_minus = eta_extremes(eigs)
     if not gap:
         return symbols, eta_plus, eta_minus, None
-    count = count_eigs_leq_rows(symbols, GAP_UPPER) - count_eigs_leq_rows(symbols, GAP_LOWER)
     return symbols, eta_plus, eta_minus, (count, expected, _clearance(eigs))
 
 
@@ -341,6 +394,7 @@ def _scan_chunk(args) -> tuple:
     """
     kind, order, lo, hi, keep_rows = args
     size = max(1, SCAN_BLOCK_ENTRIES // (order * order))
+    thresholds = None if keep_rows else _prune_thresholds(order)
     failures: list[GapReport] = []
     rows: list[dict] = []
     best_plus: tuple[float, str] | None = None
@@ -348,7 +402,8 @@ def _scan_chunk(args) -> tuple:
     start = lo
     while start < hi:
         stop = min(hi, (start // size + 1) * size)
-        symbols, plus, minus, gap_columns = _scan_block(order, start, stop, kind == "gap")
+        symbols, plus, minus, gap_columns = _scan_block(order, start, stop, kind == "gap",
+                                                        thresholds)
         text = (symbols + ord("0")).view(f"S{order}").ravel()
         i = int(np.argmin(plus))
         if plus[i] < np.inf and (best_plus is None or plus[i] < best_plus[0]):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from thresholdlab import cli
+from thresholdlab import cli, verify
 from thresholdlab.formats import (
     EDGE_ORDER_CAP,
     format_edge_list,
@@ -51,6 +51,14 @@ def test_edge_list_rejects_malformed():
     for text in ("", "4\n", "4 2\n0 1\n", "2 1\n0 1 2\n", f"{EDGE_ORDER_CAP + 1} 0\n"):
         with pytest.raises(ValueError):
             parse_edge_list(text)
+
+
+def test_edge_list_skips_comment_lines(tmp_path, capsys):
+    text = "# K2 plus an isolated vertex\n3 1\n# a comment\n  # indented\n0 1\n"
+    assert parse_edge_list(text) == (3, [(0, 1)])
+    path = tmp_path / "commented.txt"
+    path.write_text("3 1\n# a comment\n0 1\n")
+    assert run(capsys, "recognize", "--edges", str(path)) == (0, "sequence: 010\n", "")
 
 
 def test_sig12():
@@ -256,6 +264,40 @@ def test_scan_cap_exit_1(capsys):
     code, _, err = run(capsys, "scan-gap", "--order", "30")
     assert code == 1
     assert "error:" in err
+
+
+def test_scan_order_ceiling_exit_1(capsys, monkeypatch):
+    # refused from the order alone, whatever the cap: no pool, no chunk
+    def refuse(*args, **kwargs):
+        raise AssertionError("scan started above the ceiling")
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(verify, "_scan_chunk", refuse)
+    for command in ("scan-gap", "scan-conjecture"):
+        for order in (verify.ORDER_CEILING + 1, 70):
+            code, out, err = run(capsys, command, "--order", str(order),
+                                 "--order-cap", "100", "--workers", "2")
+            assert (code, out) == (1, "")
+            assert f"above the ceiling {verify.ORDER_CEILING}" in err
+
+
+def test_batch_order_cap_exit_1(capsys, monkeypatch):
+    # every order this file enumerates is within the cap
+    assert cli.BATCH_ORDER_CAP >= 4
+    enumerated = []
+
+    def record(order, connected_only=False):
+        enumerated.append(order)
+        return iter(())
+
+    monkeypatch.setattr(cli.graphs, "enumerate_threshold", record)
+    for command in ("gen", "spectrum"):
+        code, out, err = run(capsys, command, "--order", str(cli.BATCH_ORDER_CAP + 1))
+        assert (code, out) == (1, "")
+        assert f"above the cap {cli.BATCH_ORDER_CAP}" in err
+        assert enumerated == []
+    assert run(capsys, "spectrum", "--order", str(cli.BATCH_ORDER_CAP), "--format", "csv")[0] == 0
+    assert enumerated == [cli.BATCH_ORDER_CAP]
 
 
 def test_out_writes_file_not_stdout(tmp_path, capsys):

@@ -18,6 +18,7 @@ from thresholdlab.graphs import (
     parse_creation_sequence,
 )
 from thresholdlab.spectra import (
+    CLASSIFY_EPS,
     EmptyNsgError,
     NonFiniteError,
     NotSymmetricError,
@@ -32,7 +33,7 @@ from thresholdlab.spectra import (
     symmetric_eigenvalues,
     trivial_multiplicities,
 )
-from thresholdlab.verify import GAP_LOWER, GAP_UPPER
+from thresholdlab.verify import GAP_LOWER, GAP_UPPER, PRUNE_MARGIN, _prune_thresholds
 
 sequences = st.text(alphabet="01", min_size=1, max_size=12).map(parse_creation_sequence)
 
@@ -243,14 +244,21 @@ def test_count_eigs_leq_clustered_spectrum():
 
 
 def test_count_eigs_leq_rows_equals_scalar_kernel():
-    # the block kernel against the scalar one on every connected graph up to
-    # order 14, at both interval endpoints and at the trivial eigenvalues
+    # the multi-point block kernel against the scalar one on every connected
+    # graph up to order 14, at the six points a gap scan without rows counts
+    # (both interval endpoints and the pruning bounds around A_n's eta) and
+    # at the trivial eigenvalues
     for order in range(1, 15):
         seqs = list(enumerate_threshold(order, connected_only=True))
         symbols = np.array([[int(c) for c in str(seq)] for seq in seqs], dtype=np.uint8)
-        for x in (GAP_LOWER, GAP_UPPER, 0.0, -1.0):
-            expected = [count_eigs_leq(seq, x) for seq in seqs]
-            assert count_eigs_leq_rows(symbols, x).tolist() == expected, (order, x)
+        t_plus, t_minus = _prune_thresholds(max(order, 2))
+        points = (GAP_LOWER, GAP_UPPER, CLASSIFY_EPS / 2, t_plus + PRUNE_MARGIN,
+                  t_minus - PRUNE_MARGIN, -1.0 - CLASSIFY_EPS / 2, 0.0, -1.0)
+        counts = count_eigs_leq_rows(symbols, points)
+        assert counts.shape == (len(points), len(seqs))
+        for x, row in zip(points, counts.tolist()):
+            assert row == [count_eigs_leq(seq, x) for seq in seqs], (order, x)
+    assert count_eigs_leq_rows(np.zeros((3, 2), dtype=np.uint8), ()).shape == (0, 3)
 
 
 @given(sequences, st.floats(min_value=-13.0, max_value=13.0))

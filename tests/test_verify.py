@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from thresholdlab.graphs import (
     NsgForm,
     OrderTooSmallError,
+    anti_regular,
     creation_to_nsg,
     enumerate_threshold,
     nsg_to_creation,
@@ -22,6 +23,7 @@ from thresholdlab.verify import (
     DEFAULT_ORDER_CAP,
     GAP_LOWER,
     GAP_UPPER,
+    ORDER_CEILING,
     SCAN_BLOCK_ENTRIES,
     DisconnectedError,
     EmptyClassError,
@@ -300,6 +302,13 @@ def test_scan_order_limits():
         scan_gap(6, workers=0)
 
 
+def test_scan_order_ceiling():
+    verify._check_scan_order(ORDER_CEILING, ORDER_CEILING)
+    for scan in (scan_gap, scan_conjecture):
+        with pytest.raises(OrderCapExceededError, match="ceiling"):
+            scan(ORDER_CEILING + 1, order_cap=10**6)
+
+
 def test_scan_deterministic_across_workers():
     assert scan_gap(8, workers=1) == scan_gap(8, workers=3)
     assert scan_conjecture(7, workers=1) == scan_conjecture(7, workers=2)
@@ -353,12 +362,86 @@ def test_scan_reports_failures_like_check_gap(monkeypatch):
     monkeypatch.setattr(verify, "trivial_forecast", one_too_many)
     report = scan_gap(6, keep_rows=True)
     assert not report.passed and len(report.failures) == report.graphs_checked == 16
+    assert scan_gap(6).failures == report.failures
     for failure, row in zip(report.failures, report.rows):
         truth = check_gap(creation_to_nsg(parse_creation_sequence(failure.sequence)))
         assert failure == dataclasses.replace(
             truth, expected_trivial=truth.expected_trivial + 1, passed=False)
         assert row["sequence"] == failure.sequence and row["verdict"] == "fail"
         assert row["expected_trivial"] == failure.expected_trivial
+
+
+def test_scan_without_rows_equals_report_with_rows():
+    # a scan without rows solves only the rows its report needs; the report
+    # must be the one every row solved gives, for any worker count
+    for scan in (scan_gap, scan_conjecture):
+        for order in range(2, 17):
+            full = dataclasses.replace(scan(order, keep_rows=True), rows=None)
+            for workers in (1, 2):
+                assert scan(order, workers=workers) == full, (scan.__name__, order, workers)
+
+
+def solved_rows(monkeypatch) -> list[int]:
+    """Counts the quotients each scan passes to quotient_stack."""
+    solved = [0]
+    honest = verify.quotient_stack
+
+    def counting(m, n):
+        solved[0] += len(m)
+        return honest(m, n)
+
+    monkeypatch.setattr(verify, "quotient_stack", counting)
+    return solved
+
+
+def test_scan_without_rows_solves_under_one_percent(monkeypatch):
+    solved = solved_rows(monkeypatch)
+    for scan in (scan_gap, scan_conjecture):
+        solved[0] = 0
+        assert scan(14).passed
+        assert solved[0] < 4096 // 100, scan.__name__
+        solved[0] = 0
+        scan(14, keep_rows=True)
+        assert solved[0] == 4096, scan.__name__
+
+
+def one_flip_from_antiregular(order):
+    """A_n with its next-to-last symbol flipped: close to extremal."""
+    symbols = str(nsg_to_creation(anti_regular(order)))
+    if order > 2:
+        symbols = symbols[:-2] + "10"[int(symbols[-2])] + symbols[-1]
+    return creation_to_nsg(parse_creation_sequence(symbols))
+
+
+def test_scan_pruning_is_sound_under_looser_thresholds(monkeypatch):
+    # thresholds taken from a graph that is not extremal let more rows
+    # through, and nothing else may change: a near tie lets a few more
+    # through, K_n (no eigenvalue below -1) nearly all
+    honest = {(scan, order): scan(order)
+              for scan in (scan_gap, scan_conjecture) for order in range(2, 15)}
+    solved = solved_rows(monkeypatch)
+    for loose in (one_flip_from_antiregular, lambda order: NsgForm([1], [order - 1])):
+        monkeypatch.setattr(verify, "anti_regular", loose)
+        for (scan, order), report in honest.items():
+            solved[0] = 0
+            patched = scan(order)
+            assert solved[0] > 1 or order < 4, (scan.__name__, order)
+            assert dataclasses.replace(patched, antiregular_sequence=None,
+                                       conjecture_holds=None) == dataclasses.replace(
+                report, antiregular_sequence=None, conjecture_holds=None)
+
+
+def test_scan_pruning_each_side_alone_keeps_the_report(monkeypatch):
+    # from order 3 on, A_n holds both extremes and has eigenvalues on both
+    # sides, so either side's candidates alone must find it; here one bound
+    # admits no eigenvalue at all ((eps/2, 1e-9] and (-1 - 1e-9, -1 - eps/2]
+    # are empty) and the other admits every one
+    honest = {(scan, order): scan(order)
+              for scan in (scan_gap, scan_conjecture) for order in range(3, 13)}
+    for one_sided in (lambda order: (0.0, -float(order)), lambda order: (float(order), -1.0)):
+        monkeypatch.setattr(verify, "_prune_thresholds", one_sided)
+        for (scan, order), report in honest.items():
+            assert scan(order) == report, (scan.__name__, order)
 
 
 def test_scan_rows_collection():

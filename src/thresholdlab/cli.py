@@ -1,13 +1,16 @@
 """Command-line front end.
 
 Subcommands: gen, spectrum, check-gap, scan-gap, scan-conjecture,
-check-antiregular, reduce, recognize.  Exit codes: 0 success/pass,
-2 verification failure, 1 usage or input error.
+check-antiregular, reduce, recognize.  Each handler builds records (ordered
+dicts) and renders them with ``formats.to_plain``, ``to_csv`` or
+``to_json``.  Exit codes: 0 success/pass, 2 verification failure, 1 usage or
+input error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Iterable
 
@@ -73,16 +76,45 @@ def _input_sequences(args) -> Iterable[graphs.CreationSequence]:
     return graphs.enumerate_threshold(args.order, args.connected_only)
 
 
+def _verdict(passed: bool) -> str:
+    return "pass" if passed else "fail"
+
+
+def _render(args, records, batch: bool = False, csv_keys=None) -> None:
+    """Write the records in the chosen format to ``--out`` or stdout.
+
+    JSON holds the one record, or the list for a batch; CSV has a column
+    per key of ``csv_keys`` (default: every key of the first record).
+    """
+    if args.format == "json":
+        text = formats.to_json(records if batch else records[0])
+    elif args.format == "csv":
+        text = formats.to_csv(csv_keys or list(records[0]), records)
+    else:
+        text = formats.to_plain(records)
+    _emit(text, args.out)
+
+
+def _report_record(report) -> dict:
+    """A report's fields, with ``passed`` turned into a closing ``verdict``."""
+    record = dataclasses.asdict(report)
+    record["verdict"] = _verdict(record.pop("passed"))
+    return record
+
+
+def _report(args, report) -> int:
+    _render(args, [_report_record(report)])
+    return 0 if report.passed else 2
+
+
 def _gen_record(seq: graphs.CreationSequence) -> dict:
-    form = graphs.creation_to_nsg(seq)
-    graph = graphs.build_adjacency(seq)
     realization = graphs.weight_realization(seq)
     return {
         "sequence": str(seq),
-        "nsg": formats.format_nsg(form),
+        "nsg": graphs.creation_to_nsg(seq),
         "order": seq.order,
         "connected": seq.connected,
-        "edges": graph.edges(),
+        "edges": graphs.sequence_edges(seq),
         "threshold": realization.threshold,
         "weights": list(realization.weights),
     }
@@ -90,28 +122,8 @@ def _gen_record(seq: graphs.CreationSequence) -> dict:
 
 def _cmd_gen(args) -> int:
     records = [_gen_record(s) for s in _input_sequences(args)]
-    if args.format == "json":
-        payload = records[0] if len(records) == 1 and args.order is None else records
-        _emit(formats.to_json(payload), args.out)
-    elif args.format == "csv":
-        lines = ["sequence,nsg,order,connected,edges"]
-        for r in records:
-            edges = " ".join(f"{u}-{v}" for u, v in r["edges"])
-            lines.append(f"{r['sequence']},\"{r['nsg']}\",{r['order']},{r['connected']},{edges}")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        blocks = []
-        for r in records:
-            blocks.append("\n".join([
-                f"sequence: {r['sequence']}",
-                f"nsg: {r['nsg']}",
-                f"order: {r['order']}",
-                f"connected: {str(r['connected']).lower()}",
-                "edges: " + " ".join(f"{u}-{v}" for u, v in r["edges"]),
-                f"threshold: {r['threshold']}",
-                "weights: " + " ".join(str(w) for w in r["weights"]),
-            ]))
-        _emit("\n\n".join(blocks) + "\n", args.out)
+    _render(args, records, batch=args.order is not None,
+            csv_keys=("sequence", "nsg", "order", "connected", "edges"))
     if args.edges_out:
         if len(records) != 1:
             raise ValueError("--edges-out needs a single-graph input")
@@ -128,10 +140,10 @@ def _spectrum_record(seq: graphs.CreationSequence) -> dict:
     eta_plus, eta_minus = spectra.eta_extremes(assembled)
     return {
         "sequence": str(seq),
-        "nsg": formats.format_nsg(form),
+        "nsg": form,
         "order": seq.order,
-        "assembled": assembled,
-        "dense": dense,
+        "assembled": assembled.values,
+        "dense": dense.values,
         "mult0": mults.mult0,
         "multm1": mults.multm1,
         "eta_plus": eta_plus,
@@ -141,56 +153,17 @@ def _spectrum_record(seq: graphs.CreationSequence) -> dict:
 
 def _cmd_spectrum(args) -> int:
     records = [_spectrum_record(s) for s in _input_sequences(args)]
-    if args.format == "json":
-        payload = [
-            {**r,
-             "assembled": [float(v) for v in r["assembled"].values],
-             "dense": [float(v) for v in r["dense"].values]}
-            for r in records
-        ]
-        _emit(formats.to_json(payload[0] if len(payload) == 1 and args.order is None else payload),
-              args.out)
-    elif args.format == "csv":
-        lines = [formats.spectrum_csv_row(r["sequence"], r["assembled"]) for r in records]
-        _emit("\n".join(lines) + "\n", args.out)
+    if args.format == "csv":  # no header; sequence, order, one cell per eigenvalue
+        rows = ([r["sequence"], str(r["order"]), *map(formats.sig12, r["assembled"])]
+                for r in records)
+        _emit("".join(",".join(row) + "\n" for row in rows), args.out)
     else:
-        blocks = []
-        for r in records:
-            eta_plus = "absent" if r["eta_plus"] is None else formats.sig12(r["eta_plus"])
-            eta_minus = "absent" if r["eta_minus"] is None else formats.sig12(r["eta_minus"])
-            blocks.append("\n".join([
-                f"sequence: {r['sequence']}",
-                f"nsg: {r['nsg']}",
-                f"order: {r['order']}",
-                "assembled: " + " ".join(formats.sig12(v) for v in r["assembled"].values),
-                "dense: " + " ".join(formats.sig12(v) for v in r["dense"].values),
-                f"mult0: {r['mult0']}",
-                f"multm1: {r['multm1']}",
-                f"eta_plus: {eta_plus}",
-                f"eta_minus: {eta_minus}",
-            ]))
-        _emit("\n\n".join(blocks) + "\n", args.out)
+        _render(args, records, batch=args.order is not None)
     return 0
 
 
 def _cmd_check_gap(args) -> int:
-    form = graphs.creation_to_nsg(_single_sequence(args))
-    report = verify.check_gap(form)
-    if args.format == "json":
-        _emit(formats.to_json(report), args.out)
-    elif args.format == "csv":
-        _emit(formats.gap_report_csv_header() + "\n" + formats.gap_report_csv_row(report) + "\n",
-              args.out)
-    else:
-        _emit("\n".join([
-            f"sequence: {report.sequence}",
-            f"order: {report.order}",
-            f"count_in_interval: {report.count_in_interval}",
-            f"expected_trivial: {report.expected_trivial}",
-            f"min_nontrivial_distance: {formats.sig12(report.min_nontrivial_distance)}",
-            f"verdict: {'pass' if report.passed else 'fail'}",
-        ]) + "\n", args.out)
-    return 0 if report.passed else 2
+    return _report(args, verify.check_gap(graphs.creation_to_nsg(_single_sequence(args))))
 
 
 def _scan(args, runner) -> int:
@@ -200,48 +173,32 @@ def _scan(args, runner) -> int:
         order_cap=args.order_cap,
         keep_rows=args.format == "csv",
     )
-    if args.format == "json":
-        _emit(formats.to_json(report), args.out)
-    elif args.format == "csv":
-        _emit(formats.scan_rows_csv(report), args.out)
-    else:
-        lines = [
-            f"scan: {report.kind}",
-            f"order: {report.order}",
-            f"graphs_checked: {report.graphs_checked}",
-            f"failures: {len(report.failures)}",
-        ]
-        if report.extremal_eta_plus:
-            value, seq = report.extremal_eta_plus
-            lines.append(f"extremal_eta_plus: {formats.sig12(value)} at {seq}")
-        if report.extremal_eta_minus:
-            value, seq = report.extremal_eta_minus
-            lines.append(f"extremal_eta_minus: {formats.sig12(value)} at {seq}")
-        if report.kind == "conjecture":
-            lines.append(f"antiregular_sequence: {report.antiregular_sequence}")
-            lines.append(f"conjecture_holds: {str(report.conjecture_holds).lower()}")
-        lines.append(f"verdict: {'pass' if report.passed else 'fail'}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if report.passed else 2
-
-
-def _cmd_check_antiregular(args) -> int:
-    report = verify.check_antiregular_bounds(args.order)
-    if args.format == "json":
-        _emit(formats.to_json(report), args.out)
-    elif args.format == "csv":
-        eta_minus = "" if report.eta_minus is None else formats.sig12(report.eta_minus)
-        _emit("order,eta_plus,eta_minus,verdict\n"
-              f"{report.order},{formats.sig12(report.eta_plus)},{eta_minus},"
-              f"{'pass' if report.passed else 'fail'}\n", args.out)
-    else:
-        eta_minus = "absent" if report.eta_minus is None else formats.sig12(report.eta_minus)
-        _emit("\n".join([
-            f"order: {report.order}",
-            f"eta_plus: {formats.sig12(report.eta_plus)}",
-            f"eta_minus: {eta_minus}",
-            f"verdict: {'pass' if report.passed else 'fail'}",
-        ]) + "\n", args.out)
+    conjecture = {} if report.kind == "gap" else {
+        "antiregular_sequence": report.antiregular_sequence,
+        "conjecture_holds": report.conjecture_holds,
+    }
+    if args.format == "csv":
+        records = report.rows
+    elif args.format == "json":
+        records = [{
+            "kind": report.kind,
+            "order": report.order,
+            "graphs_checked": report.graphs_checked,
+            "failures": [_report_record(f) for f in report.failures],
+            "extremal_eta_plus": report.extremal_eta_plus,
+            "extremal_eta_minus": report.extremal_eta_minus,
+            "verdict": _verdict(report.passed),
+            **conjecture,
+        }]
+    else:  # plain counts the failures and omits absent extremes
+        record = {"scan": report.kind, "order": report.order,
+                  "graphs_checked": report.graphs_checked, "failures": len(report.failures)}
+        for key in ("extremal_eta_plus", "extremal_eta_minus"):
+            if getattr(report, key):
+                value, seq = getattr(report, key)
+                record[key] = f"{formats.sig12(value)} at {seq}"
+        records = [{**record, **conjecture, "verdict": _verdict(report.passed)}]
+    _render(args, records)
     return 0 if report.passed else 2
 
 
@@ -252,72 +209,46 @@ def _cmd_reduce(args) -> int:
     steps = verify.reduction_chain(form)
     checks = [verify.check_reduction(step) for step in steps]
     final = steps[-1].child if steps else form
-    all_ok = all(checks)
+    records = [{
+        "parent": s.parent,
+        "deleted_class": list(s.deleted_class),
+        "case": s.case.value,
+        "child": s.child,
+        "verdict": _verdict(ok),
+    } for s, ok in zip(steps, checks)]
     if args.format == "json":
-        payload = {
-            "start": formats.format_nsg(form),
-            "steps": [
-                {
-                    "parent": formats.format_nsg(s.parent),
-                    "deleted_class": list(s.deleted_class),
-                    "case": s.case.value,
-                    "child": formats.format_nsg(s.child),
-                    "verdict": "pass" if ok else "fail",
-                }
-                for s, ok in zip(steps, checks)
-            ],
-            "antiregular": formats.format_nsg(final),
-            "verdict": "pass" if all_ok else "fail",
-        }
-        _emit(formats.to_json(payload), args.out)
-    elif args.format == "csv":
-        lines = ["step,parent,deleted_class,case,child,verdict"]
-        for i, (s, ok) in enumerate(zip(steps, checks), start=1):
-            kind, index = s.deleted_class
-            lines.append(",".join([
-                str(i), f"\"{formats.format_nsg(s.parent)}\"", f"{kind}{index}",
-                s.case.value, f"\"{formats.format_nsg(s.child)}\"",
-                "pass" if ok else "fail",
-            ]))
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        lines = [f"start: {formats.format_nsg(form)}"]
-        for i, (s, ok) in enumerate(zip(steps, checks), start=1):
-            kind, index = s.deleted_class
-            lines.append(
-                f"step {i}: delete {kind}_{index} ({s.case.value}) -> "
-                f"{formats.format_nsg(s.child)} [{'pass' if ok else 'fail'}]"
-            )
-        lines.append(f"antiregular: {formats.format_nsg(final)} after {len(steps)} steps")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if all_ok else 2
+        records = [{"start": form, "steps": records, "antiregular": final,
+                    "verdict": _verdict(all(checks))}]
+    elif args.format == "csv":  # a numbered row per step, the class as e.g. U2
+        records = [{"step": i, **r, "deleted_class": "{}{}".format(*r["deleted_class"])}
+                   for i, r in enumerate(records, start=1)]
+    else:  # plain gives a sentence per step
+        plain = {"start": form}
+        for i, r in enumerate(records, start=1):
+            plain[f"step {i}"] = ("delete {}_{} ({}) -> {} [{}]".format(
+                *r["deleted_class"], r["case"], formats.format_nsg(r["child"]), r["verdict"]))
+        plain["antiregular"] = f"{formats.format_nsg(final)} after {len(steps)} steps"
+        records = [plain]
+    _render(args, records, csv_keys=("step", "parent", "deleted_class", "case", "child", "verdict"))
+    return 0 if all(checks) else 2
 
 
 def _cmd_recognize(args) -> int:
     order, edges = formats.read_edge_list(args.edges)
     result = graphs.recognize(edges, order)
     if isinstance(result, graphs.NotThreshold):
-        if args.format == "json":
-            _emit(formats.to_json({
-                "threshold_graph": False,
-                "witness_vertices": list(result.vertices),
-                "witness_edges": [list(e) for e in result.edges],
-            }), args.out)
-        else:
-            _emit("NotThreshold\n"
-                  "witness_vertices: " + " ".join(str(v) for v in result.vertices) + "\n"
-                  "witness_edges: " + " ".join(f"{u}-{v}" for u, v in result.edges) + "\n",
-                  args.out)
-        return 2
-    if args.format == "json":
-        _emit(formats.to_json({
-            "threshold_graph": True,
-            "sequence": str(result),
-            "nsg": formats.format_nsg(graphs.creation_to_nsg(result)),
-        }), args.out)
+        record = {"threshold_graph": False, "witness_vertices": list(result.vertices),
+                  "witness_edges": list(result.edges)}
     else:
-        _emit(f"sequence: {result}\n", args.out)
-    return 0
+        record = {"threshold_graph": True, "sequence": str(result),
+                  "nsg": graphs.creation_to_nsg(result)}
+    if args.format == "plain":  # a bare NotThreshold line; no nsg
+        head = "" if record["threshold_graph"] else "NotThreshold\n"
+        plain = {k: v for k, v in record.items() if k not in ("threshold_graph", "nsg")}
+        _emit(head + formats.to_plain([plain]), args.out)
+    else:
+        _render(args, [record])
+    return 0 if record["threshold_graph"] else 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-antiregular", help="eta bounds of the anti-regular graph")
     p.add_argument("--order", type=int, required=True)
     _add_output(p)
-    p.set_defaults(handler=_cmd_check_antiregular)
+    p.set_defaults(
+        handler=lambda args: _report(args, verify.check_antiregular_bounds(args.order)))
 
     p = sub.add_parser("reduce", help="print the vertex-deletion chain down to anti-regular")
     _add_graph_input(p)

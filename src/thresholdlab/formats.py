@@ -1,27 +1,32 @@
-"""Text and file formats: NSG strings, edge-list files, CSV/JSON reports.
+"""Text and file formats: NSG strings, edge-list files, record renderers.
 
 Formats:
   * creation sequences: '0'/'1' strings;
   * NSG text: ``nsg(m1,...,mh;n1,...,nh[;+k])``, ``+k`` = isolated count,
     e.g. ``nsg(3;2)``, ``nsg(1,2;1,1)``, ``nsg(;;+3)`` for 3K_1;
   * edge lists: first line ``n m`` with n <= EDGE_ORDER_CAP, then m lines
-    ``u v`` (0-based); lines starting with ``#`` are comments;
-  * spectra as CSV rows: sequence, order, eigenvalues descending at 12
-    significant digits.
+    ``u v`` (0-based); lines starting with ``#`` are comments.
+
+Command output is rendered from records: ordered dicts of numbers, strings,
+``NsgForm``s, lists, arrays and (u, v) edge tuples.  ``to_plain``,
+``to_csv`` and ``to_json`` turn them into ``key: value`` lines, CSV rows and
+JSON; floats print at 12 significant digits (``sig12``) in plain and CSV.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
+from functools import partial
+from operator import itemgetter
 from typing import Iterable
 
-from .graphs import NsgForm
-from .spectra import Spectrum
-from .verify import BoundsReport, GapReport, InterlacingReport, ReductionStep, ScanReport
+import numpy as np
 
-# Recognition builds an n x n matrix from the header's n, so an edge file
-# may not ask for more vertices than this.
+from .graphs import NsgForm
+
+# An edge file may not ask for more vertices than this.  Recognition takes
+# O(m + n log n), but check-gap then solves a quotient of up to n x n: at the
+# cap, A_2000 (about a million edges) took about 5 s and 260 MB.
 EDGE_ORDER_CAP = 2000
 
 
@@ -92,89 +97,61 @@ def read_edge_list(path) -> tuple[int, list[tuple[int, int]]]:
         return parse_edge_list(fh.read())
 
 
-def spectrum_csv_row(sequence: str, spectrum: Spectrum) -> str:
-    values = ",".join(sig12(v) for v in spectrum.values)
-    return f"{sequence},{spectrum.order},{values}"
+def _json_default(obj):
+    return format_nsg(obj) if isinstance(obj, NsgForm) else obj.tolist()
 
 
-def _to_jsonable(obj):
-    if isinstance(obj, (GapReport, BoundsReport, InterlacingReport)):
-        data = dataclasses.asdict(obj)
-        data["verdict"] = "pass" if obj.passed else "fail"
-        data.pop("passed")
-        return data
-    if isinstance(obj, ScanReport):
-        data = {
-            "kind": obj.kind,
-            "order": obj.order,
-            "graphs_checked": obj.graphs_checked,
-            "failures": [_to_jsonable(f) for f in obj.failures],
-            "extremal_eta_plus": obj.extremal_eta_plus,
-            "extremal_eta_minus": obj.extremal_eta_minus,
-            "verdict": "pass" if obj.passed else "fail",
-        }
-        if obj.kind == "conjecture":
-            data["antiregular_sequence"] = obj.antiregular_sequence
-            data["conjecture_holds"] = obj.conjecture_holds
-        return data
-    if isinstance(obj, ReductionStep):
-        return {
-            "parent": format_nsg(obj.parent),
-            "deleted_class": list(obj.deleted_class),
-            "child": format_nsg(obj.child),
-            "case": obj.case.value,
-        }
-    if isinstance(obj, NsgForm):
-        return format_nsg(obj)
-    if dataclasses.is_dataclass(obj):
-        return dataclasses.asdict(obj)
-    return obj
+def to_json(obj) -> str:
+    """Indented JSON; NSG forms as their text, arrays as lists."""
+    return json.dumps(obj, indent=2, default=_json_default) + "\n"
 
 
-def to_json(obj, **extra) -> str:
-    data = _to_jsonable(obj)
-    if isinstance(data, dict) and extra:
-        data = {**data, **extra}
-    return json.dumps(data, indent=2, default=_to_jsonable) + "\n"
+def _text(value, csv: bool = False) -> str:
+    """One plain or CSV value: None absent (CSV: empty), bools true/false
+    (CSV: True/False), NSG text (quoted in CSV), floats at 12 significant
+    digits, lists and arrays space-joined, (u, v) edges as u-v."""
+    if value is None:
+        return "" if csv else "absent"
+    if isinstance(value, bool):
+        return str(value) if csv else str(value).lower()
+    if isinstance(value, float):
+        return sig12(value)
+    if isinstance(value, NsgForm):
+        return f'"{format_nsg(value)}"' if csv else format_nsg(value)
+    if isinstance(value, tuple):
+        return "-".join(map(str, value))
+    if isinstance(value, (list, np.ndarray)):
+        return " ".join(_text(item, csv) for item in value)
+    return str(value)
 
 
-def gap_report_csv_header() -> str:
-    return "sequence,order,count_in_interval,expected_trivial,min_nontrivial_distance,verdict"
+def to_plain(records) -> str:
+    """``key: value`` lines, one block per record, blocks split by a blank line."""
+    blocks = ("\n".join(f"{key}: {_text(value)}" for key, value in record.items())
+              for record in records)
+    return "\n\n".join(blocks) + "\n"
 
 
-def gap_report_csv_row(report: GapReport) -> str:
-    return ",".join([
-        report.sequence,
-        str(report.order),
-        str(report.count_in_interval),
-        str(report.expected_trivial),
-        sig12(report.min_nontrivial_distance),
-        "pass" if report.passed else "fail",
-    ])
+def _csv_str(value) -> str:
+    return "" if value is None else str(value)
 
 
-def scan_rows_csv(report: ScanReport) -> str:
-    """Per-graph CSV rows of a scan run with keep_rows=True."""
-    if report.rows is None:
-        raise ValueError("scan was run without keep_rows; no per-graph rows to export")
-    gap = report.kind == "gap"
-    header = "sequence,order,eta_plus,eta_minus"
-    if gap:
-        header += ",count_in_interval,expected_trivial,min_nontrivial_distance,verdict"
-    lines = [header]
-    for row in report.rows:
-        cells = [
-            row["sequence"],
-            str(row["order"]),
-            "" if row["eta_plus"] is None else sig12(row["eta_plus"]),
-            "" if row["eta_minus"] is None else sig12(row["eta_minus"]),
-        ]
-        if gap:
-            cells += [
-                str(row["count_in_interval"]),
-                str(row["expected_trivial"]),
-                sig12(row["min_nontrivial_distance"]),
-                row["verdict"],
-            ]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+# Scans render thousands of rows, so float, int and str columns skip the
+# per-value type tests of _text.
+_CSV_COLUMN = {float: lambda value: "" if value is None else sig12(value),
+               int: _csv_str, str: _csv_str}
+
+
+def to_csv(keys, records) -> str:
+    """A header of ``keys``, then one row per record of the sequence ``records``.
+
+    None is empty, NSG text quoted, bools True/False, floats at 12 digits.
+    Each column gets one formatter, picked by its first value that is not
+    None, so a column must hold one type.
+    """
+    def column(key):
+        sample = next((r[key] for r in records if r[key] is not None), None)
+        cell = _CSV_COLUMN.get(type(sample), partial(_text, csv=True))
+        return map(cell, map(itemgetter(key), records))
+
+    return "\n".join([",".join(keys), *map(",".join, zip(*map(column, keys)))]) + "\n"

@@ -242,6 +242,13 @@ def build_adjacency(seq: CreationSequence) -> DenseGraph:
     return DenseGraph(a, _class_tags(seq))
 
 
+def sequence_edges(seq: CreationSequence) -> list[tuple[int, int]]:
+    """Edges in row-major order, read off the sequence: for i < j, vertex j
+    is adjacent to vertex i iff symbol j is dominating."""
+    dominating = [j for j, c in enumerate(seq.symbols) if c == DOMINATING]
+    return [(i, j) for i in range(seq.order) for j in dominating if j > i]
+
+
 def nsg_to_graph(form: NsgForm) -> DenseGraph:
     """Dense adjacency of an NSG form (via its creation sequence)."""
     return build_adjacency(nsg_to_creation(form))
@@ -300,19 +307,33 @@ def enumerate_threshold(order: int, connected_only: bool = False):
         yield sequence_at(order, index, connected_only)
 
 
-def adjacency_from_edges(order: int, edges) -> np.ndarray:
-    """Adjacency matrix from an edge list, validating simplicity."""
+def _edge_pairs(order: int, edges) -> set[tuple[int, int]]:
+    """The edges as (smaller, larger) endpoint pairs.
+
+    Refuses, at the first bad edge, a self-loop, an endpoint outside
+    0..order-1 or a repeated pair.
+    """
     if order < 0:
         raise InvalidEdgeError(f"order must be nonnegative, got {order}")
-    a = np.zeros((order, order), dtype=np.uint8)
+    pairs: set[tuple[int, int]] = set()
     for u, v in edges:
         u, v = int(u), int(v)
         if u == v:
             raise InvalidEdgeError(f"self-loop at vertex {u}")
         if not (0 <= u < order and 0 <= v < order):
             raise InvalidEdgeError(f"edge ({u}, {v}) out of range for order {order}")
-        if a[u, v]:
+        pair = (u, v) if u < v else (v, u)
+        if pair in pairs:
             raise InvalidEdgeError(f"duplicate edge ({u}, {v})")
+        pairs.add(pair)
+    return pairs
+
+
+def adjacency_from_edges(order: int, edges) -> np.ndarray:
+    """Adjacency matrix from an edge list, validating simplicity."""
+    pairs = _edge_pairs(order, edges)
+    a = np.zeros((order, order), dtype=np.uint8)
+    for u, v in pairs:
         a[u, v] = a[v, u] = 1
     return a
 
@@ -321,37 +342,37 @@ def recognize(edges, order: int) -> CreationSequence | NotThreshold:
     """Recognize a labeled graph as a threshold graph by peeling.
 
     Repeatedly removes an isolated or a dominating vertex of the current
-    induced subgraph.  Success yields the canonical creation sequence of an
-    isomorphic threshold graph; otherwise the stuck subgraph (no isolated,
-    no dominating vertex) is returned as a checkable witness.
+    induced subgraph (Chvátal and Hammer 1977).  Degrees suffice: each
+    removed dominating vertex was adjacent to every vertex still present and
+    each removed isolated vertex to none, so a present vertex's current
+    degree is its degree less the dominating vertices removed.  Hence the
+    vertex of least degree is isolated if any is, and the one of greatest
+    degree dominating if any is; O(m + n log n) in all.  Success yields the
+    canonical creation sequence of an isomorphic threshold graph; otherwise
+    the stuck subgraph (no isolated, no dominating vertex) is returned as a
+    checkable witness.
     """
-    a = adjacency_from_edges(order, edges)
-    deg = a.sum(axis=1, dtype=np.int64)
-    alive = sorted(range(order))
+    pairs = _edge_pairs(order, edges)
+    degree = [0] * order
+    for u, v in pairs:
+        degree[u] += 1
+        degree[v] += 1
+    by_degree = sorted(range(order), key=degree.__getitem__)
+    lo, hi = 0, order - 1  # by_degree[lo..hi] are still present
+    removed_dominating = 0
     symbols_rev: list[str] = []
-    while len(alive) > 1:
-        k = len(alive)
-        pick = -1
-        for v in alive:
-            if deg[v] == 0:
-                pick, symbol = v, ISOLATED
-                break
-        if pick < 0:
-            for v in alive:
-                if deg[v] == k - 1:
-                    pick, symbol = v, DOMINATING
-                    break
-        if pick < 0:
-            verts = tuple(alive)
-            sub_edges = tuple(
-                (u, v) for u, v in itertools.combinations(verts, 2) if a[u, v]
-            )
-            return NotThreshold(verts, sub_edges)
-        alive.remove(pick)
-        for v in alive:
-            if a[pick, v]:
-                deg[v] -= 1
-        symbols_rev.append(symbol)
+    while lo < hi:
+        if degree[by_degree[lo]] == removed_dominating:
+            lo += 1
+            symbols_rev.append(ISOLATED)
+        elif degree[by_degree[hi]] - removed_dominating == hi - lo:
+            hi -= 1
+            removed_dominating += 1
+            symbols_rev.append(DOMINATING)
+        else:
+            stuck = set(by_degree[lo:hi + 1])
+            return NotThreshold(tuple(sorted(stuck)),
+                                tuple(sorted(p for p in pairs if p[0] in stuck and p[1] in stuck)))
     symbols_rev.append(ISOLATED)
     return CreationSequence("".join(reversed(symbols_rev)))
 

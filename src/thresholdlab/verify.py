@@ -64,6 +64,10 @@ PRUNE_MARGIN = 1e-9
 # quotient entries (order^2 per graph bounds (2h)^2), so memory stays flat
 # as the order grows.  Blocks sit on a fixed grid of indices.
 SCAN_BLOCK_ENTRIES = 1 << 17
+# Scans refuse more workers than this, since a process pool forks all of its
+# workers on the first task.  A constant, not the core count, so that reports
+# can be compared across worker counts on any host.
+MAX_WORKERS = 64
 INTERLACING_TOL = 1e-7
 
 
@@ -309,6 +313,16 @@ def _prune_thresholds(order: int) -> tuple[float, float]:
     return (order if plus is None else plus), (-order if minus is None else minus)
 
 
+def _class_sizes(changes: np.ndarray, order: int, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """Class sizes (m, n), one row per graph, from the symbol changes of
+    sequences that all have h clique classes."""
+    cuts = np.nonzero(changes)[1].reshape(len(changes), 2 * h - 1) + 1
+    edges = np.concatenate([np.zeros((len(changes), 1), dtype=np.int64), cuts,
+                            np.full((len(changes), 1), order)], axis=1)
+    runs = np.diff(edges, axis=1)  # a_1 b_1 ... a_h b_h: m_h = a_1, n_1 = b_h
+    return runs[:, -2::-2], runs[:, :0:-2]
+
+
 def _scan_block(order: int, lo: int, hi: int, gap: bool,
                 thresholds: tuple[float, float] | None) -> tuple:
     """Per-graph arrays for connected sequences lo..hi-1 of one order.
@@ -318,7 +332,8 @@ def _scan_block(order: int, lo: int, hi: int, gap: bool,
     with a single eigensolve.  The eigenvalues are kept zero-padded to a
     common width: 0 is trivial, so the padding counts for neither eta nor
     the clearance.  For gap scans, gap_columns holds the interval count by
-    the block kernel, the trivial forecast and the clearance; else None.
+    the block kernel, the trivial forecast and the clearance; else None,
+    and class sizes are read only for the rows solved.
 
     With ``thresholds`` = (t+, t-) from :func:`_prune_thresholds`, only the
     rows a report without rows needs are solved: those where the kernel
@@ -340,25 +355,20 @@ def _scan_block(order: int, lo: int, hi: int, gap: bool,
     changes = symbols[:, 1:] != symbols[:, :-1]
     h_of = (changes.sum(axis=1) + 1) // 2  # runs alternate 0, 1, ..., 1
     eigs = np.zeros((hi - lo, 2 * int(h_of.max())))
-    expected = np.zeros(hi - lo, dtype=np.int64)
+    expected = np.zeros(hi - lo, dtype=np.int64) if gap else None
     for h in np.flatnonzero(np.bincount(h_of)).tolist():
         rows = np.flatnonzero(h_of == h)
-        cuts = np.nonzero(changes[rows])[1].reshape(len(rows), 2 * h - 1) + 1
-        edges = np.concatenate([np.zeros((len(rows), 1), dtype=np.int64), cuts,
-                                np.full((len(rows), 1), order)], axis=1)
-        runs = np.diff(edges, axis=1)  # a_1 b_1 ... a_h b_h: m_h = a_1, n_1 = b_h
-        m, n = runs[:, -2::-2], runs[:, :0:-2]
-        pad0, padm1, inside = trivial_forecast(m.T, n.T)
-        expected[rows] = pad0 + padm1 + inside
-        if solve is None:
-            picked = slice(None)
-        else:
-            if gap:
+        if gap:
+            m, n = _class_sizes(changes[rows], order, h)
+            pad0, padm1, inside = trivial_forecast(m.T, n.T)
+            expected[rows] = pad0 + padm1 + inside
+            if solve is not None:
                 solve[rows] |= count[rows] != expected[rows]
-            picked = solve[rows]
+        picked = slice(None) if solve is None else solve[rows]
         solved = rows[picked]
         if len(solved):
-            eigs[solved, :2 * h] = np.linalg.eigvalsh(quotient_stack(m[picked], n[picked])[1])
+            m, n = (m[picked], n[picked]) if gap else _class_sizes(changes[solved], order, h)
+            eigs[solved, :2 * h] = np.linalg.eigvalsh(quotient_stack(m, n)[1])
     eta_plus, eta_minus = eta_extremes(eigs)
     if not gap:
         return symbols, eta_plus, eta_minus, None
@@ -426,6 +436,8 @@ def _run_scan(kind: str, order: int, workers: int, order_cap: int, keep_rows: bo
     _check_scan_order(order, order_cap)
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if workers > MAX_WORKERS:
+        raise ValueError(f"workers {workers} above the cap {MAX_WORKERS}")
     total = count_threshold(order, connected_only=True)
     bounds = np.linspace(0, total, num=min(workers, total) + 1, dtype=int)
     chunks = [
@@ -435,7 +447,7 @@ def _run_scan(kind: str, order: int, workers: int, order_cap: int, keep_rows: bo
     if workers == 1:
         partials = [_scan_chunk(chunk) for chunk in chunks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             partials = list(pool.map(_scan_chunk, chunks))
 
     checked = 0

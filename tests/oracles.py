@@ -102,3 +102,24 @@ def neighborhood_classes(adjacency, closed=False):
     for v in range(a.shape[0]):
         groups.setdefault(tuple(a[v]), []).append(v)
     return sorted((tuple(g) for g in groups.values()), key=lambda g: g[0])
+
+
+def peel_dense(adjacency):
+    """Recognition by peeling on a dense matrix, rescanning for the first
+    isolated, then the first dominating, vertex at every step.
+
+    Returns the creation-sequence string, or (stuck vertices, their induced
+    edges) when no vertex can be peeled.
+    """
+    a = np.asarray(adjacency)
+    alive = list(range(a.shape[0]))
+    symbols = []
+    while len(alive) > 1:
+        degree = {v: sum(int(a[v, w]) for w in alive) for v in alive}
+        isolated = [v for v in alive if degree[v] == 0]
+        dominating = [v for v in alive if degree[v] == len(alive) - 1]
+        if not isolated and not dominating:
+            return tuple(alive), tuple(e for e in itertools.combinations(alive, 2) if a[e])
+        alive.remove((isolated or dominating)[0])
+        symbols.append("0" if isolated else "1")
+    return "0" + "".join(reversed(symbols))

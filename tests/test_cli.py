@@ -281,6 +281,38 @@ def test_scan_order_ceiling_exit_1(capsys, monkeypatch):
             assert f"above the ceiling {verify.ORDER_CEILING}" in err
 
 
+def test_workers_above_cap_exit_1(capsys, monkeypatch):
+    # refused from the worker count alone: no pool, no chunk
+    def refuse(*args, **kwargs):
+        raise AssertionError("scan started above the workers cap")
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(verify, "_scan_chunk", refuse)
+    for command in ("scan-gap", "scan-conjecture"):
+        for workers in (verify.MAX_WORKERS + 1, 100000):
+            code, out, err = run(capsys, command, "--order", "3", "--workers", str(workers))
+            assert (code, out) == (1, "")
+            assert err == f"error: workers {workers} above the cap {verify.MAX_WORKERS}\n"
+
+
+def test_commands_build_no_dense_matrix(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a command built a dense matrix")
+
+    monkeypatch.setattr(cli.graphs, "build_adjacency", refuse)
+    monkeypatch.setattr(cli.graphs, "adjacency_from_edges", refuse)
+    edges = tmp_path / "paw.txt"
+    code, out, _ = run(capsys, "gen", "--seq", "0101", "--edges-out", str(edges))
+    assert code == 0 and "edges: 0-1 0-3 1-3 2-3" in out
+    assert run(capsys, "gen", "--order", "4", "--format", "csv")[0] == 0
+    assert run(capsys, "recognize", "--edges", str(edges)) == (0, "sequence: 0101\n", "")
+    code, out, _ = run(capsys, "check-gap", "--edges", str(edges))
+    assert code == 0 and "count_in_interval: 1" in out
+    c4 = tmp_path / "c4.txt"
+    c4.write_text(C4_TEXT)
+    assert run(capsys, "recognize", "--edges", str(c4))[0] == 2
+
+
 def test_batch_order_cap_exit_1(capsys, monkeypatch):
     # every order this file enumerates is within the cap
     assert cli.BATCH_ORDER_CAP >= 4

@@ -27,6 +27,7 @@ from thresholdlab.graphs import (
     partition_classes,
     recognize,
     sequence_at,
+    sequence_edges,
     weight_realization,
 )
 
@@ -275,6 +276,11 @@ def test_sequence_at_matches_enumeration():
         sequence_at(4, -1)
 
 
+def test_sequence_edges_match_dense_build():
+    for seq in all_sequences(9):
+        assert sequence_edges(seq) == build_adjacency(seq).edges()
+
+
 def test_enumerated_graphs_pass_recognition():
     for seq in all_sequences(8):
         g = build_adjacency(seq)
@@ -311,6 +317,33 @@ def test_recognize_rejects_bad_edges():
         recognize([(0, 5)], 3)
     with pytest.raises(InvalidEdgeError):
         recognize([(0, 1), (1, 0)], 2)
+
+
+def _same_as_dense_peeling(edges, order):
+    result = recognize(edges, order)
+    expected = oracles.peel_dense(adjacency_from_edges(order, edges))
+    if isinstance(result, NotThreshold):
+        return (result.vertices, result.edges) == expected
+    return result.symbols == expected
+
+
+def test_recognize_matches_dense_peeling_oracle():
+    # degree peeling gives the dense rescan's sequence and witness exactly
+    for order in range(1, 6):
+        pairs = list(itertools.combinations(range(order), 2))
+        for mask in range(2 ** len(pairs)):
+            edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+            assert _same_as_dense_peeling(edges, order), edges
+    rng = np.random.default_rng(20261018)
+    for _ in range(300):
+        order = int(rng.integers(6, 16))
+        symbols = "0" + "".join(rng.choice(["0", "1"], size=order - 1))
+        edges = sequence_edges(CreationSequence(symbols))
+        perm = rng.permutation(order).tolist()
+        edges = [(perm[v], perm[u]) for u, v in edges]
+        if edges and rng.random() < 0.5:  # one missing edge, usually not threshold
+            edges.pop(int(rng.integers(len(edges))))
+        assert _same_as_dense_peeling(edges, order), (order, edges)
 
 
 def test_recognition_matches_forbidden_subgraph_oracle_order_5():

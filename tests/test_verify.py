@@ -309,6 +309,33 @@ def test_scan_order_ceiling():
             scan(ORDER_CEILING + 1, order_cap=10**6)
 
 
+def test_scan_workers_cap(monkeypatch):
+    # refused before any pool exists; a pool never gets more workers than chunks
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    for scan in (scan_gap, scan_conjecture):
+        with pytest.raises(ValueError, match=f"above the cap {verify.MAX_WORKERS}"):
+            scan(3, workers=verify.MAX_WORKERS + 1)
+    assert pools == []
+    assert scan_gap(3, workers=5) == scan_gap(3)
+    assert scan_conjecture(5, workers=verify.MAX_WORKERS) == scan_conjecture(5)
+    assert pools == [2, 8]
+
+
 def test_scan_deterministic_across_workers():
     assert scan_gap(8, workers=1) == scan_gap(8, workers=3)
     assert scan_conjecture(7, workers=1) == scan_conjecture(7, workers=2)

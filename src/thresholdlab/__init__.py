@@ -2,11 +2,9 @@
 
 from .graphs import (
     CreationSequence,
-    DenseGraph,
     NotThreshold,
     NsgForm,
     WeightRealization,
-    adjacency_from_edges,
     anti_regular,
     build_adjacency,
     complement,
@@ -14,26 +12,19 @@ from .graphs import (
     creation_to_nsg,
     enumerate_threshold,
     nsg_to_creation,
-    nsg_to_graph,
     parse_creation_sequence,
-    partition_classes,
     recognize,
     sequence_at,
     sequence_edges,
     weight_realization,
 )
 from .spectra import (
-    QuotientPair,
-    Spectrum,
     TrivialMults,
     assemble_spectrum,
     count_eigs_leq,
     count_eigs_leq_rows,
-    dense_spectrum,
     eta_extremes,
-    quotient_matrix,
     quotient_stack,
-    symmetric_eigenvalues,
     trivial_forecast,
     trivial_multiplicities,
 )

@@ -14,6 +14,8 @@ import dataclasses
 import sys
 from typing import Iterable
 
+import numpy as np
+
 from . import formats, graphs, spectra, verify
 
 FORMATS = ("plain", "json", "csv")
@@ -54,11 +56,21 @@ def _add_output(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="write output to this path instead of stdout")
 
 
+def _check_order(what: str, order: int) -> None:
+    """Hold a single input graph to the edge-file cap before anything of its
+    size is built: spectrum's dense column and gen's edge list grow as order^2."""
+    if order > formats.EDGE_ORDER_CAP:
+        raise ValueError(f"{what} {order} is above the cap {formats.EDGE_ORDER_CAP}")
+
+
 def _single_sequence(args) -> graphs.CreationSequence:
     if args.seq is not None:
+        _check_order("--seq order", len(args.seq))
         return graphs.parse_creation_sequence(args.seq)
     if args.nsg is not None:
-        return graphs.nsg_to_creation(formats.parse_nsg(args.nsg))
+        form = formats.parse_nsg(args.nsg)
+        _check_order("--nsg order", form.order)
+        return graphs.nsg_to_creation(form)
     order, edges = formats.read_edge_list(args.edges)
     result = graphs.recognize(edges, order)
     if isinstance(result, graphs.NotThreshold):
@@ -121,33 +133,33 @@ def _gen_record(seq: graphs.CreationSequence) -> dict:
 
 
 def _cmd_gen(args) -> int:
+    if args.edges_out and args.order is not None:
+        raise ValueError("--edges-out needs a single-graph input")
     records = [_gen_record(s) for s in _input_sequences(args)]
-    _render(args, records, batch=args.order is not None,
-            csv_keys=("sequence", "nsg", "order", "connected", "edges"))
     if args.edges_out:
-        if len(records) != 1:
-            raise ValueError("--edges-out needs a single-graph input")
         with open(args.edges_out, "w", encoding="utf-8") as fh:
             fh.write(formats.format_edge_list(records[0]["order"], records[0]["edges"]))
+    _render(args, records, batch=args.order is not None,
+            csv_keys=("sequence", "nsg", "order", "connected", "edges"))
     return 0
 
 
 def _spectrum_record(seq: graphs.CreationSequence) -> dict:
     form = graphs.creation_to_nsg(seq)
     assembled = spectra.assemble_spectrum(form)
-    dense = spectra.dense_spectrum(graphs.build_adjacency(seq).adjacency.astype(float))
+    dense = np.linalg.eigvalsh(graphs.build_adjacency(seq).astype(float))[::-1]
     mults = spectra.trivial_multiplicities(form)
     eta_plus, eta_minus = spectra.eta_extremes(assembled)
     return {
         "sequence": str(seq),
         "nsg": form,
         "order": seq.order,
-        "assembled": assembled.values,
-        "dense": dense.values,
+        "assembled": assembled,
+        "dense": dense,
         "mult0": mults.mult0,
         "multm1": mults.multm1,
-        "eta_plus": eta_plus,
-        "eta_minus": eta_minus,
+        "eta_plus": float(eta_plus) if eta_plus < np.inf else None,
+        "eta_minus": float(eta_minus) if eta_minus > -np.inf else None,
     }
 
 
@@ -160,6 +172,11 @@ def _cmd_spectrum(args) -> int:
     else:
         _render(args, records, batch=args.order is not None)
     return 0
+
+
+def _cmd_check_antiregular(args) -> int:
+    _check_order("--order", args.order)
+    return _report(args, verify.check_antiregular_bounds(args.order))
 
 
 def _cmd_check_gap(args) -> int:
@@ -283,8 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-antiregular", help="eta bounds of the anti-regular graph")
     p.add_argument("--order", type=int, required=True)
     _add_output(p)
-    p.set_defaults(
-        handler=lambda args: _report(args, verify.check_antiregular_bounds(args.order)))
+    p.set_defaults(handler=_cmd_check_antiregular)
 
     p = sub.add_parser("reduce", help="print the vertex-deletion chain down to anti-regular")
     _add_graph_input(p)

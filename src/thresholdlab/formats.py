@@ -4,7 +4,7 @@ Formats:
   * creation sequences: '0'/'1' strings;
   * NSG text: ``nsg(m1,...,mh;n1,...,nh[;+k])``, ``+k`` = isolated count,
     e.g. ``nsg(3;2)``, ``nsg(1,2;1,1)``, ``nsg(;;+3)`` for 3K_1;
-  * edge lists: first line ``n m`` with n <= EDGE_ORDER_CAP, then m lines
+  * edge lists: first line ``n m`` with 1 <= n <= EDGE_ORDER_CAP, then m lines
     ``u v`` (0-based); lines starting with ``#`` are comments.
 
 Command output is rendered from records: ordered dicts of numbers, strings,
@@ -24,9 +24,10 @@ import numpy as np
 
 from .graphs import NsgForm
 
-# An edge file may not ask for more vertices than this.  Recognition takes
-# O(m + n log n), but check-gap then solves a quotient of up to n x n: at the
-# cap, A_2000 (about a million edges) took about 5 s and 260 MB.
+# An edge file may not ask for more vertices than this, nor fewer than one.
+# Recognition takes O(m + n log n), but check-gap then solves a quotient of
+# up to n x n: at the cap, A_2000 (about a million edges) took about 5 s and
+# 260 MB.  The command line holds every other single-graph input to it too.
 EDGE_ORDER_CAP = 2000
 
 
@@ -79,6 +80,8 @@ def parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
     if len(head) != 2:
         raise ValueError(f"first line must be 'n m', got {lines[0]!r}")
     order, count = int(head[0]), int(head[1])
+    if order < 1:
+        raise ValueError(f"edge-list order must be at least 1, got {order}")
     if order > EDGE_ORDER_CAP:
         raise ValueError(f"edge-list order {order} is above the cap {EDGE_ORDER_CAP}")
     if len(lines) - 1 != count:

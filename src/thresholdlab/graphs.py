@@ -126,29 +126,6 @@ class NsgForm:
         return all(x == 1 for x in self.n) and all(x == 1 for x in self.m[:-1]) and self.m[-1] in (1, 2)
 
 
-@dataclass(frozen=True, eq=False)
-class DenseGraph:
-    """Adjacency-matrix form with per-vertex class tags.
-
-    Tags are ("V", i) / ("U", i) with 1-based class index, or ("iso", 0) for
-    isolated vertices outside the nontrivial component.
-    """
-
-    adjacency: np.ndarray
-    class_of: tuple[tuple[str, int], ...]
-
-    @property
-    def order(self) -> int:
-        return self.adjacency.shape[0]
-
-    def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1, dtype=np.int64)
-
-    def edges(self) -> list[tuple[int, int]]:
-        i, j = np.nonzero(np.triu(self.adjacency))
-        return list(zip(i.tolist(), j.tolist()))
-
-
 @dataclass(frozen=True)
 class WeightRealization:
     """Vertex weights and threshold with u ~ v iff w(u) + w(v) > threshold."""
@@ -214,24 +191,12 @@ def nsg_to_creation(form: NsgForm) -> CreationSequence:
     return CreationSequence("".join(parts))
 
 
-def _class_tags(seq: CreationSequence) -> tuple[tuple[str, int], ...]:
-    runs = _runs(seq.symbols)
-    h = sum(1 for c, _ in runs if c == DOMINATING)
-    tags: list[tuple[str, int]] = []
-    zeros_seen = ones_seen = 0
-    for c, size in runs:
-        if c == ISOLATED:
-            zeros_seen += 1
-            tag = ("U", h + 1 - zeros_seen) if zeros_seen <= h else ("iso", 0)
-        else:
-            ones_seen += 1
-            tag = ("V", h + 1 - ones_seen)
-        tags.extend([tag] * size)
-    return tuple(tags)
+def build_adjacency(seq: CreationSequence) -> np.ndarray:
+    """Replay the creation process into a read-only uint8 adjacency matrix.
 
-
-def build_adjacency(seq: CreationSequence) -> DenseGraph:
-    """Replay the creation process into an adjacency matrix with class tags."""
+    Only the ``dense`` cross-check column of ``spectrum`` and the tests build
+    one; every verdict comes from the sequence itself.
+    """
     n = seq.order
     a = np.zeros((n, n), dtype=np.uint8)
     for i, c in enumerate(seq.symbols):
@@ -239,7 +204,7 @@ def build_adjacency(seq: CreationSequence) -> DenseGraph:
             a[i, :i] = 1
             a[:i, i] = 1
     a.setflags(write=False)
-    return DenseGraph(a, _class_tags(seq))
+    return a
 
 
 def sequence_edges(seq: CreationSequence) -> list[tuple[int, int]]:
@@ -247,11 +212,6 @@ def sequence_edges(seq: CreationSequence) -> list[tuple[int, int]]:
     is adjacent to vertex i iff symbol j is dominating."""
     dominating = [j for j, c in enumerate(seq.symbols) if c == DOMINATING]
     return [(i, j) for i in range(seq.order) for j in dominating if j > i]
-
-
-def nsg_to_graph(form: NsgForm) -> DenseGraph:
-    """Dense adjacency of an NSG form (via its creation sequence)."""
-    return build_adjacency(nsg_to_creation(form))
 
 
 def anti_regular(order: int) -> NsgForm:
@@ -313,8 +273,8 @@ def _edge_pairs(order: int, edges) -> set[tuple[int, int]]:
     Refuses, at the first bad edge, a self-loop, an endpoint outside
     0..order-1 or a repeated pair.
     """
-    if order < 0:
-        raise InvalidEdgeError(f"order must be nonnegative, got {order}")
+    if order < 1:
+        raise InvalidEdgeError(f"a graph needs at least one vertex, got order {order}")
     pairs: set[tuple[int, int]] = set()
     for u, v in edges:
         u, v = int(u), int(v)
@@ -327,15 +287,6 @@ def _edge_pairs(order: int, edges) -> set[tuple[int, int]]:
             raise InvalidEdgeError(f"duplicate edge ({u}, {v})")
         pairs.add(pair)
     return pairs
-
-
-def adjacency_from_edges(order: int, edges) -> np.ndarray:
-    """Adjacency matrix from an edge list, validating simplicity."""
-    pairs = _edge_pairs(order, edges)
-    a = np.zeros((order, order), dtype=np.uint8)
-    for u, v in pairs:
-        a[u, v] = a[v, u] = 1
-    return a
 
 
 def recognize(edges, order: int) -> CreationSequence | NotThreshold:
@@ -388,26 +339,3 @@ def weight_realization(seq: CreationSequence) -> WeightRealization:
         (i + 1) if c == DOMINATING else -(i + 1) for i, c in enumerate(seq.symbols)
     )
     return WeightRealization(0, weights)
-
-
-def partition_classes(graph) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """Maximal duplication and coduplication classes of any graph.
-
-    Duplicates share open neighborhoods N(u) = N(v); coduplicates share
-    closed neighborhoods N[u] = N[v].  Accepts a :class:`DenseGraph` or a
-    plain adjacency matrix.  Classes are sorted by their smallest vertex.
-    """
-    a = graph.adjacency if isinstance(graph, DenseGraph) else np.asarray(graph)
-    n = a.shape[0]
-    open_classes: dict[bytes, list[int]] = {}
-    closed_classes: dict[bytes, list[int]] = {}
-    closed = a.copy()
-    np.fill_diagonal(closed, 1)
-    for v in range(n):
-        open_classes.setdefault(a[v].tobytes(), []).append(v)
-        closed_classes.setdefault(closed[v].tobytes(), []).append(v)
-
-    def _ordered(classes: dict[bytes, list[int]]):
-        return tuple(sorted((tuple(sorted(c)) for c in classes.values()), key=lambda c: c[0]))
-
-    return _ordered(open_classes), _ordered(closed_classes)

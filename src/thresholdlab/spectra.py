@@ -6,7 +6,7 @@ that is not forced by duplicate or coduplicate vertices.  The forced ones are
 0 (one per extra duplicate, i.e. sum(m_i - 1) plus isolated vertices) and -1
 (one per extra coduplicate, sum(n_i - 1)); gluing those onto the quotient
 spectrum reproduces the full adjacency spectrum, which is what
-:func:`assemble_spectrum` does and what the dense solver cross-checks.
+:func:`assemble_spectrum` does.  No n x n matrix is ever built here.
 
 Interval membership questions are never answered by comparing computed
 eigenvalues against endpoints; :func:`count_eigs_leq` counts eigenvalues by
@@ -34,48 +34,9 @@ import numpy as np
 
 from .graphs import DOMINATING, CreationSequence, NsgForm
 
-SYMMETRY_ATOL = 1e-10
 CLASSIFY_EPS = 1e-8  # matching tolerance for the trivial eigenvalues 0 and -1
 
 _SAFMIN = float(np.finfo(np.float64).tiny)
-
-
-class NotSymmetricError(ValueError):
-    """Matrix is not square symmetric within tolerance."""
-
-
-class NonFiniteError(ValueError):
-    """Matrix contains NaN or infinity."""
-
-
-class EmptyNsgError(ValueError):
-    """Quotient matrix requested for an edgeless form (h = 0)."""
-
-
-@dataclass(frozen=True, eq=False)
-class QuotientPair:
-    """Divisor matrix of the class partition and its symmetrized similar form.
-
-    Cell order is V_1..V_h, U_1..U_h.  ``symmetrized`` is D^(1/2) raw D^(-1/2)
-    with D = diag(cell_sizes); it is symmetric and has the same eigenvalues.
-    """
-
-    raw: np.ndarray
-    symmetrized: np.ndarray
-    cell_sizes: tuple[int, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Descending eigenvalue list labeled with the route that produced it."""
-
-    values: np.ndarray
-    source: str  # "dense" | "quotient-assembled"
-    tolerance: float = CLASSIFY_EPS
-
-    @property
-    def order(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -86,23 +47,18 @@ class TrivialMults:
     multm1: int
 
 
-def _as_symmetric(mat) -> np.ndarray:
-    a = np.asarray(mat, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotSymmetricError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise NonFiniteError("matrix contains non-finite entries")
-    if a.size and float(np.max(np.abs(a - a.T))) > SYMMETRY_ATOL:
-        raise NotSymmetricError(f"matrix is not symmetric within {SYMMETRY_ATOL}")
-    return a
-
-
 def quotient_stack(m: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Raw and symmetrized divisor matrices of k forms that share one h.
 
     ``m`` and ``n`` are (k, h) arrays of class sizes; both results are
-    (k, 2h, 2h) stacks in the cell order of :func:`quotient_matrix`, built by
-    broadcasting, entry for entry the same floats for any k.
+    (k, 2h, 2h) stacks, built by broadcasting, entry for entry the same
+    floats for any k.  The cells are V_1..V_h, U_1..U_h of the equitable
+    partition: row V_i sees n_j vertices in V_j (n_i - 1 in its own class)
+    and the whole of U_j exactly when j >= i; row U_i sees V_j exactly when
+    j <= i and nothing in any U_j.  Isolated vertices are not cells.  The
+    symmetrized form is D^(1/2) raw D^(-1/2) with D = diag(cell sizes): it has
+    the same eigenvalues and is symmetric up to rounding, which ``eigvalsh``
+    never sees, as it reads one triangle only.
     """
     k, h = m.shape
     i = np.arange(h)
@@ -114,33 +70,6 @@ def quotient_stack(m: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray
     scale = np.sqrt(np.concatenate([n, m], axis=1))
     symmetrized = raw * scale[:, :, None] / scale[:, None, :]
     return raw, symmetrized
-
-
-def quotient_matrix(form: NsgForm) -> QuotientPair:
-    """Divisor matrix of the equitable partition {V_1..V_h, U_1..U_h}.
-
-    Row V_i sees n_j vertices in V_j (n_i - 1 in its own class) and the whole
-    of U_j exactly when j >= i; row U_i sees V_j exactly when j <= i and
-    nothing in any U_j.  Isolated vertices are not cells; the caller accounts
-    for them.
-    """
-    if form.h == 0:
-        raise EmptyNsgError("edgeless graphs have no quotient matrix")
-    raw, symmetrized = quotient_stack(np.array([form.m]), np.array([form.n]))
-    return QuotientPair(raw[0], symmetrized[0], form.n + form.m)
-
-
-def symmetric_eigenvalues(mat) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, descending."""
-    a = _as_symmetric(mat)
-    if a.size == 0:
-        return np.empty(0)
-    return np.linalg.eigvalsh(a)[::-1].copy()
-
-
-def dense_spectrum(adjacency) -> Spectrum:
-    """Spectrum straight from the full adjacency matrix."""
-    return Spectrum(symmetric_eigenvalues(adjacency), source="dense")
 
 
 def trivial_forecast(m, n, isolated=0) -> tuple:
@@ -170,24 +99,19 @@ def trivial_multiplicities(form: NsgForm) -> TrivialMults:
     return TrivialMults(pad0, padm1 + inside)
 
 
-def assemble_spectrum(form: NsgForm) -> Spectrum:
-    """Full spectrum as quotient eigenvalues plus forced 0 / -1 padding.
+def assemble_spectrum(form: NsgForm) -> np.ndarray:
+    """The full adjacency spectrum, descending: quotient eigenvalues plus the
+    forced 0 / -1 padding.
 
     The padding is :func:`trivial_forecast`'s pad0 zeros and padm1 copies of -1;
-    the extra -1 of the m_h = 1 case arises inside the quotient.
+    the extra -1 of the m_h = 1 case arises inside the quotient.  An edgeless
+    form has an empty quotient and only the padding.
     """
-    if form.h == 0:
-        values = np.zeros(form.isolated)
-    else:
-        pad0, padm1, _ = trivial_forecast(form.m, form.n, form.isolated)
-        quotient = quotient_matrix(form)
-        values = np.concatenate([
-            symmetric_eigenvalues(quotient.symmetrized),
-            np.zeros(pad0),
-            np.full(padm1, -1.0),
-        ])
-    values = np.sort(values)[::-1]
-    return Spectrum(values, source="quotient-assembled")
+    pad0, padm1, _ = trivial_forecast(form.m, form.n, form.isolated)
+    symmetrized = quotient_stack(np.array([form.m]), np.array([form.n]))[1][0]
+    values = np.concatenate([np.linalg.eigvalsh(symmetrized), np.zeros(pad0),
+                             np.full(padm1, -1.0)])
+    return np.sort(values)[::-1]
 
 
 def count_eigs_leq(seq: CreationSequence, x: float) -> int:
@@ -245,21 +169,14 @@ def count_eigs_leq_rows(symbols: np.ndarray, xs) -> np.ndarray:
     return counts
 
 
-def eta_extremes(spectrum: Spectrum | np.ndarray):
-    """(smallest eigenvalue > 0, largest eigenvalue < -1), None when absent.
+def eta_extremes(values: np.ndarray) -> tuple:
+    """(smallest eigenvalue > 0, largest eigenvalue < -1) over the last axis.
 
-    The classification margin is ``spectrum.tolerance``, which keeps the
-    trivial eigenvalues 0 and -1 out of both slots.  Given a (k, w) array
-    instead, one spectrum (or any part of it that holds every nontrivial
-    eigenvalue) per row, returns two length-k arrays under CLASSIFY_EPS,
-    with +inf and -inf where a slot is empty.
+    ``values`` is one spectrum, or a (..., w) array of them, or any part of
+    each that holds every nontrivial eigenvalue.  Eigenvalues within
+    CLASSIFY_EPS of 0 or -1 are trivial and count for neither slot; an empty
+    slot reads +inf and -inf.
     """
-    stack = not isinstance(spectrum, Spectrum)
-    values = spectrum if stack else spectrum.values
-    eps = CLASSIFY_EPS if stack else spectrum.tolerance
-    plus = np.where(values > eps, values, np.inf).min(axis=-1, initial=np.inf)
-    minus = np.where(values < -1.0 - eps, values, -np.inf).max(axis=-1, initial=-np.inf)
-    if stack:
-        return plus, minus
-    return (float(plus) if plus < np.inf else None,
-            float(minus) if minus > -np.inf else None)
+    plus = np.where(values > CLASSIFY_EPS, values, np.inf).min(axis=-1, initial=np.inf)
+    minus = np.where(values < -1.0 - CLASSIFY_EPS, values, -np.inf).max(axis=-1, initial=-np.inf)
+    return plus, minus

@@ -29,8 +29,9 @@ from .graphs import (
     OrderTooSmallError,
     anti_regular,
     count_threshold,
+    creation_to_nsg,
     nsg_to_creation,
-    nsg_to_graph,
+    parse_creation_sequence,
 )
 from .spectra import (
     CLASSIFY_EPS,
@@ -39,7 +40,6 @@ from .spectra import (
     count_eigs_leq_rows,
     eta_extremes,
     quotient_stack,
-    symmetric_eigenvalues,
     trivial_forecast,
     trivial_multiplicities,
 )
@@ -152,13 +152,13 @@ class ScanReport:
         return ok
 
 
-def _clearance(values: np.ndarray, eps: float = CLASSIFY_EPS) -> np.ndarray:
+def _clearance(values: np.ndarray) -> np.ndarray:
     """How far the nontrivial eigenvalues stay clear of [GAP_LOWER, GAP_UPPER].
 
     Reduces the last axis: 0 when a nontrivial eigenvalue lies inside, inf
-    when there is none.  Eigenvalues within eps of 0 or -1 are trivial.
+    when there is none.  Eigenvalues within CLASSIFY_EPS of 0 or -1 are trivial.
     """
-    trivial = (np.abs(values) <= eps) | (np.abs(values + 1.0) <= eps)
+    trivial = (np.abs(values) <= CLASSIFY_EPS) | (np.abs(values + 1.0) <= CLASSIFY_EPS)
     outside = np.maximum(np.maximum(values - GAP_UPPER, GAP_LOWER - values), 0.0)
     return np.where(trivial, np.inf, outside).min(axis=-1, initial=np.inf)
 
@@ -176,7 +176,6 @@ def check_gap(form: NsgForm) -> GapReport:
     clear of the closed interval.
     """
     seq = nsg_to_creation(form)
-    spectrum = assemble_spectrum(form)
     count = count_eigs_leq(seq, GAP_UPPER) - count_eigs_leq(seq, GAP_LOWER)
     mults = trivial_multiplicities(form)
     expected = mults.mult0 + mults.multm1
@@ -185,33 +184,47 @@ def check_gap(form: NsgForm) -> GapReport:
         order=form.order,
         count_in_interval=count,
         expected_trivial=expected,
-        min_nontrivial_distance=float(_clearance(spectrum.values, spectrum.tolerance)),
+        min_nontrivial_distance=float(_clearance(assemble_spectrum(form))),
         passed=count == expected,
     )
+
+
+def _first_vertex(form: NsgForm, vertex_class: tuple[str, int]) -> int:
+    """Position in the creation sequence of the class's first vertex.
+
+    The sequence is 0^m_h 1^n_h ... 0^m_1 1^n_1 0^isolated, so U_i starts
+    after the classes of index above i and V_i right after U_i; the
+    isolated vertices are the class ("iso", 0).
+    """
+    kind, index = vertex_class
+    if kind in ("U", "V") and 1 <= index <= form.h:
+        start = sum(form.m[index:]) + sum(form.n[index:])
+        return start if kind == "U" else start + form.m[index - 1]
+    if vertex_class == ("iso", 0) and form.isolated:
+        return form.order - form.isolated
+    raise EmptyClassError(f"graph has no class {kind}_{index}")
 
 
 def check_interlacing(form: NsgForm, vertex_class: tuple[str, int]) -> InterlacingReport:
     """Delete one vertex of the class and verify the eigenvalue weave.
 
     With parent eigenvalues l_1 >= ... >= l_n and child eigenvalues
-    m_1 >= ... >= m_(n-1), requires l_i + tol >= m_i >= l_(i+1) - tol.
+    m_1 >= ... >= m_(n-1), requires l_i + tol >= m_i >= l_(i+1) - tol.  The
+    child is the induced subgraph, whose creation sequence is the parent's
+    with the vertex's symbol deleted (the new first symbol read as 0).
     """
-    kind, index = vertex_class
-    graph = nsg_to_graph(form)
-    victims = [v for v, tag in enumerate(graph.class_of) if tag == (kind, index)]
-    if not victims:
-        raise EmptyClassError(f"graph has no class {kind}_{index}")
-    parent = graph.adjacency.astype(np.float64)
-    child = np.delete(np.delete(parent, victims[0], axis=0), victims[0], axis=1)
-    lams = symmetric_eigenvalues(parent)
-    mus = symmetric_eigenvalues(child)
+    symbols = str(nsg_to_creation(form))
+    vertex = _first_vertex(form, vertex_class)
+    rest = symbols[:vertex] + symbols[vertex + 1:]
+    lams = assemble_spectrum(form)
+    mus = assemble_spectrum(creation_to_nsg(parse_creation_sequence(rest))) if rest else []
     witness = None
     for i, mu in enumerate(mus):
         if not (lams[i] + INTERLACING_TOL >= mu >= lams[i + 1] - INTERLACING_TOL):
             witness = i
             break
     return InterlacingReport(
-        sequence=str(nsg_to_creation(form)),
+        sequence=symbols,
         deleted_class=vertex_class,
         passed=witness is None,
         witness=witness,
@@ -271,8 +284,9 @@ def check_antiregular_bounds(order: int) -> BoundsReport:
     Requires eta_plus > GAP_UPPER and eta_minus < GAP_LOWER; the eta_minus
     side is vacuous when no eigenvalue lies below -1 (order 2).
     """
-    spectrum = assemble_spectrum(anti_regular(order))
-    eta_plus, eta_minus = eta_extremes(spectrum)
+    plus, minus = eta_extremes(assemble_spectrum(anti_regular(order)))
+    eta_plus = float(plus) if plus < math.inf else None
+    eta_minus = float(minus) if minus > -math.inf else None
     passed = (
         eta_plus is not None
         and eta_plus > GAP_UPPER
@@ -310,7 +324,8 @@ def _prune_thresholds(order: int) -> tuple[float, float]:
     every eigenvalue of the order lies in (-order, order).
     """
     plus, minus = eta_extremes(assemble_spectrum(anti_regular(order)))
-    return (order if plus is None else plus), (-order if minus is None else minus)
+    return (float(plus) if plus < math.inf else order,
+            float(minus) if minus > -math.inf else -order)
 
 
 def _class_sizes(changes: np.ndarray, order: int, h: int) -> tuple[np.ndarray, np.ndarray]:

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written against the definitions, not against
 the library internals: forbidden-subgraph search by brute force over 4-subsets,
-nested-split-graph edges straight from the class description, and eigenvalue
-counting from a dense solve.  Agreement between these and the library is what
-the test suite certifies.
+nested-split-graph edges straight from the class description, dense
+adjacency matrices and their spectra, and eigenvalue counting from a dense
+solve.  Agreement between these and the library is what the test suite
+certifies.
 """
 
 import itertools
@@ -64,27 +65,54 @@ def nsg_edges(m, n, isolated=0):
     return order, edges
 
 
+def adjacency_from_edges(order, edges):
+    """uint8 adjacency matrix of a simple graph given by its edge list."""
+    a = np.zeros((order, order), dtype=np.uint8)
+    for u, v in edges:
+        assert u != v and not a[u, v], f"edge ({u}, {v}) is a loop or a repeat"
+        a[u, v] = a[v, u] = 1
+    return a
+
+
+def dense_edges(adjacency):
+    """(u, v) pairs with u < v in row-major order."""
+    i, j = np.nonzero(np.triu(np.asarray(adjacency)))
+    return list(zip(i.tolist(), j.tolist()))
+
+
+def class_first_vertices(symbols: str):
+    """First vertex of each class of a creation sequence, keyed ("U", i),
+    ("V", i) or ("iso", 0).
+
+    The runs 0^a_1 1^b_1 ... 0^a_h 1^b_h (0^k) are U_h, V_h, ..., U_1, V_1
+    and the isolated vertices, in that order.
+    """
+    starts = [0] + [i for i in range(1, len(symbols)) if symbols[i] != symbols[i - 1]]
+    h = symbols.count("01")
+    first = {}
+    for run, start in enumerate(starts):
+        index = h - run // 2
+        kind = "V" if symbols[start] == "1" else ("U" if index >= 1 else "iso")
+        first[(kind, max(index, 0))] = start
+    return first
+
+
+def interlacing_witness(lams, mus, tol):
+    """First i with mus[i] outside [lams[i+1] - tol, lams[i] + tol], or None;
+    both lists descending."""
+    for i, mu in enumerate(mus):
+        if not (lams[i] + tol >= mu >= lams[i + 1] - tol):
+            return i
+    return None
+
+
 def degree_multiset(adjacency):
     return sorted(int(d) for d in np.asarray(adjacency).sum(axis=1))
 
 
-def class_structure_ok(graph) -> bool:
-    """Check N(u) = V_1 + ... + V_i for u in U_i against the class tags."""
-    a = graph.adjacency
-    v_members = {}
-    for vertex, (kind, idx) in enumerate(graph.class_of):
-        if kind == "V":
-            v_members.setdefault(idx, set()).add(vertex)
-    for vertex, (kind, idx) in enumerate(graph.class_of):
-        neigh = {w for w in range(graph.order) if a[vertex, w]}
-        if kind == "U":
-            expected = set().union(*(v_members[j] for j in range(1, idx + 1)))
-            if neigh != expected:
-                return False
-        elif kind == "iso":
-            if neigh:
-                return False
-    return True
+def dense_spectrum(adjacency):
+    """Descending eigenvalues of the dense adjacency matrix."""
+    return np.linalg.eigvalsh(np.asarray(adjacency, dtype=np.float64))[::-1]
 
 
 def dense_count_leq(adjacency, x: float) -> int:

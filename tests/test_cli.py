@@ -122,6 +122,13 @@ def test_gen_edge_file_recognize_round_trip(tmp_path, capsys):
     assert out == "sequence: 0101\n"
 
 
+def test_gen_edges_out_needs_single_graph_before_printing(tmp_path, capsys):
+    target = tmp_path / "edges.txt"
+    code, out, err = run(capsys, "gen", "--order", "2", "--edges-out", str(target))
+    assert (code, out, err) == (1, "", "error: --edges-out needs a single-graph input\n")
+    assert not target.exists()
+
+
 def test_gen_enumeration_json(capsys):
     code, out, _ = run(capsys, "gen", "--order", "3", "--format", "json")
     assert code == 0
@@ -247,6 +254,36 @@ def test_huge_edge_file_header_exits_1(tmp_path, capsys):
         assert "above the cap" in err
 
 
+def test_single_graph_inputs_above_cap_exit_1(capsys, monkeypatch):
+    # refused from the text or the class sizes alone: no sequence, no form's
+    # sequence and no anti-regular spectrum is built
+    def refuse(*args):
+        raise AssertionError("an input above the cap was built")
+
+    monkeypatch.setattr(cli.graphs, "parse_creation_sequence", refuse)
+    monkeypatch.setattr(cli.graphs, "nsg_to_creation", refuse)
+    monkeypatch.setattr(verify, "check_antiregular_bounds", refuse)
+    over = EDGE_ORDER_CAP + 1
+    for command in ("gen", "spectrum", "check-gap", "reduce"):
+        code, out, err = run(capsys, command, "--seq", "01" * (over // 2) + "1")
+        assert (code, out, err) == (1, "", f"error: --seq order {over} is above the cap {EDGE_ORDER_CAP}\n")
+        code, out, err = run(capsys, command, "--nsg", f"nsg({over - 1};1)")
+        assert (code, out, err) == (1, "", f"error: --nsg order {over} is above the cap {EDGE_ORDER_CAP}\n")
+        code, out, err = run(capsys, command, "--nsg", "nsg(1;1;+100000000000)")
+        assert (code, out) == (1, "") and "above the cap" in err
+    for order in (over, 100000):
+        code, out, err = run(capsys, "check-antiregular", "--order", str(order))
+        assert (code, out, err) == (1, "", f"error: --order {order} is above the cap {EDGE_ORDER_CAP}\n")
+
+
+def test_edge_file_of_order_0_exits_1(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("0 0\n")
+    for command in ("recognize", "check-gap", "gen", "spectrum", "reduce"):
+        code, out, err = run(capsys, command, "--edges", str(path))
+        assert (code, out, err) == (1, "", "error: edge-list order must be at least 1, got 0\n")
+
+
 # ---------------------------------------------------------------- exit codes
 
 
@@ -300,7 +337,6 @@ def test_commands_build_no_dense_matrix(tmp_path, capsys, monkeypatch):
         raise AssertionError("a command built a dense matrix")
 
     monkeypatch.setattr(cli.graphs, "build_adjacency", refuse)
-    monkeypatch.setattr(cli.graphs, "adjacency_from_edges", refuse)
     edges = tmp_path / "paw.txt"
     code, out, _ = run(capsys, "gen", "--seq", "0101", "--edges-out", str(edges))
     assert code == 0 and "edges: 0-1 0-3 1-3 2-3" in out
@@ -311,6 +347,10 @@ def test_commands_build_no_dense_matrix(tmp_path, capsys, monkeypatch):
     c4 = tmp_path / "c4.txt"
     c4.write_text(C4_TEXT)
     assert run(capsys, "recognize", "--edges", str(c4))[0] == 2
+    code, out, _ = run(capsys, "check-antiregular", "--order", "41")
+    assert code == 0 and "verdict: pass" in out
+    code, out, _ = run(capsys, "reduce", "--nsg", "nsg(3,2;2,1)", "--format", "json")
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
 
 
 def test_batch_order_cap_exit_1(capsys, monkeypatch):

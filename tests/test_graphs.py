@@ -14,7 +14,6 @@ from thresholdlab.graphs import (
     NotThreshold,
     NsgForm,
     OrderTooSmallError,
-    adjacency_from_edges,
     anti_regular,
     build_adjacency,
     complement,
@@ -22,14 +21,13 @@ from thresholdlab.graphs import (
     creation_to_nsg,
     enumerate_threshold,
     nsg_to_creation,
-    nsg_to_graph,
     parse_creation_sequence,
-    partition_classes,
     recognize,
     sequence_at,
     sequence_edges,
     weight_realization,
 )
+from thresholdlab.spectra import TrivialMults, trivial_multiplicities
 
 sequences = st.text(alphabet="01", min_size=1, max_size=14).map(parse_creation_sequence)
 
@@ -120,10 +118,10 @@ def test_class_sizes_match_definition_oracle():
         form = creation_to_nsg(seq)
         order, edges = oracles.nsg_edges(form.m, form.n, form.isolated)
         graph = build_adjacency(seq)
-        assert order == graph.order
-        assert len(edges) == len(graph.edges())
-        oracle_adj = adjacency_from_edges(order, edges)
-        assert oracles.degree_multiset(oracle_adj) == oracles.degree_multiset(graph.adjacency)
+        assert order == graph.shape[0]
+        assert len(edges) == len(oracles.dense_edges(graph))
+        oracle_adj = oracles.adjacency_from_edges(order, edges)
+        assert oracles.degree_multiset(oracle_adj) == oracles.degree_multiset(graph)
 
 
 # ---------------------------------------------------------------- adjacency
@@ -131,35 +129,33 @@ def test_class_sizes_match_definition_oracle():
 
 def test_build_adjacency_k2():
     g = build_adjacency(parse_creation_sequence("01"))
-    assert g.edges() == [(0, 1)]
+    assert oracles.dense_edges(g) == [(0, 1)]
 
 
 def test_build_adjacency_0011():
     g = build_adjacency(parse_creation_sequence("0011"))
-    assert sorted(g.edges()) == [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    assert oracles.dense_edges(g) == [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
 def test_build_adjacency_paw_degrees():
     g = build_adjacency(parse_creation_sequence("0101"))
-    assert sorted(g.degrees().tolist(), reverse=True) == [3, 2, 2, 1]
+    assert g.dtype == np.uint8
+    assert sorted(g.sum(axis=1).tolist(), reverse=True) == [3, 2, 2, 1]
 
 
 def test_adjacency_is_read_only():
     g = build_adjacency(parse_creation_sequence("0011"))
     with pytest.raises(ValueError):
-        g.adjacency[0, 1] = 1
+        g[0, 1] = 1
 
 
-def test_class_tags_match_neighborhoods():
+def test_recognize_definition_graph_gives_sequence():
+    # the NSG built straight from the class description, relabelled V first,
+    # is recognized as exactly the sequence's threshold graph
     for seq in all_sequences(8):
-        assert oracles.class_structure_ok(build_adjacency(seq))
-
-
-def test_nsg_to_graph_matches_sequence_route():
-    form = NsgForm([1, 2], [1, 1])
-    direct = nsg_to_graph(form)
-    via_seq = build_adjacency(nsg_to_creation(form))
-    assert np.array_equal(direct.adjacency, via_seq.adjacency)
+        form = creation_to_nsg(seq)
+        order, edges = oracles.nsg_edges(form.m, form.n, form.isolated)
+        assert recognize(sorted(edges), order) == seq
 
 
 # ---------------------------------------------------------------- anti-regular
@@ -196,7 +192,7 @@ def test_anti_regular_is_the_only_flagged_form():
 def test_anti_regular_degree_sequence():
     # exactly one repeated degree, everything else distinct
     for order in range(2, 12):
-        degs = oracles.degree_multiset(nsg_to_graph(anti_regular(order)).adjacency)
+        degs = oracles.degree_multiset(build_adjacency(nsg_to_creation(anti_regular(order))))
         assert len(set(degs)) == order - 1
 
 
@@ -210,8 +206,8 @@ def test_complement_examples():
 
 def test_complement_is_exact_edge_complement():
     for seq in all_sequences(8):
-        a = build_adjacency(seq).adjacency.astype(int)
-        b = build_adjacency(complement(seq)).adjacency.astype(int)
+        a = build_adjacency(seq).astype(int)
+        b = build_adjacency(complement(seq)).astype(int)
         off_diagonal = np.ones_like(a) - np.eye(seq.order, dtype=int)
         assert np.array_equal(a + b, off_diagonal)
 
@@ -224,8 +220,8 @@ def test_complement_involution_exhaustive():
 def test_complement_degree_sequence():
     for seq in all_sequences(9):
         n = seq.order
-        d = oracles.degree_multiset(build_adjacency(seq).adjacency)
-        dc = oracles.degree_multiset(build_adjacency(complement(seq)).adjacency)
+        d = oracles.degree_multiset(build_adjacency(seq))
+        dc = oracles.degree_multiset(build_adjacency(complement(seq)))
         assert dc == sorted(n - 1 - x for x in d)
 
 
@@ -278,13 +274,12 @@ def test_sequence_at_matches_enumeration():
 
 def test_sequence_edges_match_dense_build():
     for seq in all_sequences(9):
-        assert sequence_edges(seq) == build_adjacency(seq).edges()
+        assert sequence_edges(seq) == oracles.dense_edges(build_adjacency(seq))
 
 
 def test_enumerated_graphs_pass_recognition():
     for seq in all_sequences(8):
-        g = build_adjacency(seq)
-        assert recognize(g.edges(), seq.order) == seq
+        assert recognize(oracles.dense_edges(build_adjacency(seq)), seq.order) == seq
 
 
 # ---------------------------------------------------------------- recognition
@@ -321,7 +316,7 @@ def test_recognize_rejects_bad_edges():
 
 def _same_as_dense_peeling(edges, order):
     result = recognize(edges, order)
-    expected = oracles.peel_dense(adjacency_from_edges(order, edges))
+    expected = oracles.peel_dense(oracles.adjacency_from_edges(order, edges))
     if isinstance(result, NotThreshold):
         return (result.vertices, result.edges) == expected
     return result.symbols == expected
@@ -351,7 +346,7 @@ def test_recognition_matches_forbidden_subgraph_oracle_order_5():
     for mask in range(2 ** len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
         result = recognize(edges, 5)
-        adjacency = adjacency_from_edges(5, edges)
+        adjacency = oracles.adjacency_from_edges(5, edges)
         assert isinstance(result, CreationSequence) == oracles.is_threshold_by_forbidden(
             adjacency
         ), edges
@@ -370,7 +365,7 @@ def test_weight_realization_examples():
 def test_weight_realization_valid_exhaustive():
     for seq in all_sequences(10):
         real = weight_realization(seq)
-        a = build_adjacency(seq).adjacency
+        a = build_adjacency(seq)
         for u in range(seq.order):
             for v in range(u + 1, seq.order):
                 adjacent = real.weights[u] + real.weights[v] > real.threshold
@@ -381,38 +376,37 @@ def test_weight_realization_valid_exhaustive():
 
 
 def test_partition_classes_nsg_3_2():
-    dup, codup = partition_classes(nsg_to_graph(NsgForm([3], [2])))
-    assert dup == ((0, 1, 2), (3,), (4,))
-    assert codup == ((0,), (1,), (2,), (3, 4))
+    # duplicates share open, coduplicates closed neighborhoods: here the
+    # coclique class U_1 and the clique class V_1
+    a = build_adjacency(nsg_to_creation(NsgForm([3], [2])))
+    assert oracles.neighborhood_classes(a) == [(0, 1, 2), (3,), (4,)]
+    assert oracles.neighborhood_classes(a, closed=True) == [(0,), (1,), (2,), (3, 4)]
 
 
 def test_partition_classes_paw():
     # A_4: open neighborhoods all distinct; the two degree-2 vertices share a
     # closed neighborhood (they sit in a triangle with the dominating vertex)
-    dup, codup = partition_classes(build_adjacency(parse_creation_sequence("0101")))
-    assert dup == ((0,), (1,), (2,), (3,))
-    assert codup == ((0, 1), (2,), (3,))
+    a = build_adjacency(parse_creation_sequence("0101"))
+    assert oracles.neighborhood_classes(a) == [(0,), (1,), (2,), (3,)]
+    assert oracles.neighborhood_classes(a, closed=True) == [(0, 1), (2,), (3,)]
 
 
 def test_partition_classes_edgeless():
-    dup, codup = partition_classes(build_adjacency(parse_creation_sequence("000")))
-    assert dup == ((0, 1, 2),)
-    assert codup == ((0,), (1,), (2,))
+    a = build_adjacency(parse_creation_sequence("000"))
+    assert oracles.neighborhood_classes(a) == [(0, 1, 2)]
+    assert oracles.neighborhood_classes(a, closed=True) == [(0,), (1,), (2,)]
 
 
-def test_partition_classes_accepts_plain_matrix():
-    c4 = adjacency_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    dup, codup = partition_classes(c4)
-    assert dup == ((0, 2), (1, 3))
-    assert codup == ((0,), (1,), (2,), (3,))
-
-
-def test_partition_classes_matches_oracle():
-    for seq in all_sequences(6):
-        g = build_adjacency(seq)
-        dup, codup = partition_classes(g)
-        assert list(dup) == oracles.neighborhood_classes(g.adjacency)
-        assert list(codup) == oracles.neighborhood_classes(g.adjacency, closed=True)
+def test_trivial_multiplicities_match_partition_classes():
+    # each extra duplicate gives a 0 and each extra coduplicate a -1, and
+    # isolated vertices one more 0: the forecast counts exactly these
+    for seq in all_sequences(9):
+        a = build_adjacency(seq)
+        extra = [sum(len(c) - 1 for c in oracles.neighborhood_classes(a, closed))
+                 for closed in (False, True)]
+        isolated = int(not a.any(axis=1).all())
+        assert trivial_multiplicities(creation_to_nsg(seq)) == TrivialMults(
+            extra[0] + isolated, extra[1]), seq
 
 
 # ---------------------------------------------------------------- properties
@@ -431,14 +425,13 @@ def test_complement_involution_property(seq):
 @given(sequences)
 @settings(max_examples=60)
 def test_recognize_recovers_sequence(seq):
-    g = build_adjacency(seq)
-    assert recognize(g.edges(), seq.order) == seq
+    assert recognize(oracles.dense_edges(build_adjacency(seq)), seq.order) == seq
 
 
 @given(sequences)
 @settings(max_examples=60)
 def test_threshold_graphs_have_no_forbidden_subgraph(seq):
-    quad = oracles.find_forbidden_subgraph(build_adjacency(seq).adjacency)
+    quad = oracles.find_forbidden_subgraph(build_adjacency(seq))
     assert quad is None
 
 

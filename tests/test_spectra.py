@@ -9,28 +9,20 @@ from hypothesis import strategies as st
 import oracles
 from thresholdlab.graphs import (
     NsgForm,
-    adjacency_from_edges,
     build_adjacency,
     creation_to_nsg,
     enumerate_threshold,
     nsg_to_creation,
-    nsg_to_graph,
     parse_creation_sequence,
 )
 from thresholdlab.spectra import (
     CLASSIFY_EPS,
-    EmptyNsgError,
-    NonFiniteError,
-    NotSymmetricError,
-    Spectrum,
     TrivialMults,
     assemble_spectrum,
     count_eigs_leq,
     count_eigs_leq_rows,
-    dense_spectrum,
     eta_extremes,
-    quotient_matrix,
-    symmetric_eigenvalues,
+    quotient_stack,
     trivial_multiplicities,
 )
 from thresholdlab.verify import GAP_LOWER, GAP_UPPER, PRUNE_MARGIN, _prune_thresholds
@@ -39,6 +31,12 @@ sequences = st.text(alphabet="01", min_size=1, max_size=12).map(parse_creation_s
 
 # dense-solver reference values for the paw graph (A_4, sequence 0101)
 PAW_SPECTRUM = [2.170086486626034, 0.3111078174659816, -1.0, -1.4811943040920156]
+
+
+def quotient(form):
+    """(raw, symmetrized) quotient of one form."""
+    raw, symmetrized = quotient_stack(np.array([form.m]), np.array([form.n]))
+    return raw[0], symmetrized[0]
 
 
 def small_forms(max_order, min_h=0):
@@ -53,34 +51,28 @@ def small_forms(max_order, min_h=0):
 
 
 def test_quotient_nsg_3_2():
-    pair = quotient_matrix(NsgForm([3], [2]))
-    assert np.array_equal(pair.raw, [[1.0, 3.0], [2.0, 0.0]])
-    assert pair.cell_sizes == (2, 3)
+    raw, symmetrized = quotient(NsgForm([3], [2]))
+    assert np.array_equal(raw, [[1.0, 3.0], [2.0, 0.0]])
     root6 = math.sqrt(6.0)
-    assert np.allclose(pair.symmetrized, [[1.0, root6], [root6, 0.0]], atol=1e-12)
+    assert np.allclose(symmetrized, [[1.0, root6], [root6, 0.0]], atol=1e-12)
 
 
 def test_quotient_k2():
-    pair = quotient_matrix(NsgForm([1], [1]))
-    assert np.array_equal(pair.raw, [[0.0, 1.0], [1.0, 0.0]])
-    assert np.array_equal(pair.raw, pair.symmetrized)
+    raw, symmetrized = quotient(NsgForm([1], [1]))
+    assert np.array_equal(raw, [[0.0, 1.0], [1.0, 0.0]])
+    assert np.array_equal(raw, symmetrized)
 
 
 def test_quotient_paw():
-    pair = quotient_matrix(NsgForm([1, 1], [1, 1]))
+    raw, symmetrized = quotient(NsgForm([1, 1], [1, 1]))
     expected = [
         [0, 1, 1, 1],
         [1, 0, 0, 1],
         [1, 0, 0, 0],
         [1, 1, 0, 0],
     ]
-    assert np.array_equal(pair.raw, expected)
-    assert symmetric_eigenvalues(pair.symmetrized) == pytest.approx(PAW_SPECTRUM, abs=1e-9)
-
-
-def test_quotient_rejects_edgeless():
-    with pytest.raises(EmptyNsgError):
-        quotient_matrix(NsgForm([], [], 2))
+    assert np.array_equal(raw, expected)
+    assert np.linalg.eigvalsh(symmetrized)[::-1] == pytest.approx(PAW_SPECTRUM, abs=1e-9)
 
 
 def test_quotient_symmetrized_is_similar():
@@ -88,64 +80,61 @@ def test_quotient_symmetrized_is_similar():
     for h in (1, 2, 3):
         for m in itertools.product((1, 2, 3), repeat=h):
             for n in itertools.product((1, 2, 3), repeat=h):
-                pair = quotient_matrix(NsgForm(m, n))
-                raw_eigs = np.linalg.eigvals(pair.raw)
+                raw, symmetrized = quotient(NsgForm(m, n))
+                assert np.allclose(symmetrized, symmetrized.T, rtol=0.0, atol=1e-12)
+                raw_eigs = np.linalg.eigvals(raw)
                 assert np.max(np.abs(raw_eigs.imag)) < 1e-9
                 assert np.allclose(
-                    np.sort(raw_eigs.real),
-                    np.sort(symmetric_eigenvalues(pair.symmetrized)),
-                    atol=1e-9,
-                )
+                    np.sort(raw_eigs.real), np.linalg.eigvalsh(symmetrized), atol=1e-9)
 
 
 def test_quotient_never_singular():
     # every 0 eigenvalue lives in the duplicate padding, never in the quotient
     for form in small_forms(12, min_h=1):
-        eigs = symmetric_eigenvalues(quotient_matrix(form).symmetrized)
+        eigs = np.linalg.eigvalsh(quotient(form)[1])
         assert np.min(np.abs(eigs)) > 1e-7, form
 
 
 def test_quotient_minus_one_membership():
     # -1 appears in the quotient exactly once iff m_h = 1
     for form in small_forms(12, min_h=1):
-        eigs = symmetric_eigenvalues(quotient_matrix(form).symmetrized)
+        eigs = np.linalg.eigvalsh(quotient(form)[1])
         hits = int(np.count_nonzero(np.abs(eigs + 1.0) <= 1e-7))
         assert hits == (1 if form.m[-1] == 1 else 0), form
+
+
+def test_quotient_stack_matches_single_forms():
+    # the scans' stacked build gives each form its single-form quotient
+    # entry for entry, so both routes solve the same floats
+    for h in (1, 2, 3):
+        forms = [NsgForm(m, n) for m in itertools.product((1, 2, 5), repeat=h)
+                 for n in itertools.product((1, 3), repeat=h)]
+        raw, symmetrized = quotient_stack(np.array([f.m for f in forms]),
+                                          np.array([f.n for f in forms]))
+        for k, form in enumerate(forms):
+            assert np.array_equal(raw[k], quotient(form)[0])
+            assert np.array_equal(symmetrized[k], quotient(form)[1])
 
 
 # ---------------------------------------------------------------- eigensolving
 
 
 def test_symmetric_eigenvalues_k2():
-    assert symmetric_eigenvalues([[0.0, 1.0], [1.0, 0.0]]) == pytest.approx([1.0, -1.0])
+    assert np.linalg.eigvalsh(quotient(NsgForm([1], [1]))[1]) == pytest.approx([-1.0, 1.0])
 
 
 def test_symmetric_eigenvalues_quotient_by_charpoly():
     # characteristic polynomial of the nsg(3;2) quotient is x^2 - x - 6
-    pair = quotient_matrix(NsgForm([3], [2]))
-    assert symmetric_eigenvalues(pair.symmetrized) == pytest.approx([3.0, -2.0], abs=1e-12)
-
-
-def test_symmetric_eigenvalues_c4():
-    c4 = adjacency_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert symmetric_eigenvalues(c4.astype(float)) == pytest.approx([2.0, 0.0, 0.0, -2.0])
+    symmetrized = quotient(NsgForm([3], [2]))[1]
+    assert np.linalg.eigvalsh(symmetrized) == pytest.approx([-2.0, 3.0], abs=1e-12)
 
 
 def test_symmetric_eigenvalues_descending():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        a = rng.standard_normal((8, 8))
-        vals = symmetric_eigenvalues(a + a.T)
-        assert np.all(np.diff(vals) <= 0)
-
-
-def test_symmetric_eigenvalues_rejects_bad_input():
-    with pytest.raises(NotSymmetricError):
-        symmetric_eigenvalues([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(NotSymmetricError):
-        symmetric_eigenvalues(np.zeros((2, 3)))
-    with pytest.raises(NonFiniteError):
-        symmetric_eigenvalues([[np.nan, 0.0], [0.0, 0.0]])
+    # the assembled spectrum comes out sorted, whatever the padding
+    for form in small_forms(10):
+        vals = assemble_spectrum(form)
+        assert vals.shape == (form.order,)
+        assert np.all(np.diff(vals) <= 0), form
 
 
 # ---------------------------------------------------------------- multiplicities
@@ -164,7 +153,7 @@ def test_trivial_multiplicities_edgeless():
 def test_trivial_multiplicities_match_dense_counts():
     for form in small_forms(10):
         mults = trivial_multiplicities(form)
-        vals = dense_spectrum(nsg_to_graph(form).adjacency.astype(float)).values
+        vals = oracles.dense_spectrum(build_adjacency(nsg_to_creation(form)))
         assert int(np.count_nonzero(np.abs(vals) <= 1e-7)) == mults.mult0
         assert int(np.count_nonzero(np.abs(vals + 1.0) <= 1e-7)) == mults.multm1
 
@@ -174,29 +163,28 @@ def test_trivial_multiplicities_match_dense_counts():
 
 def test_assemble_nsg_3_2():
     spec = assemble_spectrum(NsgForm([3], [2]))
-    assert spec.values == pytest.approx([3.0, 0.0, 0.0, -1.0, -2.0], abs=1e-9)
-    assert spec.source == "quotient-assembled"
+    assert spec == pytest.approx([3.0, 0.0, 0.0, -1.0, -2.0], abs=1e-9)
 
 
 def test_assemble_k2():
-    assert assemble_spectrum(NsgForm([1], [1])).values == pytest.approx([1.0, -1.0])
+    assert assemble_spectrum(NsgForm([1], [1])) == pytest.approx([1.0, -1.0])
 
 
 def test_assemble_paw():
-    assert assemble_spectrum(NsgForm([1, 1], [1, 1])).values == pytest.approx(
+    assert assemble_spectrum(NsgForm([1, 1], [1, 1])) == pytest.approx(
         PAW_SPECTRUM, abs=1e-9
     )
 
 
 def test_assemble_edgeless():
     spec = assemble_spectrum(NsgForm([], [], 3))
-    assert spec.values.tolist() == [0.0, 0.0, 0.0]
+    assert spec.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_assemble_matches_dense_small():
     for form in small_forms(9):
-        assembled = assemble_spectrum(form).values
-        dense = dense_spectrum(nsg_to_graph(form).adjacency.astype(float)).values
+        assembled = assemble_spectrum(form)
+        dense = oracles.dense_spectrum(build_adjacency(nsg_to_creation(form)))
         assert len(assembled) == form.order
         assert np.max(np.abs(assembled - dense), initial=0.0) < 1e-7
 
@@ -204,7 +192,7 @@ def test_assemble_matches_dense_small():
 def test_assembled_trace_vanishes():
     for form in small_forms(10):
         spec = assemble_spectrum(form)
-        assert abs(float(np.sum(spec.values))) <= 1e-8 * form.order
+        assert abs(float(np.sum(spec))) <= 1e-8 * form.order
 
 
 # ---------------------------------------------------------------- counting
@@ -219,7 +207,7 @@ def test_count_eigs_leq_examples():
     assert count_eigs_leq(seq, 1e-6) == 4
     assert count_eigs_leq(seq, 0.5) == 4
     assert count_eigs_leq(seq, -2.5) == 0
-    gershgorin = 1.0 + float(nsg_to_graph(form).adjacency.sum(axis=1).max())
+    gershgorin = 1.0 + float(build_adjacency(seq).sum(axis=1).max())
     assert count_eigs_leq(seq, gershgorin) == 5
 
 
@@ -230,7 +218,7 @@ def test_count_eigs_leq_at_exact_eigenvalue_is_bracketed():
     # the same at the trivial eigenvalues 0 and -1 of every small graph
     for order in range(1, 11):
         for seq in enumerate_threshold(order):
-            vals = np.linalg.eigvalsh(build_adjacency(seq).adjacency.astype(float))
+            vals = np.linalg.eigvalsh(build_adjacency(seq).astype(float))
             for x in (0.0, -1.0):
                 strict = int(np.count_nonzero(vals < x - 1e-9))
                 inclusive = int(np.count_nonzero(vals <= x + 1e-9))
@@ -264,7 +252,7 @@ def test_count_eigs_leq_rows_equals_scalar_kernel():
 @given(sequences, st.floats(min_value=-13.0, max_value=13.0))
 @settings(max_examples=80)
 def test_count_matches_dense_oracle(seq, x):
-    a = build_adjacency(seq).adjacency.astype(float)
+    a = build_adjacency(seq).astype(float)
     vals = np.linalg.eigvalsh(a)
     assume(float(np.min(np.abs(vals - x))) > 1e-9)
     assert count_eigs_leq(seq, x) == oracles.dense_count_leq(a, x)
@@ -274,21 +262,19 @@ def test_count_matches_dense_oracle(seq, x):
 
 
 def test_eta_extremes_examples():
-    spec = assemble_spectrum(NsgForm([3], [2]))
-    assert eta_extremes(spec) == (pytest.approx(3.0), pytest.approx(-2.0))
-    assert eta_extremes(assemble_spectrum(NsgForm([1], [1]))) == (pytest.approx(1.0), None)
+    assert eta_extremes(assemble_spectrum(NsgForm([3], [2]))) == pytest.approx((3.0, -2.0))
+    assert eta_extremes(assemble_spectrum(NsgForm([1], [1]))) == (pytest.approx(1.0), -np.inf)
     plus, minus = eta_extremes(assemble_spectrum(NsgForm([1, 1], [1, 1])))
     assert plus == pytest.approx(PAW_SPECTRUM[1], abs=1e-9)
     assert minus == pytest.approx(PAW_SPECTRUM[3], abs=1e-9)
 
 
 def test_eta_extremes_tolerance_policy():
-    inside = Spectrum(np.array([0.5, -1.0 - 5e-9]), source="dense")
-    assert eta_extremes(inside) == (0.5, None)
-    outside = Spectrum(np.array([0.5, -1.0 - 5e-8]), source="dense")
-    assert eta_extremes(outside) == (0.5, -1.0 - 5e-8)
-    assert eta_extremes(Spectrum(np.zeros(3), source="dense")) == (None, None)
-    # a (k, w) stack gets the same policy row by row, with +-inf for absent
+    assert eta_extremes(np.array([0.5, -1.0 - 5e-9])) == (0.5, -np.inf)
+    assert eta_extremes(np.array([0.5, -1.0 - 5e-8])) == (0.5, -1.0 - 5e-8)
+    assert eta_extremes(np.zeros(3)) == (np.inf, -np.inf)
+    assert eta_extremes(np.empty(0)) == (np.inf, -np.inf)
+    # a (k, w) stack gets the same policy row by row
     plus, minus = eta_extremes(np.array([[0.5, -1.0 - 5e-9], [0.5, -1.0 - 5e-8], [0.0, 0.0]]))
     assert plus.tolist() == [0.5, 0.5, np.inf]
     assert minus.tolist() == [-np.inf, -1.0 - 5e-8, -np.inf]

@@ -6,19 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from thresholdlab.graphs import (
     NsgForm,
     OrderTooSmallError,
     anti_regular,
+    build_adjacency,
     creation_to_nsg,
     enumerate_threshold,
     nsg_to_creation,
-    nsg_to_graph,
     parse_creation_sequence,
     sequence_at,
 )
 from thresholdlab import verify
-from thresholdlab.spectra import assemble_spectrum, eta_extremes, symmetric_eigenvalues
+from thresholdlab.spectra import assemble_spectrum, eta_extremes
 from thresholdlab.verify import (
     DEFAULT_ORDER_CAP,
     GAP_LOWER,
@@ -109,12 +110,14 @@ def test_check_gap_builds_no_dense_matrix(monkeypatch):
         raise AssertionError("check_gap built a dense matrix")
 
     monkeypatch.setattr("thresholdlab.graphs.build_adjacency", refuse)
-    monkeypatch.setattr("thresholdlab.verify.nsg_to_graph", refuse)
     report = check_gap(NsgForm([3], [2]))
     assert report.passed and report.count_in_interval == 3
     report = check_gap(NsgForm([100000], [1]))
     assert report.passed
     assert report.count_in_interval == report.expected_trivial == 99999
+    # interlacing deletes a symbol of the creation sequence, not a matrix row
+    assert check_interlacing(NsgForm([3], [2]), ("V", 1)).passed
+    assert check_interlacing(NsgForm([2000, 1], [1, 1]), ("U", 1)).passed
 
 
 def test_check_gap_order_9_exhaustive():
@@ -130,9 +133,9 @@ def test_interlacing_nsg_3_2_delete_v1():
     assert report.passed
     assert report.witness is None
     # the child is the star K_{1,3}
-    adjacency = nsg_to_graph(NsgForm([3], [1])).adjacency.astype(float)
     root3 = math.sqrt(3.0)
-    assert symmetric_eigenvalues(adjacency) == pytest.approx([root3, 0.0, 0.0, -root3])
+    star = oracles.dense_spectrum(build_adjacency(parse_creation_sequence("0001")))
+    assert star == pytest.approx([root3, 0.0, 0.0, -root3])
 
 
 def test_interlacing_k2():
@@ -144,6 +147,29 @@ def test_interlacing_missing_class():
         check_interlacing(NsgForm([1], [1]), ("V", 2))
     with pytest.raises(EmptyClassError):
         check_interlacing(NsgForm([1], [1]), ("U", 9))
+
+
+def test_interlacing_matches_dense_deletion_oracle():
+    # every class of every threshold graph to order 10: the class's first
+    # vertex is found from the class sizes, deleting its symbol gives the
+    # dense np.delete child exactly, and the report matches the weave of the
+    # two dense spectra
+    for order in range(1, 11):
+        for seq in enumerate_threshold(order):
+            form = creation_to_nsg(seq)
+            parent = build_adjacency(seq).astype(float)
+            lams = oracles.dense_spectrum(parent)
+            for vertex_class, v in oracles.class_first_vertices(str(seq)).items():
+                assert verify._first_vertex(form, vertex_class) == v
+                child = np.delete(np.delete(parent, v, axis=0), v, axis=1)
+                rest = str(seq)[:v] + str(seq)[v + 1:]
+                if rest:
+                    assert np.array_equal(child, build_adjacency(parse_creation_sequence(rest)))
+                witness = oracles.interlacing_witness(
+                    lams, oracles.dense_spectrum(child), verify.INTERLACING_TOL)
+                report = check_interlacing(form, vertex_class)
+                assert (report.passed, report.witness) == (witness is None, witness)
+                assert report.sequence == str(seq)
 
 
 @given(connected_forms, st.data())
@@ -234,9 +260,9 @@ def test_reduction_chain_eta_monotone():
         for step in chain:
             p_plus, p_minus = eta_extremes(assemble_spectrum(step.parent))
             c_plus, c_minus = eta_extremes(assemble_spectrum(step.child))
-            if p_plus is not None and c_plus is not None:
+            if np.isfinite(p_plus) and np.isfinite(c_plus):
                 assert c_plus <= p_plus + tol, step
-            if p_minus is not None and c_minus is not None:
+            if np.isfinite(p_minus) and np.isfinite(c_minus):
                 assert c_minus >= p_minus - tol, step
 
 
@@ -359,7 +385,8 @@ def test_scan_chunk_matches_single_checks():
             seq = sequence_at(order, index, connected_only=True)
             form = creation_to_nsg(seq)
             report = check_gap(form)
-            eta_plus, eta_minus = eta_extremes(assemble_spectrum(form))
+            eta_plus, eta_minus = (float(v) if np.isfinite(v) else None
+                                   for v in eta_extremes(assemble_spectrum(form)))
             assert row == {
                 "sequence": str(seq),
                 "order": order,
@@ -519,7 +546,7 @@ def test_scan_report_verdict_logic():
 def test_no_eigenvalues_strictly_between_minus_one_and_zero():
     for order in range(1, 11):
         for seq in enumerate_threshold(order):
-            values = assemble_spectrum(creation_to_nsg(seq)).values
+            values = assemble_spectrum(creation_to_nsg(seq))
             inside = (values > -1.0 + 1e-6) & (values < -1e-6)
             assert not np.any(inside), seq
 

@@ -267,48 +267,66 @@ def enumerate_threshold(order: int, connected_only: bool = False):
         yield sequence_at(order, index, connected_only)
 
 
-def _edge_pairs(order: int, edges) -> set[tuple[int, int]]:
-    """The edges as (smaller, larger) endpoint pairs.
+def _edge_pairs(order: int, edges) -> tuple[np.ndarray, np.ndarray]:
+    """The smaller and the larger endpoint of each edge, as two int64 arrays.
 
-    Refuses, at the first bad edge, a self-loop, an endpoint outside
-    0..order-1 or a repeated pair.
+    ``edges`` is a sequence of (u, v) pairs or an (m, 2) array; anything else
+    is refused.  So is the first bad edge in input order: a self-loop, else an
+    endpoint outside 0..order-1, else a repeat of an earlier pair.
     """
     if order < 1:
         raise InvalidEdgeError(f"a graph needs at least one vertex, got order {order}")
-    pairs: set[tuple[int, int]] = set()
-    for u, v in edges:
-        u, v = int(u), int(v)
-        if u == v:
+    try:
+        given = np.asarray(edges, dtype=np.int64)
+    except OverflowError:
+        raise InvalidEdgeError(f"an edge endpoint is out of range for order {order}") from None
+    except (TypeError, ValueError):
+        raise InvalidEdgeError("edges must be (u, v) pairs of integers") from None
+    if given.size == 0:
+        given = given.reshape(0, 2)
+    if given.ndim != 2 or given.shape[1] != 2:
+        raise InvalidEdgeError(f"edges must be (u, v) pairs, got an array of shape {given.shape}")
+    lo = np.minimum(given[:, 0], given[:, 1])
+    hi = np.maximum(given[:, 0], given[:, 1])
+    loop = lo == hi
+    out = (lo < 0) | (hi >= order)
+    # Bad edges share the key -1, so only a valid pair can repeat a valid one.
+    key = np.where(loop | out, -1, lo * order + hi)
+    ranked = np.sort(key)
+    if ranked.size and (ranked[0] < 0 or (ranked[1:] == ranked[:-1]).any()):
+        by_key = np.argsort(key, kind="stable")  # a repeated key's first edge comes first
+        repeat = np.zeros(len(key), dtype=bool)
+        repeat[by_key[1:]] = key[by_key[1:]] == key[by_key[:-1]]
+        first = int(np.argmax(loop | out | repeat))
+        u, v = given[first].tolist()
+        if loop[first]:
             raise InvalidEdgeError(f"self-loop at vertex {u}")
-        if not (0 <= u < order and 0 <= v < order):
+        if out[first]:
             raise InvalidEdgeError(f"edge ({u}, {v}) out of range for order {order}")
-        pair = (u, v) if u < v else (v, u)
-        if pair in pairs:
-            raise InvalidEdgeError(f"duplicate edge ({u}, {v})")
-        pairs.add(pair)
-    return pairs
+        raise InvalidEdgeError(f"duplicate edge ({u}, {v})")
+    return lo, hi
 
 
 def recognize(edges, order: int) -> CreationSequence | NotThreshold:
     """Recognize a labeled graph as a threshold graph by peeling.
 
+    ``edges`` is a sequence of (u, v) pairs or an (m, 2) integer array.
     Repeatedly removes an isolated or a dominating vertex of the current
     induced subgraph (Chvátal and Hammer 1977).  Degrees suffice: each
     removed dominating vertex was adjacent to every vertex still present and
     each removed isolated vertex to none, so a present vertex's current
     degree is its degree less the dominating vertices removed.  Hence the
     vertex of least degree is isolated if any is, and the one of greatest
-    degree dominating if any is; O(m + n log n) in all.  Success yields the
+    degree dominating if any is.  Sorting the m pair keys to find repeats
+    and the n degrees to peel makes O(m log m + n log n).  Success yields the
     canonical creation sequence of an isomorphic threshold graph; otherwise
     the stuck subgraph (no isolated, no dominating vertex) is returned as a
     checkable witness.
     """
-    pairs = _edge_pairs(order, edges)
-    degree = [0] * order
-    for u, v in pairs:
-        degree[u] += 1
-        degree[v] += 1
-    by_degree = sorted(range(order), key=degree.__getitem__)
+    small, large = _edge_pairs(order, edges)
+    counts = np.bincount(small, minlength=order) + np.bincount(large, minlength=order)
+    by_degree = np.argsort(counts, kind="stable").tolist()
+    degree = counts.tolist()
     lo, hi = 0, order - 1  # by_degree[lo..hi] are still present
     removed_dominating = 0
     symbols_rev: list[str] = []
@@ -321,9 +339,13 @@ def recognize(edges, order: int) -> CreationSequence | NotThreshold:
             removed_dominating += 1
             symbols_rev.append(DOMINATING)
         else:
-            stuck = set(by_degree[lo:hi + 1])
-            return NotThreshold(tuple(sorted(stuck)),
-                                tuple(sorted(p for p in pairs if p[0] in stuck and p[1] in stuck)))
+            stuck = np.zeros(order, dtype=bool)
+            stuck[by_degree[lo:hi + 1]] = True
+            inside = stuck[small] & stuck[large]
+            small, large = small[inside], large[inside]
+            rank = np.lexsort((large, small))
+            return NotThreshold(tuple(np.flatnonzero(stuck).tolist()),
+                                tuple(zip(small[rank].tolist(), large[rank].tolist())))
     symbols_rev.append(ISOLATED)
     return CreationSequence("".join(reversed(symbols_rev)))
 

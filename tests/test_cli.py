@@ -1,7 +1,14 @@
 import json
+import math
+import os
+import pathlib
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import thresholdlab
 from thresholdlab import cli, verify
 from thresholdlab.formats import (
     EDGE_ORDER_CAP,
@@ -10,8 +17,10 @@ from thresholdlab.formats import (
     parse_edge_list,
     parse_nsg,
     sig12,
+    to_json,
+    to_plain,
 )
-from thresholdlab.graphs import NsgForm
+from thresholdlab.graphs import NsgForm, anti_regular, nsg_to_creation, sequence_edges
 
 C4_TEXT = "4 4\n0 1\n1 2\n2 3\n3 0\n"
 PAW_TEXT = "4 4\n0 1\n0 3\n1 3\n2 3\n"
@@ -43,22 +52,39 @@ def test_nsg_text_rejects_malformed():
 def test_edge_list_round_trip():
     text = format_edge_list(4, [(0, 1), (2, 3)])
     assert text == "4 2\n0 1\n2 3\n"
-    assert parse_edge_list(text) == (4, [(0, 1), (2, 3)])
-    assert parse_edge_list(f"{EDGE_ORDER_CAP} 0\n") == (EDGE_ORDER_CAP, [])
+    order, edges = parse_edge_list(text)
+    assert (order, edges.shape, edges.tolist()) == (4, (2, 2), [[0, 1], [2, 3]])
+    order, edges = parse_edge_list(f"{EDGE_ORDER_CAP} 0\n")
+    assert (order, edges.shape) == (EDGE_ORDER_CAP, (0, 2))
 
 
-def test_edge_list_rejects_malformed():
-    for text in ("", "4\n", "4 2\n0 1\n", "2 1\n0 1 2\n", f"{EDGE_ORDER_CAP + 1} 0\n"):
+def test_edge_list_rejects_malformed(tmp_path, capsys):
+    path = tmp_path / "malformed.txt"
+    for text in ("", "4\n", "4 2\n0 1\n", "2 1\n0 1 2\n", f"{EDGE_ORDER_CAP + 1} 0\n",
+                 "3 2\n0 1\n0 1 2\n", "3 2\n0 1\n1\n", "2 1\n1\n", "2 1\nx 1\n",
+                 "3 1\n1.5 2\n", "2 1\n0 1 # note\n", f"2 1\n0 {2 ** 63}\n"):
         with pytest.raises(ValueError):
             parse_edge_list(text)
+        path.write_text(text)
+        code, out, err = run(capsys, "recognize", "--edges", str(path))
+        assert (code, out) == (1, ""), text
+        assert err.startswith("error: ") and err.count("\n") == 1, (text, err)
 
 
 def test_edge_list_skips_comment_lines(tmp_path, capsys):
     text = "# K2 plus an isolated vertex\n3 1\n# a comment\n  # indented\n0 1\n"
-    assert parse_edge_list(text) == (3, [(0, 1)])
+    order, edges = parse_edge_list(text)
+    assert (order, edges.shape, edges.tolist()) == (3, (1, 2), [[0, 1]])
     path = tmp_path / "commented.txt"
     path.write_text("3 1\n# a comment\n0 1\n")
     assert run(capsys, "recognize", "--edges", str(path)) == (0, "sequence: 010\n", "")
+
+
+def test_to_json_writes_non_finite_floats_as_null():
+    record = {"d": math.inf, "row": [1.5, -math.inf, (math.nan, 2)], "a": np.array([0.5, np.inf])}
+    assert json.loads(to_json(record)) == {"d": None, "row": [1.5, None, [None, 2]],
+                                           "a": [0.5, None]}
+    assert to_plain([{"d": math.inf}]) == "d: inf\n"
 
 
 def test_sig12():
@@ -282,6 +308,27 @@ def test_edge_file_of_order_0_exits_1(tmp_path, capsys):
     for command in ("recognize", "check-gap", "gen", "spectrum", "reduce"):
         code, out, err = run(capsys, command, "--edges", str(path))
         assert (code, out, err) == (1, "", "error: edge-list order must be at least 1, got 0\n")
+
+
+def test_recognize_edge_file_at_cap_peaks_below_200_mb(tmp_path):
+    # A_2000, about a million edges, is the largest edge file the cap admits.
+    path = tmp_path / "a2000.txt"
+    seq = nsg_to_creation(anti_regular(EDGE_ORDER_CAP))
+    path.write_text(format_edge_list(EDGE_ORDER_CAP, sequence_edges(seq)))
+    # Linux starts an exec'd child's ru_maxrss at its parent's peak, which
+    # here is pytest's; VmHWM is the peak of the child's own memory alone.
+    child = ("import sys\n"
+             "from thresholdlab import cli\n"
+             "code = cli.main(['recognize', '--edges', sys.argv[1]])\n"
+             "with open('/proc/self/status') as fh:\n"
+             "    print(next(ln for ln in fh if ln.startswith('VmHWM:')), file=sys.stderr)\n"
+             "sys.exit(code)\n")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(thresholdlab.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", child, str(path)], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout) == (0, f"sequence: {seq}\n"), done.stderr
+    _, peak, unit = done.stderr.split()
+    assert unit == "kB" and int(peak) < 200 * 1024
 
 
 # ---------------------------------------------------------------- exit codes

@@ -169,6 +169,19 @@ def test_cli_golden(tmp_path):
     assert problems == []
 
 
+def _not_json(name):
+    raise ValueError(f"{name} is not a JSON value (RFC 8259)")
+
+
+def test_golden_json_is_standard():
+    # json.loads takes Infinity and NaN by default; standard JSON has neither
+    golden = json.loads(FIXTURE.read_text())
+    outputs = [case["stdout"] for case in golden if case["argv"][-1] == "json" and case["stdout"]]
+    assert outputs
+    for text in outputs:
+        json.loads(text, parse_constant=_not_json)
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)

@@ -1,4 +1,6 @@
 import itertools
+import random
+import re
 
 import numpy as np
 import pytest
@@ -306,12 +308,28 @@ def test_recognize_c4_gives_witness():
 
 
 def test_recognize_rejects_bad_edges():
-    with pytest.raises(InvalidEdgeError):
-        recognize([(0, 0)], 2)
-    with pytest.raises(InvalidEdgeError):
-        recognize([(0, 5)], 3)
-    with pytest.raises(InvalidEdgeError):
-        recognize([(0, 1), (1, 0)], 2)
+    # the first bad edge in input order is named; within one edge a self-loop
+    # comes before an out-of-range endpoint, which comes before a repeat
+    pairs = list(itertools.combinations(range(40), 2))
+    random.Random(7).shuffle(pairs)
+    for edges, order, message in (
+        ([(0, 0)], 2, "self-loop at vertex 0"),
+        ([(0, 5)], 3, "edge (0, 5) out of range for order 3"),
+        ([(0, 1), (1, 0)], 2, "duplicate edge (1, 0)"),
+        ([(0, 1), (0, 5), (1, 0)], 3, "edge (0, 5) out of range for order 3"),
+        ([(0, 1), (1, 0), (2, 2)], 3, "duplicate edge (1, 0)"),
+        ([(7, 7)], 3, "self-loop at vertex 7"),
+        ([(1, 2), (-1, 0), (2, 1)], 3, "edge (-1, 0) out of range for order 3"),
+        (np.array([[2, 0], [1, 2], [0, 2], [1, 2]]), 3, "duplicate edge (0, 2)"),
+        (pairs + [(v, u) for u, v in pairs], 40, f"duplicate edge ({pairs[0][1]}, {pairs[0][0]})"),
+    ):
+        with pytest.raises(InvalidEdgeError, match=re.escape(message)):
+            recognize(edges, order)
+    # no reshaping of what is not a list of pairs, no OverflowError
+    for edges in (np.zeros((2, 3), dtype=np.int64), [(0, 1, 2)], [(0, 1), (2,)],
+                  np.arange(4), [(0, 10**20)]):
+        with pytest.raises(InvalidEdgeError):
+            recognize(edges, 3)
 
 
 def _same_as_dense_peeling(edges, order):
@@ -338,6 +356,22 @@ def test_recognize_matches_dense_peeling_oracle():
         edges = [(perm[v], perm[u]) for u, v in edges]
         if edges and rng.random() < 0.5:  # one missing edge, usually not threshold
             edges.pop(int(rng.integers(len(edges))))
+        assert _same_as_dense_peeling(edges, order), (order, edges)
+    # Half of all pairs as edges: many vertices tie on degree and witnesses
+    # are large, and sequence and witness must still be the dense rescan's.
+    for _ in range(40):
+        order = int(rng.integers(30, 81))
+        target = order * (order - 1) / 4
+        while True:
+            symbols = "0" + "".join(rng.choice(["0", "1"], size=order - 1))
+            if abs(sum(i for i, c in enumerate(symbols) if c == "1") - target) <= 0.05 * target:
+                break
+        edges = set(sequence_edges(CreationSequence(symbols)))
+        edges ^= {tuple(sorted(rng.choice(order, size=2, replace=False).tolist()))}
+        perm = rng.permutation(order).tolist()
+        edges = [(perm[u], perm[v]) if rng.random() < 0.5 else (perm[v], perm[u])
+                 for u, v in edges]
+        rng.shuffle(edges)
         assert _same_as_dense_peeling(edges, order), (order, edges)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from functools import partial
 from operator import itemgetter
 from typing import Iterable
@@ -97,8 +98,12 @@ def parse_edge_list(text: str) -> tuple[int, np.ndarray]:
     if not count:
         return order, np.empty((0, 2), dtype=np.int64)
     try:
-        edges = np.loadtxt(lines[1:], dtype=np.int64, comments=None, ndmin=2)
-    except ValueError as exc:  # a non-integer token, or lines of unequal length
+        with warnings.catch_warnings():
+            # Some numpy versions read a float token such as 1.5 as the int 1
+            # and only warn; as an error it is refused like any non-integer.
+            warnings.simplefilter("error", DeprecationWarning)
+            edges = np.loadtxt(lines[1:], dtype=np.int64, comments=None, ndmin=2)
+    except (ValueError, DeprecationWarning) as exc:  # a non-integer token, or ragged lines
         reason = str(exc).split(";")[0]  # drop numpy's hint about usecols
         raise ValueError(f"edge lines must be 'u v' integer pairs: {reason}") from None
     if edges.shape[1] != 2:

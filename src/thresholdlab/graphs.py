@@ -270,14 +270,14 @@ def enumerate_threshold(order: int, connected_only: bool = False):
 def _edge_pairs(order: int, edges) -> tuple[np.ndarray, np.ndarray]:
     """The smaller and the larger endpoint of each edge, as two int64 arrays.
 
-    ``edges`` is a sequence of (u, v) pairs or an (m, 2) array; anything else
+    ``edges`` is an iterable of (u, v) pairs or an (m, 2) array; anything else
     is refused.  So is the first bad edge in input order: a self-loop, else an
     endpoint outside 0..order-1, else a repeat of an earlier pair.
     """
     if order < 1:
         raise InvalidEdgeError(f"a graph needs at least one vertex, got order {order}")
     try:
-        given = np.asarray(edges, dtype=np.int64)
+        given = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
     except OverflowError:
         raise InvalidEdgeError(f"an edge endpoint is out of range for order {order}") from None
     except (TypeError, ValueError):
@@ -310,7 +310,7 @@ def _edge_pairs(order: int, edges) -> tuple[np.ndarray, np.ndarray]:
 def recognize(edges, order: int) -> CreationSequence | NotThreshold:
     """Recognize a labeled graph as a threshold graph by peeling.
 
-    ``edges`` is a sequence of (u, v) pairs or an (m, 2) integer array.
+    ``edges`` is an iterable of (u, v) pairs or an (m, 2) integer array.
     Repeatedly removes an isolated or a dominating vertex of the current
     induced subgraph (Chvátal and Hammer 1977).  Degrees suffice: each
     removed dominating vertex was adjacent to every vertex still present and

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,18 @@ def test_edge_list_rejects_malformed(tmp_path, capsys):
         code, out, err = run(capsys, "recognize", "--edges", str(path))
         assert (code, out) == (1, ""), text
         assert err.startswith("error: ") and err.count("\n") == 1, (text, err)
+
+
+def test_edge_list_refuses_float_tokens_read_as_ints(monkeypatch):
+    # numpy's loadtxt once read "1.5" as the int 1 with only a DeprecationWarning
+    def lenient_loadtxt(lines, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        return np.array([[1, 2]], dtype=np.int64)
+
+    monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
+    with pytest.raises(ValueError, match="integer pairs"):
+        parse_edge_list("3 1\n1.5 2\n")
 
 
 def test_edge_list_skips_comment_lines(tmp_path, capsys):

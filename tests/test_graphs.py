@@ -157,7 +157,7 @@ def test_recognize_definition_graph_gives_sequence():
     for seq in all_sequences(8):
         form = creation_to_nsg(seq)
         order, edges = oracles.nsg_edges(form.m, form.n, form.isolated)
-        assert recognize(sorted(edges), order) == seq
+        assert recognize(edges, order) == seq
 
 
 # ---------------------------------------------------------------- anti-regular
@@ -325,6 +325,12 @@ def test_recognize_rejects_bad_edges():
     ):
         with pytest.raises(InvalidEdgeError, match=re.escape(message)):
             recognize(edges, order)
+    # any iterable of pairs is read in its own order
+    assert recognize({(0, 1)}, 2) == CreationSequence("01")
+    assert recognize(((u, 2) for u in range(2)), 3) == CreationSequence("001")
+    assert recognize(zip([2, 0], [3, 1]), 4) == NotThreshold((0, 1, 2, 3), ((0, 1), (2, 3)))
+    with pytest.raises(InvalidEdgeError, match=re.escape("self-loop at vertex 2")):
+        recognize(iter([(0, 1), (2, 2), (0, 1)]), 3)
     # no reshaping of what is not a list of pairs, no OverflowError
     for edges in (np.zeros((2, 3), dtype=np.int64), [(0, 1, 2)], [(0, 1), (2,)],
                   np.arange(4), [(0, 10**20)]):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import warnings
 from functools import partial
 from operator import itemgetter
@@ -34,6 +35,9 @@ from .graphs import NsgForm
 # 1.3 s of CPU and peaked at 145 MB, recognize alone 0.3 s (one BLAS thread,
 # 2-core Xeon).  The command line holds every other single-graph input to it.
 EDGE_ORDER_CAP = 2000
+# A header token is read by the rule numpy applies to the edge lines: an
+# optional sign, then ASCII digits (int() would also take "1_0" and "２").
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def sig12(x: float) -> str:
@@ -86,8 +90,8 @@ def parse_edge_list(text: str) -> tuple[int, np.ndarray]:
     if not lines:
         raise ValueError("empty edge-list input")
     head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"first line must be 'n m', got {lines[0]!r}")
+    if len(head) != 2 or not all(map(_INTEGER.fullmatch, head)):
+        raise ValueError(f"first line must be 'n m' integers, got {lines[0]!r}")
     order, count = int(head[0]), int(head[1])
     if order < 1:
         raise ValueError(f"edge-list order must be at least 1, got {order}")

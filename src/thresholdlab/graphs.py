@@ -154,10 +154,9 @@ def parse_creation_sequence(text: str) -> CreationSequence:
     """
     if not text:
         raise EmptyInputError("creation sequence must be nonempty")
-    for i, c in enumerate(text):
-        if c not in (ISOLATED, DOMINATING):
-            raise InvalidCharacterError(i, c)
-    return CreationSequence(ISOLATED + text[1:])
+    if text[0] not in (ISOLATED, DOMINATING):
+        raise InvalidCharacterError(0, text[0])
+    return CreationSequence(ISOLATED + text[1:])  # which checks the other symbols
 
 
 def _runs(symbols: str) -> list[tuple[str, int]]:

@@ -23,7 +23,7 @@ quotients of all forms that share h are built by one broadcast into a
 Every per-graph value is the same float as on the single-graph route.  The
 counts also decide which rows a scan solves at all: a scan that keeps no
 rows solves only the graphs with an eigenvalue near the anti-regular
-graph's extremes (see ``verify._scan_block``).
+graph's extremes (see ``verify._scan_block`` and ``verify._prune_thresholds``).
 """
 
 from __future__ import annotations

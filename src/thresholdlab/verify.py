@@ -62,7 +62,8 @@ ORDER_CEILING = 64
 PRUNE_MARGIN = 1e-9
 # Scans take consecutive indices in blocks of at most this many stacked
 # quotient entries (order^2 per graph bounds (2h)^2), so memory stays flat
-# as the order grows.  Blocks sit on a fixed grid of indices.
+# as the order grows.  Where blocks start does not matter: every per-graph
+# value is the same in any block, and _merge keeps ties on the lowest index.
 SCAN_BLOCK_ENTRIES = 1 << 17
 # Scans refuse more workers than this, since a process pool forks all of its
 # workers on the first task.  A constant, not the core count, so that reports
@@ -320,12 +321,11 @@ def _prune_thresholds(order: int) -> tuple[float, float]:
 
     The smallest eta+ of the order is at most eta+(A_n) and the largest eta-
     at least eta-(A_n), so no row whose eigenvalues stay off (0, t+] and
-    [t-, -1) can hold an extreme.  An empty slot of A_n bounds nothing:
-    every eigenvalue of the order lies in (-order, order).
+    [t-, -1) can hold an extreme.  A_2 has no eta-, which then bounds
+    nothing: every eigenvalue of the order lies in (-order, order).
     """
-    plus, minus = eta_extremes(assemble_spectrum(anti_regular(order)))
-    return (float(plus) if plus < math.inf else order,
-            float(minus) if minus > -math.inf else -order)
+    bounds = check_antiregular_bounds(order)
+    return bounds.eta_plus, -order if bounds.eta_minus is None else bounds.eta_minus
 
 
 def _class_sizes(changes: np.ndarray, order: int, h: int) -> tuple[np.ndarray, np.ndarray]:
@@ -338,25 +338,28 @@ def _class_sizes(changes: np.ndarray, order: int, h: int) -> tuple[np.ndarray, n
     return runs[:, -2::-2], runs[:, :0:-2]
 
 
-def _scan_block(order: int, lo: int, hi: int, gap: bool,
+def _scan_block(kind: str, order: int, lo: int, hi: int,
                 thresholds: tuple[float, float] | None) -> tuple:
-    """Per-graph arrays for connected sequences lo..hi-1 of one order.
+    """Scan connected sequences lo..hi-1 of one order; a partial for :func:`_merge`.
 
-    Returns (symbols, eta_plus, eta_minus, gap_columns).  Rows are grouped
-    by h; each group's symmetrized quotients form one (k_h, 2h, 2h) stack
-    with a single eigensolve.  The eigenvalues are kept zero-padded to a
-    common width: 0 is trivial, so the padding counts for neither eta nor
-    the clearance.  For gap scans, gap_columns holds the interval count by
-    the block kernel, the trivial forecast and the clearance; else None,
-    and class sizes are read only for the rows solved.
+    Returns (graphs, failures, best_plus, best_minus, rows); the bests are
+    (eta, sequence) or None, ties going to the lowest index.  Rows are
+    grouped by h; each group's symmetrized quotients form one (k_h, 2h, 2h)
+    stack with a single eigensolve.  The eigenvalues are kept zero-padded to
+    a common width: 0 is trivial, so the padding counts for neither eta nor
+    the clearance.  Gap scans also take the interval count by the block
+    kernel, the trivial forecast and the clearance; conjecture scans read
+    class sizes only for the rows solved.  Strings and reports are built only
+    for failures, the two extremes and kept rows.
 
     With ``thresholds`` = (t+, t-) from :func:`_prune_thresholds`, only the
     rows a report without rows needs are solved: those where the kernel
     finds an eigenvalue in (CLASSIFY_EPS/2, t+ + PRUNE_MARGIN] or in
     (t- - PRUNE_MARGIN, -1 - CLASSIFY_EPS/2], and failed gap rows.  The
     other rows read eta +inf / -inf and clearance inf.  With None, every
-    row is solved.
+    row is solved and kept.
     """
+    gap = kind == "gap"
     symbols = _block_symbols(order, lo, hi)
     points = (GAP_LOWER, GAP_UPPER) if gap else ()
     if thresholds is not None:
@@ -385,9 +388,20 @@ def _scan_block(order: int, lo: int, hi: int, gap: bool,
             m, n = (m[picked], n[picked]) if gap else _class_sizes(changes[solved], order, h)
             eigs[solved, :2 * h] = np.linalg.eigvalsh(quotient_stack(m, n)[1])
     eta_plus, eta_minus = eta_extremes(eigs)
-    if not gap:
-        return symbols, eta_plus, eta_minus, None
-    return symbols, eta_plus, eta_minus, (count, expected, _clearance(eigs))
+    text = (symbols + ord("0")).view(f"S{order}").ravel()
+    i, j = int(np.argmin(eta_plus)), int(np.argmax(eta_minus))
+    best_plus = (float(eta_plus[i]), text[i].decode()) if eta_plus[i] < np.inf else None
+    best_minus = (float(eta_minus[j]), text[j].decode()) if eta_minus[j] > -np.inf else None
+    failures, kept = [], []
+    if gap:
+        clearance = _clearance(eigs)
+        failures = [GapReport(text[i].decode(), order, int(count[i]), int(expected[i]),
+                              float(clearance[i]), False)
+                    for i in np.flatnonzero(count != expected).tolist()]
+    if thresholds is None:
+        kept = _block_rows(order, text, eta_plus, eta_minus,
+                           (count, expected, clearance) if gap else None)
+    return hi - lo, failures, best_plus, best_minus, kept
 
 
 def _block_rows(order: int, text, eta_plus, eta_minus, gap_columns) -> list[dict]:
@@ -408,43 +422,31 @@ def _block_rows(order: int, text, eta_plus, eta_minus, gap_columns) -> list[dict
     return rows
 
 
-def _scan_chunk(args) -> tuple:
-    """Scan sequences [lo, hi) of an order; returns a mergeable partial result.
+def _merge(partials) -> tuple:
+    """Combine scan partials, each (graphs, failures, best_plus, best_minus,
+    rows), in order.  The comparisons are strict, so a tie goes to the first
+    partial: with ties in a block going to its lowest index, reports are the
+    same for any split into blocks, chunks and workers."""
+    checked, failures, rows = 0, [], []
+    best_plus = best_minus = None
+    for graphs, fails, plus, minus, part_rows in partials:
+        checked += graphs
+        failures += fails
+        rows += part_rows
+        if plus is not None and (best_plus is None or plus[0] < best_plus[0]):
+            best_plus = plus
+        if minus is not None and (best_minus is None or minus[0] > best_minus[0]):
+            best_minus = minus
+    return checked, failures, best_plus, best_minus, rows
 
-    Top-level function so process pools can pickle it.  Works block by block
-    (see SCAN_BLOCK_ENTRIES) and builds strings and reports only for
-    failures, new extremes and kept rows.  Ties go to the lowest index, and
-    merging preserves chunk order, so reports are identical for any worker
-    count.
-    """
-    kind, order, lo, hi, keep_rows = args
+
+def _scan_chunk(args) -> tuple:
+    """Scan sequences [lo, hi) of an order block by block (see
+    SCAN_BLOCK_ENTRIES); top-level so process pools can pickle it."""
+    kind, order, lo, hi, thresholds = args
     size = max(1, SCAN_BLOCK_ENTRIES // (order * order))
-    thresholds = None if keep_rows else _prune_thresholds(order)
-    failures: list[GapReport] = []
-    rows: list[dict] = []
-    best_plus: tuple[float, str] | None = None
-    best_minus: tuple[float, str] | None = None
-    start = lo
-    while start < hi:
-        stop = min(hi, (start // size + 1) * size)
-        symbols, plus, minus, gap_columns = _scan_block(order, start, stop, kind == "gap",
-                                                        thresholds)
-        text = (symbols + ord("0")).view(f"S{order}").ravel()
-        i = int(np.argmin(plus))
-        if plus[i] < np.inf and (best_plus is None or plus[i] < best_plus[0]):
-            best_plus = (float(plus[i]), text[i].decode())
-        i = int(np.argmax(minus))
-        if minus[i] > -np.inf and (best_minus is None or minus[i] > best_minus[0]):
-            best_minus = (float(minus[i]), text[i].decode())
-        if gap_columns is not None:
-            count, expected, clearance = gap_columns
-            for i in np.flatnonzero(count != expected).tolist():
-                failures.append(GapReport(text[i].decode(), order, int(count[i]),
-                                          int(expected[i]), float(clearance[i]), False))
-        if keep_rows:
-            rows += _block_rows(order, text, plus, minus, gap_columns)
-        start = stop
-    return hi - lo, failures, best_plus, best_minus, rows
+    return _merge(_scan_block(kind, order, start, min(start + size, hi), thresholds)
+                  for start in range(lo, hi, size))
 
 
 def _run_scan(kind: str, order: int, workers: int, order_cap: int, keep_rows: bool) -> ScanReport:
@@ -453,31 +455,17 @@ def _run_scan(kind: str, order: int, workers: int, order_cap: int, keep_rows: bo
         raise ValueError("workers must be >= 1")
     if workers > MAX_WORKERS:
         raise ValueError(f"workers {workers} above the cap {MAX_WORKERS}")
+    thresholds = None if keep_rows else _prune_thresholds(order)
     total = count_threshold(order, connected_only=True)
     bounds = np.linspace(0, total, num=min(workers, total) + 1, dtype=int)
-    chunks = [
-        (kind, order, int(lo), int(hi), keep_rows)
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-    ]
+    chunks = [(kind, order, int(lo), int(hi), thresholds)
+              for lo, hi in zip(bounds[:-1], bounds[1:])]
     if workers == 1:
         partials = [_scan_chunk(chunk) for chunk in chunks]
     else:
         with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             partials = list(pool.map(_scan_chunk, chunks))
-
-    checked = 0
-    failures: list[GapReport] = []
-    rows: list[dict] = []
-    best_plus: tuple[float, str] | None = None
-    best_minus: tuple[float, str] | None = None
-    for count, fails, plus, minus, chunk_rows in partials:
-        checked += count
-        failures.extend(fails)
-        rows.extend(chunk_rows)
-        if plus is not None and (best_plus is None or plus[0] < best_plus[0]):
-            best_plus = plus
-        if minus is not None and (best_minus is None or minus[0] > best_minus[0]):
-            best_minus = minus
+    checked, failures, best_plus, best_minus, rows = _merge(partials)
 
     antiregular_sequence = None
     conjecture_holds = None
@@ -507,7 +495,7 @@ def scan_gap(
 ) -> ScanReport:
     """Run the :func:`check_gap` test on every connected threshold graph of the order.
 
-    Graphs are checked block by block (see ``_scan_chunk``); every per-graph
+    Graphs are checked block by block (see ``_scan_block``); every per-graph
     value is the one ``check_gap`` reports.
     """
     return _run_scan("gap", order, workers, order_cap, keep_rows)

@@ -63,13 +63,22 @@ def test_edge_list_rejects_malformed(tmp_path, capsys):
     path = tmp_path / "malformed.txt"
     for text in ("", "4\n", "4 2\n0 1\n", "2 1\n0 1 2\n", f"{EDGE_ORDER_CAP + 1} 0\n",
                  "3 2\n0 1\n0 1 2\n", "3 2\n0 1\n1\n", "2 1\n1\n", "2 1\nx 1\n",
-                 "3 1\n1.5 2\n", "2 1\n0 1 # note\n", f"2 1\n0 {2 ** 63}\n"):
+                 "3 1\n1.5 2\n", "2 1\n0 1 # note\n", f"2 1\n0 {2 ** 63}\n",
+                 "1_0 0\n", "\uff12 1\n0 1\n", "x y\n"):
         with pytest.raises(ValueError):
             parse_edge_list(text)
         path.write_text(text)
         code, out, err = run(capsys, "recognize", "--edges", str(path))
         assert (code, out) == (1, ""), text
         assert err.startswith("error: ") and err.count("\n") == 1, (text, err)
+
+
+def test_edge_list_header_takes_the_edge_line_integer_rule():
+    # int() alone would read "1_0" as 10 and a full-width digit as a digit
+    for text in ("1_0 0\n", "\uff12 1\n0 1\n", "x y\n", "3\t1 2\n0 1\n"):
+        with pytest.raises(ValueError, match="first line must be 'n m' integers, got "):
+            parse_edge_list(text)
+    assert parse_edge_list("+2 1\n0 1\n")[0] == 2
 
 
 def test_edge_list_refuses_float_tokens_read_as_ints(monkeypatch):
@@ -440,3 +449,31 @@ def test_out_writes_file_not_stdout(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["verdict"] == "pass"
+
+
+# ---------------------------------------------------------------- scripts
+
+
+def run_script(tmp_path, name, *argv):
+    script = pathlib.Path(__file__).parents[1] / "scripts" / name
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(thresholdlab.__file__).parents[1])}
+    done = subprocess.run([sys.executable, str(script), *argv], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=120)
+    assert (done.returncode, done.stderr) == (0, ""), (name, done.stderr)
+    return done.stdout.splitlines()
+
+
+def test_scripts_run(tmp_path, capsys):
+    lines = run_script(tmp_path, "run_gap_scan.py", "--max-order", "7", "--csv-dir", "tmp")
+    assert [line[:9] for line in lines] == [f"order {o:2d}:" for o in range(2, 8)] + ["total: 63"]
+    assert all(" 0 failures" in line for line in lines[:-1])
+    _, csv, _ = run(capsys, "scan-gap", "--order", "7", "--format", "csv")
+    assert (tmp_path / "tmp" / "gap_7.csv").read_text() == csv
+    lines = run_script(tmp_path, "run_conjecture_scan.py", "--max-order", "7")
+    assert [line[:9] for line in lines] == [f"order {o:2d}:" for o in range(2, 8)]
+    assert all("[anti-regular extremal]" in line for line in lines)
+    lines = run_script(tmp_path, "antiregular_bounds.py", "--max-order", "12",
+                       "--csv", "tmp/b.csv")
+    assert [line[:6] for line in lines] == [f"n={o:4d}" for o in range(2, 13)]
+    assert all(line.endswith("[pass]") for line in lines)
+    assert len((tmp_path / "tmp" / "b.csv").read_text().splitlines()) == 12

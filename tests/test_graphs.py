@@ -51,10 +51,11 @@ def test_parse_normalizes_first_symbol():
 
 
 def test_parse_rejects_bad_character():
-    with pytest.raises(InvalidCharacterError) as err:
-        parse_creation_sequence("01x1")
-    assert err.value.position == 2
-    assert err.value.char == "x"
+    # the first symbol is checked by the parser, the others by CreationSequence
+    for text, position, char in (("01x1", 2, "x"), ("2011", 0, "2"), ("0a1", 1, "a")):
+        with pytest.raises(InvalidCharacterError) as err:
+            parse_creation_sequence(text)
+        assert (err.value.position, err.value.char) == (position, char)
 
 
 def test_parse_rejects_empty():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -365,10 +366,11 @@ def test_scan_workers_cap(monkeypatch):
 def test_scan_deterministic_across_workers():
     assert scan_gap(8, workers=1) == scan_gap(8, workers=3)
     assert scan_conjecture(7, workers=1) == scan_conjecture(7, workers=2)
-    # order 14 spans several scan blocks, and 2 or 3 workers cut it off the
-    # block grid, inside blocks that mix several h
+    # order 14 spans several scan blocks that mix several h; the chunks of 2
+    # or 3 workers start off the multiples of the block size, so each worker
+    # count cuts the order into different blocks
     block = SCAN_BLOCK_ENTRIES // 14**2
-    assert block < 4096 and 2048 % block and 1365 % block and 2730 % block
+    assert block < 1365 and 2048 % block and 1365 % block
     assert scan_gap(14, workers=1, keep_rows=True) == scan_gap(14, workers=3, keep_rows=True)
     assert (scan_conjecture(14, workers=1, keep_rows=True)
             == scan_conjecture(14, workers=2, keep_rows=True))
@@ -379,7 +381,7 @@ def test_scan_chunk_matches_single_checks():
     # and of eta_extremes on the assembled spectrum
     for order in range(2, 15):
         total = 2 ** (order - 2)
-        count, failures, _, _, rows = _scan_chunk(("gap", order, 0, total, True))
+        count, failures, _, _, rows = _scan_chunk(("gap", order, 0, total, None))
         assert count == total and failures == [] and len(rows) == total
         for index, row in enumerate(rows):
             seq = sequence_at(order, index, connected_only=True)
@@ -397,11 +399,39 @@ def test_scan_chunk_matches_single_checks():
                 "min_nontrivial_distance": report.min_nontrivial_distance,
                 "verdict": "pass",
             }
-        conjecture_rows = _scan_chunk(("conjecture", order, 0, total, True))[4]
+        conjecture_rows = _scan_chunk(("conjecture", order, 0, total, None))[4]
         assert conjecture_rows == [
             {key: row[key] for key in ("sequence", "order", "eta_plus", "eta_minus")}
             for row in rows
         ]
+
+
+def test_scan_reports_do_not_depend_on_block_size(monkeypatch):
+    # one graph per block merges at every graph boundary; 300 graphs per
+    # block at order 12 (357 at 11) leaves a short last block.  Etas rounded
+    # to one decimal make many graphs tie, and each tie must still go to the
+    # lowest index, as min() over the rows picks it.
+    honest_eta = verify.eta_extremes
+    for coarse in (False, True):
+        if coarse:
+            monkeypatch.setattr(verify, "eta_extremes",
+                                lambda eigs: [np.round(v, 1) for v in honest_eta(eigs)])
+        monkeypatch.setattr(verify, "SCAN_BLOCK_ENTRIES", SCAN_BLOCK_ENTRIES)
+        honest = {(scan, order, keep_rows): scan(order, keep_rows=keep_rows)
+                  for scan in (scan_gap, scan_conjecture) for order in range(2, 13)
+                  for keep_rows in (False, True)}
+        for (scan, order, keep_rows), report in honest.items():
+            for key, best in (("eta_plus", min), ("eta_minus", max)):
+                if keep_rows:
+                    first = best((row for row in report.rows if row[key] is not None),
+                                 key=itemgetter(key), default=None)
+                    assert getattr(report, f"extremal_{key}") == (
+                        first and (first[key], first["sequence"])), (coarse, order, key)
+        for entries in (1, 300 * 12**2):
+            monkeypatch.setattr(verify, "SCAN_BLOCK_ENTRIES", entries)
+            for (scan, order, keep_rows), report in honest.items():
+                assert scan(order, keep_rows=keep_rows) == report, (
+                    coarse, entries, scan.__name__, order, keep_rows)
 
 
 def test_scan_reports_failures_like_check_gap(monkeypatch):

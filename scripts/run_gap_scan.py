@@ -16,7 +16,7 @@ import pathlib
 import sys
 import time
 
-from thresholdlab.formats import to_csv
+from thresholdlab.cli import scan_csv
 from thresholdlab.verify import DEFAULT_ORDER_CAP, scan_gap
 
 
@@ -55,7 +55,8 @@ def main() -> int:
             print(f"  counterexample {failure.sequence}: count {failure.count_in_interval} "
                   f"expected {failure.expected_trivial}")
         if csv_dir is not None:
-            (csv_dir / f"gap_{order}.csv").write_text(to_csv(list(result.rows[0]), result.rows))
+            with open(csv_dir / f"gap_{order}.csv", "w", encoding="utf-8") as fh:
+                fh.writelines(scan_csv(result))
 
     print(f"total: {total} graphs, {bad} failures")
     return 2 if bad else 0

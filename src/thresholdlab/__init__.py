@@ -36,6 +36,7 @@ from .verify import (
     ReductionCase,
     ReductionStep,
     ScanReport,
+    ScanRows,
     check_antiregular_bounds,
     check_gap,
     check_interlacing,

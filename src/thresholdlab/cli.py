@@ -3,16 +3,18 @@
 Subcommands: gen, spectrum, check-gap, scan-gap, scan-conjecture,
 check-antiregular, reduce, recognize.  Each handler builds records (ordered
 dicts) and renders them with ``formats.to_plain``, ``to_csv`` or
-``to_json``.  Exit codes: 0 success/pass, 2 verification failure, 1 usage or
-input error.
+``to_json``; a scan's CSV rows go from their columns to the output one scan
+block at a time (``scan_csv``).  Exit codes: 0 success/pass, 2 verification
+failure, 1 usage or input error.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -23,6 +25,8 @@ FORMATS = ("plain", "json", "csv")
 # dense spectrum each for spectrum); at 14 that is 8192 records, about 1.5 s
 # and 180 MB of JSON on a 2-core x86 host, and each order above doubles it.
 BATCH_ORDER_CAP = 14
+SCAN_CSV_KEYS = ("sequence", "order", "eta_plus", "eta_minus", "count_in_interval",
+                 "expected_trivial", "min_nontrivial_distance", "verdict")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -32,12 +36,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(texts: Iterable[str], out: str | None) -> None:
+    """Write the texts, in order, to ``out`` or to stdout."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(texts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
+
+
+def _integer(text: str) -> int:
+    """argparse type of the integer options: formats.parse_integer's rule."""
+    try:
+        return formats.parse_integer(text, "value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_graph_input(sub: argparse.ArgumentParser, with_order: bool = False) -> None:
@@ -46,7 +59,7 @@ def _add_graph_input(sub: argparse.ArgumentParser, with_order: bool = False) -> 
     group.add_argument("--nsg", help="NSG text form, e.g. 'nsg(3;2)'")
     group.add_argument("--edges", help="path to an edge-list file ('n m' header)")
     if with_order:
-        group.add_argument("--order", type=int, help="enumerate all graphs of this order")
+        group.add_argument("--order", type=_integer, help="enumerate all graphs of this order")
         sub.add_argument("--connected-only", action="store_true",
                          help="restrict --order enumeration to connected graphs")
 
@@ -101,10 +114,11 @@ def _render(args, records, batch: bool = False, csv_keys=None) -> None:
     if args.format == "json":
         text = formats.to_json(records if batch else records[0])
     elif args.format == "csv":
-        text = formats.to_csv(csv_keys or list(records[0]), records)
+        keys = csv_keys or list(records[0])
+        text = formats.to_csv(keys, [[record[key] for record in records] for key in keys])
     else:
         text = formats.to_plain(records)
-    _emit(text, args.out)
+    _emit([text], args.out)
 
 
 def _report_record(report) -> dict:
@@ -168,7 +182,7 @@ def _cmd_spectrum(args) -> int:
     if args.format == "csv":  # no header; sequence, order, one cell per eigenvalue
         rows = ([r["sequence"], str(r["order"]), *map(formats.sig12, r["assembled"])]
                 for r in records)
-        _emit("".join(",".join(row) + "\n" for row in rows), args.out)
+        _emit((",".join(row) + "\n" for row in rows), args.out)
     else:
         _render(args, records, batch=args.order is not None)
     return 0
@@ -183,7 +197,29 @@ def _cmd_check_gap(args) -> int:
     return _report(args, verify.check_gap(graphs.creation_to_nsg(_single_sequence(args))))
 
 
-def _scan(args, runner) -> int:
+def scan_csv(report: verify.ScanReport) -> Iterator[str]:
+    """CSV of a scan run with rows: the header and the first scan block's
+    rows, then one text per later block, so that only one block's text is
+    held at a time.  An absent eta is an empty cell."""
+    rows, order = report.rows, report.order
+    gap = rows.count_in_interval is not None
+    step = verify.scan_block_rows(order)
+    for lo in range(0, len(rows), step):
+        part = rows[lo:lo + step]
+        eta_plus, eta_minus = (np.where(np.isinf(eta), np.nan, eta)  # NaN prints empty
+                               for eta in (part.eta_plus, part.eta_minus))
+        columns = [part.sequence, np.full(len(part), order), eta_plus, eta_minus]
+        if gap:
+            passed = part.count_in_interval == part.expected_trivial
+            columns += [part.count_in_interval, part.expected_trivial,
+                        part.min_nontrivial_distance, np.where(passed, "pass", "fail")]
+        keys = SCAN_CSV_KEYS[:len(columns)] if lo == 0 else None
+        yield formats.to_csv(keys, columns)
+
+
+def _scan(args) -> int:
+    # looked up per call, not when the cached parser was built
+    runner = verify.scan_gap if args.command == "scan-gap" else verify.scan_conjecture
     report = runner(
         args.order,
         workers=args.workers,
@@ -195,9 +231,9 @@ def _scan(args, runner) -> int:
         "conjecture_holds": report.conjecture_holds,
     }
     if args.format == "csv":
-        records = report.rows
+        _emit(scan_csv(report), args.out)
     elif args.format == "json":
-        records = [{
+        _render(args, [{
             "kind": report.kind,
             "order": report.order,
             "graphs_checked": report.graphs_checked,
@@ -206,7 +242,7 @@ def _scan(args, runner) -> int:
             "extremal_eta_minus": report.extremal_eta_minus,
             "verdict": _verdict(report.passed),
             **conjecture,
-        }]
+        }])
     else:  # plain counts the failures and omits absent extremes
         record = {"scan": report.kind, "order": report.order,
                   "graphs_checked": report.graphs_checked, "failures": len(report.failures)}
@@ -214,8 +250,7 @@ def _scan(args, runner) -> int:
             if getattr(report, key):
                 value, seq = getattr(report, key)
                 record[key] = f"{formats.sig12(value)} at {seq}"
-        records = [{**record, **conjecture, "verdict": _verdict(report.passed)}]
-    _render(args, records)
+        _render(args, [{**record, **conjecture, "verdict": _verdict(report.passed)}])
     return 0 if report.passed else 2
 
 
@@ -262,13 +297,16 @@ def _cmd_recognize(args) -> int:
     if args.format == "plain":  # a bare NotThreshold line; no nsg
         head = "" if record["threshold_graph"] else "NotThreshold\n"
         plain = {k: v for k, v in record.items() if k not in ("threshold_graph", "nsg")}
-        _emit(head + formats.to_plain([plain]), args.out)
+        _emit([head, formats.to_plain([plain])], args.out)
     else:
         _render(args, [record])
     return 0 if record["threshold_graph"] else 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of all eight commands, built on the first call and then
+    reused: parsing leaves no state in it."""
     parser = _Parser(prog="thresholdlab",
                      description="Threshold graph construction, spectra, and gap verification.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -289,16 +327,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p)
     p.set_defaults(handler=_cmd_check_gap)
 
-    for name, runner in (("scan-gap", verify.scan_gap), ("scan-conjecture", verify.scan_conjecture)):
+    for name in ("scan-gap", "scan-conjecture"):
         p = sub.add_parser(name, help=f"exhaustive {name.split('-')[1]} scan over one order")
-        p.add_argument("--order", type=int, required=True)
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--order-cap", type=int, default=verify.DEFAULT_ORDER_CAP)
+        p.add_argument("--order", type=_integer, required=True)
+        p.add_argument("--workers", type=_integer, default=1)
+        p.add_argument("--order-cap", type=_integer, default=verify.DEFAULT_ORDER_CAP)
         _add_output(p)
-        p.set_defaults(handler=lambda args, runner=runner: _scan(args, runner))
+        p.set_defaults(handler=_scan)
 
     p = sub.add_parser("check-antiregular", help="eta bounds of the anti-regular graph")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_integer, required=True)
     _add_output(p)
     p.set_defaults(handler=_cmd_check_antiregular)
 

@@ -10,9 +10,11 @@ Formats:
     int64 array, read in one numpy call.
 
 Command output is rendered from records: ordered dicts of numbers, strings,
-``NsgForm``s, lists, arrays and (u, v) edge tuples.  ``to_plain``,
-``to_csv`` and ``to_json`` turn them into ``key: value`` lines, CSV rows and
-JSON; floats print at 12 significant digits (``sig12``) in plain and CSV.
+``NsgForm``s, lists, arrays and (u, v) edge tuples.  ``to_plain`` and
+``to_json`` turn them into ``key: value`` lines and JSON; ``to_csv`` takes
+them as columns, a list or an array per key, so that a long table such as a
+scan's rows is rendered a column at a time.  Floats print at 12 significant
+digits (``sig12``) in plain and CSV.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ import json
 import math
 import re
 import warnings
-from functools import partial
-from operator import itemgetter
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -35,14 +36,22 @@ from .graphs import NsgForm
 # 1.3 s of CPU and peaked at 145 MB, recognize alone 0.3 s (one BLAS thread,
 # 2-core Xeon).  The command line holds every other single-graph input to it.
 EDGE_ORDER_CAP = 2000
-# A header token is read by the rule numpy applies to the edge lines: an
-# optional sign, then ASCII digits (int() would also take "1_0" and "２").
+# Integers in any input (edge-list tokens, NSG class sizes, integer options)
+# follow the rule numpy applies to the edge lines: an optional sign, then
+# ASCII digits (int() would also take "1_0" and "２").
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def sig12(x: float) -> str:
     """12-significant-digit rendering used by plain and CSV output."""
     return f"{x:.12g}"
+
+
+def parse_integer(token: str, what: str) -> int:
+    """``token`` as an int by the edge-line rule; a ValueError naming it otherwise."""
+    if not _INTEGER.fullmatch(token):
+        raise ValueError(f"{what} must be an integer, got {token!r}")
+    return int(token)
 
 
 def format_nsg(form: NsgForm) -> str:
@@ -65,14 +74,14 @@ def parse_nsg(text: str) -> NsgForm:
         chunk = chunk.strip()
         if not chunk:
             return ()
-        return tuple(int(tok) for tok in chunk.split(","))
+        return tuple(parse_integer(tok.strip(), "class size") for tok in chunk.split(","))
 
     isolated = 0
     if len(parts) == 3:
         tail = parts[2].strip()
         if not tail.startswith("+"):
             raise ValueError(f"isolated count must look like '+k', got {tail!r}")
-        isolated = int(tail[1:])
+        isolated = parse_integer(tail[1:].strip(), "isolated count")
     return NsgForm(_sizes(parts[0]), _sizes(parts[1]), isolated)
 
 
@@ -172,26 +181,31 @@ def to_plain(records) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def _csv_str(value) -> str:
-    return "" if value is None else str(value)
+def _csv_cells(column) -> Iterable[str]:
+    """The cells of one CSV column.  An array takes one C-level formatter for
+    all its cells: floats at 12 significant digits ("%.12g" prints what sig12
+    prints) with NaN, an absent value, empty; bytes decoded; anything else
+    by str.  Any other column is rendered value by value by ``_text``."""
+    if not isinstance(column, np.ndarray):
+        return [_text(value, csv=True) for value in column]
+    if column.dtype.kind == "f":
+        cells = list(map("%.12g".__mod__, column.tolist()))
+        for i in np.flatnonzero(np.isnan(column)).tolist():
+            cells[i] = ""
+        return cells
+    if column.dtype.kind == "S":
+        return map(bytes.decode, column.tolist())
+    return map(str, column.tolist())
 
 
-# Scans render thousands of rows, so float, int and str columns skip the
-# per-value type tests of _text.
-_CSV_COLUMN = {float: lambda value: "" if value is None else sig12(value),
-               int: _csv_str, str: _csv_str}
-
-
-def to_csv(keys, records) -> str:
-    """A header of ``keys``, then one row per record of the sequence ``records``.
+def to_csv(keys, columns) -> str:
+    """A header of ``keys``, then one row per index of the equal-length
+    ``columns``, one column per key.  With ``keys`` None there is no header,
+    as for a later block of rows of one table.
 
     None is empty, NSG text quoted, bools True/False, floats at 12 digits.
-    Each column gets one formatter, picked by its first value that is not
-    None, so a column must hold one type.
     """
-    def column(key):
-        sample = next((r[key] for r in records if r[key] is not None), None)
-        cell = _CSV_COLUMN.get(type(sample), partial(_text, csv=True))
-        return map(cell, map(itemgetter(key), records))
-
-    return "\n".join([",".join(keys), *map(",".join, zip(*map(column, keys)))]) + "\n"
+    lines = map(",".join, zip(*map(_csv_cells, columns)))
+    if keys is not None:
+        lines = chain([",".join(keys)], lines)
+    return "\n".join(lines) + "\n"

@@ -131,6 +131,39 @@ class BoundsReport:
     passed: bool
 
 
+@dataclass(frozen=True, eq=False)
+class ScanRows:
+    """Per-graph values of a scan run with rows: one array per column, in index order.
+
+    ``sequence`` holds the creation sequences as ``S{order}`` bytes.  An
+    absent eta reads +inf (``eta_plus``) or -inf (``eta_minus``), as from
+    ``eta_extremes``.  Gap scans add the interval count, the trivial
+    forecast and the clearance (inf when no eigenvalue is nontrivial), each
+    as ``check_gap`` reports it; conjecture scans leave them None.  Two are
+    equal when every column is.
+    """
+
+    sequence: np.ndarray
+    eta_plus: np.ndarray
+    eta_minus: np.ndarray
+    count_in_interval: np.ndarray | None = None
+    expected_trivial: np.ndarray | None = None
+    min_nontrivial_distance: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.sequence)
+
+    def __getitem__(self, part: slice) -> ScanRows:
+        return ScanRows(*(None if column is None else column[part]
+                          for column in vars(self).values()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ScanRows):
+            return NotImplemented
+        return all(a is b or (a is not None and b is not None and np.array_equal(a, b))
+                   for a, b in zip(vars(self).values(), vars(other).values()))
+
+
 @dataclass(frozen=True)
 class ScanReport:
     """Merged result of an exhaustive per-order scan over connected graphs."""
@@ -143,7 +176,7 @@ class ScanReport:
     extremal_eta_minus: tuple[float, str] | None
     antiregular_sequence: str | None = None
     conjecture_holds: bool | None = None
-    rows: tuple[dict, ...] | None = None
+    rows: ScanRows | None = None  # every graph's values, for scans run with keep_rows
 
     @property
     def passed(self) -> bool:
@@ -343,14 +376,15 @@ def _scan_block(kind: str, order: int, lo: int, hi: int,
     """Scan connected sequences lo..hi-1 of one order; a partial for :func:`_merge`.
 
     Returns (graphs, failures, best_plus, best_minus, rows); the bests are
-    (eta, sequence) or None, ties going to the lowest index.  Rows are
-    grouped by h; each group's symmetrized quotients form one (k_h, 2h, 2h)
-    stack with a single eigensolve.  The eigenvalues are kept zero-padded to
+    (eta, sequence) or None, ties going to the lowest index, and rows the
+    block's :class:`ScanRows` or None.  Graphs are grouped by h; each
+    group's symmetrized quotients form one (k_h, 2h, 2h) stack with a single
+    eigensolve.  The eigenvalues are kept zero-padded to
     a common width: 0 is trivial, so the padding counts for neither eta nor
     the clearance.  Gap scans also take the interval count by the block
     kernel, the trivial forecast and the clearance; conjecture scans read
     class sizes only for the rows solved.  Strings and reports are built only
-    for failures, the two extremes and kept rows.
+    for failures and the two extremes; kept rows stay arrays.
 
     With ``thresholds`` = (t+, t-) from :func:`_prune_thresholds`, only the
     rows a report without rows needs are solved: those where the kernel
@@ -392,59 +426,50 @@ def _scan_block(kind: str, order: int, lo: int, hi: int,
     i, j = int(np.argmin(eta_plus)), int(np.argmax(eta_minus))
     best_plus = (float(eta_plus[i]), text[i].decode()) if eta_plus[i] < np.inf else None
     best_minus = (float(eta_minus[j]), text[j].decode()) if eta_minus[j] > -np.inf else None
-    failures, kept = [], []
+    failures, rows = [], None
     if gap:
         clearance = _clearance(eigs)
         failures = [GapReport(text[i].decode(), order, int(count[i]), int(expected[i]),
                               float(clearance[i]), False)
                     for i in np.flatnonzero(count != expected).tolist()]
     if thresholds is None:
-        kept = _block_rows(order, text, eta_plus, eta_minus,
-                           (count, expected, clearance) if gap else None)
-    return hi - lo, failures, best_plus, best_minus, kept
-
-
-def _block_rows(order: int, text, eta_plus, eta_minus, gap_columns) -> list[dict]:
-    columns = [text.tolist(),
-               [v if v < math.inf else None for v in eta_plus.tolist()],
-               [v if v > -math.inf else None for v in eta_minus.tolist()]]
-    if gap_columns is not None:
-        columns += [column.tolist() for column in gap_columns]
-    rows = []
-    for seq, plus, minus, *gap in zip(*columns):
-        row = {"sequence": seq.decode(), "order": order, "eta_plus": plus, "eta_minus": minus}
-        if gap:
-            count, expected, clearance = gap
-            row.update(count_in_interval=count, expected_trivial=expected,
-                       min_nontrivial_distance=clearance,
-                       verdict="pass" if count == expected else "fail")
-        rows.append(row)
-    return rows
+        rows = ScanRows(text, eta_plus, eta_minus, *((count, expected, clearance) if gap else ()))
+    return hi - lo, failures, best_plus, best_minus, rows
 
 
 def _merge(partials) -> tuple:
     """Combine scan partials, each (graphs, failures, best_plus, best_minus,
     rows), in order.  The comparisons are strict, so a tie goes to the first
     partial: with ties in a block going to its lowest index, reports are the
-    same for any split into blocks, chunks and workers."""
-    checked, failures, rows = 0, [], []
+    same for any split into blocks, chunks and workers.  Rows, when kept, are
+    joined column by column."""
+    checked, failures, parts = 0, [], []
     best_plus = best_minus = None
-    for graphs, fails, plus, minus, part_rows in partials:
+    for graphs, fails, plus, minus, rows in partials:
         checked += graphs
         failures += fails
-        rows += part_rows
+        if rows is not None:
+            parts.append(rows)
         if plus is not None and (best_plus is None or plus[0] < best_plus[0]):
             best_plus = plus
         if minus is not None and (best_minus is None or minus[0] > best_minus[0]):
             best_minus = minus
-    return checked, failures, best_plus, best_minus, rows
+    if len(parts) > 1:
+        parts = [ScanRows(*(None if column[0] is None else np.concatenate(column)
+                            for column in zip(*(vars(part).values() for part in parts))))]
+    return checked, failures, best_plus, best_minus, parts[0] if parts else None
+
+
+def scan_block_rows(order: int) -> int:
+    """Graphs per scan block at this order (see SCAN_BLOCK_ENTRIES)."""
+    return max(1, SCAN_BLOCK_ENTRIES // (order * order))
 
 
 def _scan_chunk(args) -> tuple:
-    """Scan sequences [lo, hi) of an order block by block (see
-    SCAN_BLOCK_ENTRIES); top-level so process pools can pickle it."""
+    """Scan sequences [lo, hi) of an order block by block; top-level so
+    process pools can pickle it."""
     kind, order, lo, hi, thresholds = args
-    size = max(1, SCAN_BLOCK_ENTRIES // (order * order))
+    size = scan_block_rows(order)
     return _merge(_scan_block(kind, order, start, min(start + size, hi), thresholds)
                   for start in range(lo, hi, size))
 
@@ -483,7 +508,7 @@ def _run_scan(kind: str, order: int, workers: int, order_cap: int, keep_rows: bo
         extremal_eta_minus=best_minus,
         antiregular_sequence=antiregular_sequence,
         conjecture_holds=conjecture_holds,
-        rows=tuple(rows) if keep_rows else None,
+        rows=rows,
     )
 
 

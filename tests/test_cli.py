@@ -18,6 +18,7 @@ from thresholdlab.formats import (
     parse_edge_list,
     parse_nsg,
     sig12,
+    to_csv,
     to_json,
     to_plain,
 )
@@ -48,6 +49,17 @@ def test_nsg_text_rejects_malformed():
     for text in ("nsg(1;1", "1;1", "nsg(1;1;2)", "nsg(1;1;+2;+3)"):
         with pytest.raises(ValueError):
             parse_nsg(text)
+    # class sizes and +k take the edge-list integer rule; int() would read
+    # "1_0" as 10 and a full-width digit as a digit
+    for text, message in (("nsg(1_0;\uff12)", "class size must be an integer, got '1_0'"),
+                          ("nsg(1;\uff12)", "class size must be an integer, got '\uff12'"),
+                          ("nsg(x;1)", "class size must be an integer, got 'x'"),
+                          ("nsg(1,,2;1)", "class size must be an integer, got ''"),
+                          ("nsg(1;1;+1_0)", "isolated count must be an integer, got '1_0'")):
+        with pytest.raises(ValueError) as raised:
+            parse_nsg(text)
+        assert str(raised.value) == message
+    assert parse_nsg("nsg(1, 2;+1,1;+ 3)") == NsgForm([1, 2], [1, 1], 3)
 
 
 def test_edge_list_round_trip():
@@ -107,6 +119,28 @@ def test_to_json_writes_non_finite_floats_as_null():
     assert json.loads(to_json(record)) == {"d": None, "row": [1.5, None, [None, 2]],
                                            "a": [0.5, None]}
     assert to_plain([{"d": math.inf}]) == "d: inf\n"
+
+
+def test_to_csv_renders_columns():
+    # arrays take one formatter per column: "%.12g" must print what sig12
+    # prints, NaN (absent) is empty and inf stays inf; lists go value by value
+    floats = np.array([0.1, -1.4811943040920156, 3.0, -0.0, 1e-300, 2.5e17, 123456789012.5,
+                       np.inf, -np.inf, np.nan, 5e-324, 0.20710678118654757])
+    text = to_csv(("x", "s", "n", "u"), [floats, np.array([b"01"] * 12),
+                                         np.arange(12) - 3, np.full(12, "ab")])
+    lines = text.splitlines()
+    assert lines[0] == "x,s,n,u" and len(lines) == 13 and text.endswith("\n")
+    assert [line.split(",")[0] for line in lines[1:]] == [
+        "" if math.isnan(x) else sig12(x) for x in floats.tolist()]
+    assert lines[8:11] == ["inf,01,4,ab", "-inf,01,5,ab", ",01,6,ab"]
+    rng = np.random.default_rng(5)
+    sample = np.concatenate([rng.standard_normal(500) * 10.0 ** rng.integers(-20, 20, 500),
+                             rng.integers(-9, 9, 100).astype(float)])
+    assert to_csv(None, [sample]).splitlines() == [sig12(x) for x in sample.tolist()]
+    assert to_csv(("a", "b", "c", "d", "e"), [[None, 1.5], [True, False], [NsgForm([1], [1])] * 2,
+                                              [[0, 1], []], [(0, 1), 2]]) == (
+        'a,b,c,d,e\n,True,"nsg(1;1)",0 1,0-1\n1.5,False,"nsg(1;1)",,2\n')
+    assert to_csv(("a",), [[]]) == "a\n"
 
 
 def test_sig12():
@@ -353,7 +387,67 @@ def test_recognize_edge_file_at_cap_peaks_below_200_mb(tmp_path):
     assert unit == "kB" and int(peak) < 200 * 1024
 
 
+def test_scan_gap_csv_at_order_19_peaks_below_90_mb():
+    # rows travel as columns and the CSV is written one scan block at a
+    # time, so the peak does not grow with the 13 MB of text or its rows
+    child = ("import sys\n"
+             "from thresholdlab import cli\n"
+             "code = cli.main(['scan-gap', '--order', '19', '--format', 'csv'])\n"
+             "with open('/proc/self/status') as fh:\n"
+             "    print(next(ln for ln in fh if ln.startswith('VmHWM:')), file=sys.stderr)\n"
+             "sys.exit(code)\n")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(thresholdlab.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count(b"\n") == 2 ** 17 + 1
+    assert done.stdout.startswith(b"sequence,order,eta_plus,") and done.stdout.endswith(b",pass\n")
+    _, peak, unit = done.stderr.split()
+    assert unit == b"kB" and int(peak) < 90 * 1024
+
+
 # ---------------------------------------------------------------- exit codes
+
+
+def test_integer_options_take_the_edge_list_rule(capsys):
+    # int() would take "1_0" as 10 and full-width digits as digits
+    for argv, token in ((["check-antiregular", "--order", "1_0"], "'1_0'"),
+                        (["scan-gap", "--order", "4", "--workers", "\uff102"], "'\uff102'"),
+                        (["scan-conjecture", "--order", "x"], "'x'"),
+                        (["scan-gap", "--order", "4", "--order-cap", "2.0"], "'2.0'"),
+                        (["gen", "--order", " 3"], "' 3'")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.endswith(f"error: argument {argv[-2]}: value must be an integer, got {token}\n")
+    code, out, err = run(capsys, "check-gap", "--nsg", "nsg(1_0;\uff12)")
+    assert (code, out, err) == (1, "", "error: class size must be an integer, got '1_0'\n")
+    assert run(capsys, "check-antiregular", "--order", "+3")[0] == 0
+
+
+def test_main_reuses_one_parser_without_leaking_options(tmp_path, capsys):
+    # the parser is built once per process; no option of one call may reach
+    # the next: each reply must be the one a freshly built parser gives
+    out = tmp_path / "out.txt"
+    calls = [["scan-gap", "--order", "6", "--workers", "2", "--format", "json"],
+             ["scan-gap", "--order", "6"],
+             ["scan-conjecture", "--order", "5", "--order-cap", "5", "--format", "csv"],
+             ["scan-conjecture", "--order", "6"],
+             ["gen", "--order", "4", "--connected-only", "--format", "csv"],
+             ["gen", "--order", "4", "--format", "csv"],
+             ["check-gap", "--seq", "0011", "--out", str(out)],
+             ["check-gap", "--seq", "0011"],
+             ["scan-gap", "--order", "4", "--workers", "0"],
+             ["check-gap", "--nsg", "nsg(3;2)", "--format", "json"],
+             ["check-gap", "--nsg", "nsg(3;2)"]]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert out.read_text() and fresh[6][1] == "" and fresh[7][1]
+    assert fresh[0] != fresh[1] and fresh[4] != fresh[5]
+    assert cli.build_parser() is cli.build_parser()
+    for _ in range(2):
+        assert [run(capsys, *argv) for argv in calls] == fresh
 
 
 def test_usage_errors_exit_1(capsys):
@@ -477,3 +571,11 @@ def test_scripts_run(tmp_path, capsys):
     assert [line[:6] for line in lines] == [f"n={o:4d}" for o in range(2, 13)]
     assert all(line.endswith("[pass]") for line in lines)
     assert len((tmp_path / "tmp" / "b.csv").read_text().splitlines()) == 12
+    src = str(pathlib.Path(thresholdlab.__file__).parents[1])
+    lines = run_script(tmp_path, "bench_scan_csv.py", "--src", src, "--commit", "x",
+                       "--orders", "5", "6", "--repeats", "1", "--out", "tmp/bench.json")
+    points = json.loads((tmp_path / "tmp" / "bench.json").read_text())
+    assert [json.loads(line) for line in lines] == points
+    assert [(p["kind"], p["order"], p["workers"]) for p in points] == [
+        ("gap", 5, 1), ("gap", 6, 1), ("conjecture", 5, 1), ("conjecture", 6, 1)]
+    assert all(p["graphs_per_cpu_s"] > 0 and p["peak_rss_mb"] > 0 for p in points)

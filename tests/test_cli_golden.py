@@ -12,9 +12,11 @@ import contextlib
 import io
 import json
 import math
+import os
 import pathlib
 import sys
 import tempfile
+from unittest import mock
 
 from thresholdlab import cli
 
@@ -65,6 +67,9 @@ INVOCATIONS = [
     ["check-gap", "--seq", "000"],
     ["check-gap", "--edges", "@c4"],
     ["check-gap", "--edges", "@huge"],
+    ["check-gap", "--nsg", "nsg(1_0;\uff12)"],
+    ["check-gap", "--nsg", "nsg(x;1)"],
+    ["check-gap", "--nsg", "nsg(1;1;+1_0)"],
     ["scan-gap", "--order", "2", "--workers", "2"],
     ["scan-gap", "--order", "4", "--workers", "2"],
     ["scan-gap", "--order", "6", "--workers", "2"],
@@ -72,6 +77,7 @@ INVOCATIONS = [
     ["scan-gap", "--order", "1"],
     ["scan-gap", "--order", "30"],
     ["scan-gap", "--order", "4", "--workers", "0"],
+    ["scan-gap", "--order", "4", "--workers", "\uff102"],
     ["scan-conjecture", "--order", "2", "--workers", "2"],
     ["scan-conjecture", "--order", "4", "--workers", "2"],
     ["scan-conjecture", "--order", "6", "--workers", "2"],
@@ -80,6 +86,7 @@ INVOCATIONS = [
     ["check-antiregular", "--order", "3"],
     ["check-antiregular", "--order", "10"],
     ["check-antiregular", "--order", "41"],
+    ["check-antiregular", "--order", "1_0"],
     ["reduce", "--nsg", "nsg(1,3;1,1)"],
     ["reduce", "--nsg", "nsg(3,2;2,1)"],
     ["reduce", "--seq", "0101"],
@@ -107,7 +114,9 @@ CASES = [argv + ["--format", fmt] for argv in INVOCATIONS for fmt in cli.FORMATS
 def run(argv, files: pathlib.Path) -> dict:
     argv = [str(files / a[1:]) if a.startswith("@") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    # argparse wraps its usage line to the terminal's width: pin it
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          mock.patch.dict(os.environ, COLUMNS="80")):
         code = cli.main(argv)
     return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 

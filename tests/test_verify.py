@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from thresholdlab.graphs import (
     sequence_at,
 )
 from thresholdlab import verify
+from thresholdlab.cli import scan_csv
 from thresholdlab.spectra import assemble_spectrum, eta_extremes
 from thresholdlab.verify import (
     DEFAULT_ORDER_CAP,
@@ -34,6 +34,7 @@ from thresholdlab.verify import (
     ReductionCase,
     ReductionStep,
     ScanReport,
+    ScanRows,
     check_antiregular_bounds,
     check_gap,
     check_interlacing,
@@ -378,32 +379,24 @@ def test_scan_deterministic_across_workers():
 
 def test_scan_chunk_matches_single_checks():
     # the batched chunk gives, per graph, exactly the values of check_gap
-    # and of eta_extremes on the assembled spectrum
+    # and of eta_extremes on the assembled spectrum (absent: +inf, -inf)
     for order in range(2, 15):
         total = 2 ** (order - 2)
         count, failures, _, _, rows = _scan_chunk(("gap", order, 0, total, None))
         assert count == total and failures == [] and len(rows) == total
-        for index, row in enumerate(rows):
+        singles = []
+        for index in range(total):
             seq = sequence_at(order, index, connected_only=True)
             form = creation_to_nsg(seq)
             report = check_gap(form)
-            eta_plus, eta_minus = (float(v) if np.isfinite(v) else None
-                                   for v in eta_extremes(assemble_spectrum(form)))
-            assert row == {
-                "sequence": str(seq),
-                "order": order,
-                "eta_plus": eta_plus,
-                "eta_minus": eta_minus,
-                "count_in_interval": report.count_in_interval,
-                "expected_trivial": report.expected_trivial,
-                "min_nontrivial_distance": report.min_nontrivial_distance,
-                "verdict": "pass",
-            }
+            assert report.passed
+            singles.append((str(seq).encode(), *eta_extremes(assemble_spectrum(form)),
+                            report.count_in_interval, report.expected_trivial,
+                            report.min_nontrivial_distance))
+        for field, column in zip(dataclasses.fields(ScanRows), zip(*singles)):
+            assert getattr(rows, field.name).tolist() == list(column), (order, field.name)
         conjecture_rows = _scan_chunk(("conjecture", order, 0, total, None))[4]
-        assert conjecture_rows == [
-            {key: row[key] for key in ("sequence", "order", "eta_plus", "eta_minus")}
-            for row in rows
-        ]
+        assert conjecture_rows == ScanRows(rows.sequence, rows.eta_plus, rows.eta_minus)
 
 
 def test_scan_reports_do_not_depend_on_block_size(monkeypatch):
@@ -423,10 +416,12 @@ def test_scan_reports_do_not_depend_on_block_size(monkeypatch):
         for (scan, order, keep_rows), report in honest.items():
             for key, best in (("eta_plus", min), ("eta_minus", max)):
                 if keep_rows:
-                    first = best((row for row in report.rows if row[key] is not None),
-                                 key=itemgetter(key), default=None)
-                    assert getattr(report, f"extremal_{key}") == (
-                        first and (first[key], first["sequence"])), (coarse, order, key)
+                    etas = getattr(report.rows, key).tolist()
+                    first = best((i for i, eta in enumerate(etas) if math.isfinite(eta)),
+                                 key=etas.__getitem__, default=None)
+                    expected = None if first is None else (
+                        etas[first], report.rows.sequence[first].decode())
+                    assert getattr(report, f"extremal_{key}") == expected, (coarse, order, key)
         for entries in (1, 300 * 12**2):
             monkeypatch.setattr(verify, "SCAN_BLOCK_ENTRIES", entries)
             for (scan, order, keep_rows), report in honest.items():
@@ -447,12 +442,17 @@ def test_scan_reports_failures_like_check_gap(monkeypatch):
     report = scan_gap(6, keep_rows=True)
     assert not report.passed and len(report.failures) == report.graphs_checked == 16
     assert scan_gap(6).failures == report.failures
-    for failure, row in zip(report.failures, report.rows):
+    for failure in report.failures:
         truth = check_gap(creation_to_nsg(parse_creation_sequence(failure.sequence)))
         assert failure == dataclasses.replace(
             truth, expected_trivial=truth.expected_trivial + 1, passed=False)
-        assert row["sequence"] == failure.sequence and row["verdict"] == "fail"
-        assert row["expected_trivial"] == failure.expected_trivial
+    rows = report.rows
+    assert [(f.sequence, f.count_in_interval, f.expected_trivial, f.min_nontrivial_distance)
+            for f in report.failures] == list(zip(
+                [seq.decode() for seq in rows.sequence.tolist()], rows.count_in_interval.tolist(),
+                rows.expected_trivial.tolist(), rows.min_nontrivial_distance.tolist()))
+    lines = "".join(scan_csv(report)).splitlines()
+    assert len(lines) == 17 and all(line.endswith(",fail") for line in lines[1:])
 
 
 def test_scan_without_rows_equals_report_with_rows():
@@ -530,9 +530,18 @@ def test_scan_pruning_each_side_alone_keeps_the_report(monkeypatch):
 
 def test_scan_rows_collection():
     report = scan_gap(5, keep_rows=True)
-    assert report.rows is not None and len(report.rows) == 8
-    assert all(row["verdict"] == "pass" for row in report.rows)
+    rows = report.rows
+    assert rows is not None and len(rows) == 8
+    assert rows.count_in_interval.tolist() == rows.expected_trivial.tolist()
     assert scan_gap(5).rows is None
+    conjecture = scan_conjecture(5, keep_rows=True).rows
+    assert conjecture.count_in_interval is None and len(conjecture) == 8
+    # rows compare column by column, exactly
+    assert rows == ScanRows(*(None if c is None else c.copy() for c in vars(rows).values()))
+    assert rows != conjecture and rows[:7] != rows and rows[2:5] == rows[:8][2:5]
+    nudged = rows.eta_plus.copy()
+    nudged[3] = np.nextafter(nudged[3], np.inf)
+    assert rows != dataclasses.replace(rows, eta_plus=nudged)
 
 
 def test_scan_conjecture_order_4():

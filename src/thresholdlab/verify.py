@@ -379,12 +379,12 @@ def _scan_block(kind: str, order: int, lo: int, hi: int,
     (eta, sequence) or None, ties going to the lowest index, and rows the
     block's :class:`ScanRows` or None.  Graphs are grouped by h; each
     group's symmetrized quotients form one (k_h, 2h, 2h) stack with a single
-    eigensolve.  The eigenvalues are kept zero-padded to
-    a common width: 0 is trivial, so the padding counts for neither eta nor
-    the clearance.  Gap scans also take the interval count by the block
-    kernel, the trivial forecast and the clearance; conjecture scans read
-    class sizes only for the rows solved.  Strings and reports are built only
-    for failures and the two extremes; kept rows stay arrays.
+    eigensolve.  The eigenvalues are kept zero-padded to a common width: 0
+    is trivial, so the padding counts for neither eta nor the clearance.
+    Gap scans also take the interval count by the block kernel, the trivial
+    forecast and the clearance; conjecture scans read class sizes only for
+    the rows solved.  Strings and reports are built only for failures and
+    the two extremes; kept rows stay arrays.
 
     With ``thresholds`` = (t+, t-) from :func:`_prune_thresholds`, only the
     rows a report without rows needs are solved: those where the kernel

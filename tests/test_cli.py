@@ -424,7 +424,7 @@ def test_integer_options_take_the_edge_list_rule(capsys):
     assert run(capsys, "check-antiregular", "--order", "+3")[0] == 0
 
 
-def test_main_reuses_one_parser_without_leaking_options(tmp_path, capsys):
+def test_main_reuses_one_parser_without_leaking_options(tmp_path, capsys, monkeypatch):
     # the parser is built once per process; no option of one call may reach
     # the next: each reply must be the one a freshly built parser gives
     out = tmp_path / "out.txt"
@@ -448,6 +448,12 @@ def test_main_reuses_one_parser_without_leaking_options(tmp_path, capsys):
     assert cli.build_parser() is cli.build_parser()
     for _ in range(2):
         assert [run(capsys, *argv) for argv in calls] == fresh
+    # a scan command calls the scan function verify holds at the time of the
+    # call, so that a wrapper installed after the parser was built (a
+    # profiler's or tracer's) is the one that runs
+    monkeypatch.setattr(verify, "scan_conjecture",
+                        lambda *args, **kwargs: verify.scan_gap(*args, **kwargs))
+    assert run(capsys, "scan-conjecture", "--order", "6") == fresh[1]
 
 
 def test_usage_errors_exit_1(capsys):

@@ -12,6 +12,8 @@ already in the file under the same key are replaced.
 Example:
     python3 scripts/bench_scan_csv.py --src src --commit "$(git rev-parse --short HEAD)" \\
         --orders 18 19 20 --workers 1 --out BENCH_scan_csv.json
+    python3 scripts/bench_scan_csv.py --src src --commit "$(git rev-parse --short HEAD)" \\
+        --orders 18 19 20 --workers 2 --out BENCH_scan_csv.json
 """
 
 import argparse
@@ -54,17 +56,15 @@ def main() -> int:
     parser.add_argument("--src", required=True, help="the checkout's src directory")
     parser.add_argument("--commit", required=True, help="commit id the points are keyed by")
     parser.add_argument("--orders", type=int, nargs="+", required=True)
-    parser.add_argument("--kinds", nargs="+", default=["gap", "conjecture"],
-                        choices=["gap", "conjecture"])
     parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", required=True, help="BENCH JSON file to update")
     args = parser.parse_args()
 
     src = str(pathlib.Path(args.src).resolve())
     out = pathlib.Path(args.out)
     points = json.loads(out.read_text()) if out.exists() else []
-    for kind in args.kinds:
+    for kind in ("gap", "conjecture"):
         for order in args.orders:
             runs = [run(src, kind, order, args.workers) for _ in range(args.repeats)]
             wall = statistics.median(r[0] for r in runs)

@@ -203,16 +203,17 @@ def scan_csv(report: verify.ScanReport) -> Iterator[str]:
     held at a time.  An absent eta is an empty cell."""
     rows, order = report.rows, report.order
     gap = rows.count_in_interval is not None
-    step = verify.scan_block_rows(order)
-    for lo in range(0, len(rows), step):
-        part = rows[lo:lo + step]
+    step = verify._scan_block_rows(order)
+    for lo in range(0, len(rows.sequence), step):
+        part = slice(lo, lo + step)
         eta_plus, eta_minus = (np.where(np.isinf(eta), np.nan, eta)  # NaN prints empty
-                               for eta in (part.eta_plus, part.eta_minus))
-        columns = [part.sequence, np.full(len(part), order), eta_plus, eta_minus]
+                               for eta in (rows.eta_plus[part], rows.eta_minus[part]))
+        sequence = rows.sequence[part]
+        columns = [sequence, np.full(len(sequence), order), eta_plus, eta_minus]
         if gap:
-            passed = part.count_in_interval == part.expected_trivial
-            columns += [part.count_in_interval, part.expected_trivial,
-                        part.min_nontrivial_distance, np.where(passed, "pass", "fail")]
+            count, expected = rows.count_in_interval[part], rows.expected_trivial[part]
+            columns += [count, expected, rows.min_nontrivial_distance[part],
+                        np.where(count == expected, "pass", "fail")]
         keys = SCAN_CSV_KEYS[:len(columns)] if lo == 0 else None
         yield formats.to_csv(keys, columns)
 

@@ -150,13 +150,6 @@ class ScanRows:
     expected_trivial: np.ndarray | None = None
     min_nontrivial_distance: np.ndarray | None = None
 
-    def __len__(self) -> int:
-        return len(self.sequence)
-
-    def __getitem__(self, part: slice) -> ScanRows:
-        return ScanRows(*(None if column is None else column[part]
-                          for column in vars(self).values()))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScanRows):
             return NotImplemented
@@ -460,7 +453,7 @@ def _merge(partials) -> tuple:
     return checked, failures, best_plus, best_minus, parts[0] if parts else None
 
 
-def scan_block_rows(order: int) -> int:
+def _scan_block_rows(order: int) -> int:
     """Graphs per scan block at this order (see SCAN_BLOCK_ENTRIES)."""
     return max(1, SCAN_BLOCK_ENTRIES // (order * order))
 
@@ -469,7 +462,7 @@ def _scan_chunk(args) -> tuple:
     """Scan sequences [lo, hi) of an order block by block; top-level so
     process pools can pickle it."""
     kind, order, lo, hi, thresholds = args
-    size = scan_block_rows(order)
+    size = _scan_block_rows(order)
     return _merge(_scan_block(kind, order, start, min(start + size, hi), thresholds)
                   for start in range(lo, hi, size))
 

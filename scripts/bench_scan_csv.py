@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Time CSV scans of a checkout and record them as points of a BENCH file.
+"""Time scans of a checkout and record them as points of a BENCH file.
 
-Each run is one ``thresholdlab scan-gap|scan-conjecture --order N --workers W
---format csv`` in a fresh python with one BLAS thread, writing its CSV to the
-null device.  A point is keyed by commit, kind, order, workers and format and
+Each run is one ``thresholdlab scan-gap|scan-conjecture --order N --order-cap N
+--workers W --format F`` (CSV unless ``--format`` says otherwise) in a fresh
+python with one BLAS thread, writing its output to the null device.  A CSV
+scan keeps every row; a JSON or plain one keeps none, which is the path that
+sets the verification frontier.  A point is keyed by commit, kind, order,
+workers and format and
 holds the median wall and CPU seconds of its runs (CPU of the scan process
 and of its pool workers), graphs per wall second and per CPU second, and the
 largest peak RSS of the scan process (VmHWM) and of a pool worker.  Points
@@ -14,6 +17,8 @@ Example:
         --orders 18 19 20 --workers 1 --out BENCH_scan_csv.json
     python3 scripts/bench_scan_csv.py --src src --commit "$(git rev-parse --short HEAD)" \\
         --orders 18 19 20 --workers 2 --out BENCH_scan_csv.json
+    python3 scripts/bench_scan_csv.py --src src --commit "$(git rev-parse --short HEAD)" \\
+        --orders 20 21 22 23 24 25 26 27 28 --format json --out BENCH_frontier.json
 """
 
 import argparse
@@ -30,7 +35,7 @@ CHILD = """\
 import os, resource, sys, time
 from thresholdlab import cli
 start, cpu = time.perf_counter(), time.process_time()
-code = cli.main(sys.argv[1:] + ["--format", "csv", "--out", os.devnull])
+code = cli.main(sys.argv[1:] + ["--out", os.devnull])
 wall = time.perf_counter() - start
 workers = resource.getrusage(resource.RUSAGE_CHILDREN)
 with open("/proc/self/status") as fh:
@@ -40,10 +45,12 @@ print(code, wall, time.process_time() - cpu + workers.ru_utime + workers.ru_stim
 """
 
 
-def run(src: str, kind: str, order: int, workers: int) -> tuple[float, float, float, float]:
+def run(src: str, kind: str, order: int, workers: int,
+        fmt: str) -> tuple[float, float, float, float]:
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     done = subprocess.run([sys.executable, "-c", CHILD, f"scan-{kind}", "--order", str(order),
-                           "--workers", str(workers)],
+                           "--order-cap", str(order), "--workers", str(workers),
+                           "--format", fmt],
                           capture_output=True, text=True, env=env, check=True)
     code, *figures = done.stdout.split()
     if code not in ("0", "2"):
@@ -57,6 +64,7 @@ def main() -> int:
     parser.add_argument("--commit", required=True, help="commit id the points are keyed by")
     parser.add_argument("--orders", type=int, nargs="+", required=True)
     parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--format", choices=("csv", "json", "plain"), default="csv")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", required=True, help="BENCH JSON file to update")
     args = parser.parse_args()
@@ -66,13 +74,14 @@ def main() -> int:
     points = json.loads(out.read_text()) if out.exists() else []
     for kind in ("gap", "conjecture"):
         for order in args.orders:
-            runs = [run(src, kind, order, args.workers) for _ in range(args.repeats)]
+            runs = [run(src, kind, order, args.workers, args.format)
+                    for _ in range(args.repeats)]
             wall = statistics.median(r[0] for r in runs)
             cpu = statistics.median(r[1] for r in runs)
             graphs = 2 ** (order - 2)
             point = {
                 "commit": args.commit, "kind": kind, "order": order,
-                "workers": args.workers, "format": "csv", "runs": args.repeats,
+                "workers": args.workers, "format": args.format, "runs": args.repeats,
                 "wall_s": round(wall, 3), "cpu_s": round(cpu, 3),
                 "graphs_per_s": round(graphs / wall), "graphs_per_cpu_s": round(graphs / cpu),
                 "peak_rss_mb": round(max(r[2] for r in runs), 1),

@@ -14,16 +14,20 @@ the signs of the pivots of a congruence that runs on the creation sequence in
 O(n) with no matrix at all, which returns exact integers even for clustered
 spectra.
 
-Exhaustive scans work on blocks of graphs rather than one graph at a time:
-:func:`count_eigs_leq_rows` runs the same congruence on a (k, n) array of
-creation symbols at several points in one pass, column by column, the
-quotients of all forms that share h are built by one broadcast into a
-(k, 2h, 2h) stack and solved by one stacked ``eigvalsh`` call, and
-:func:`eta_extremes` and :func:`trivial_forecast` take such stacks too.
-Every per-graph value is the same float as on the single-graph route.  The
-counts also decide which rows a scan solves at all: a scan that keeps no
-rows solves only the graphs with an eigenvalue near the anti-regular
-graph's extremes (see ``verify._scan_block`` and ``verify._prune_thresholds``).
+Exhaustive scans work on many graphs at a time.  A scan without rows
+counts by :func:`count_eigs_leq_sweep`, which runs the congruence over the
+suffix tree of the creation sequences: sequences that end alike share their
+states, so a whole order costs about two steps per graph instead of n.  Its
+counts only pick the graphs that scan solves, the failures and those with
+an eigenvalue near the anti-regular graph's extremes (see
+``verify._sweep_unit``).  A scan with rows, and the solve of the picked
+graphs, takes blocks of graphs: :func:`count_eigs_leq_rows` runs the same
+congruence on a (k, n) array of creation symbols at several points in one
+pass, column by column, the quotients of all forms that share h are built
+by one broadcast into a (k, 2h, 2h) stack and solved by one stacked
+``eigvalsh`` call, and :func:`eta_extremes` takes such stacks too.  Every
+per-graph value is the same float as on the single-graph route, and the
+three kernels give the same counts.
 """
 
 from __future__ import annotations
@@ -166,6 +170,57 @@ def count_eigs_leq_rows(symbols: np.ndarray, xs) -> np.ndarray:
         quotient /= d
         d = -2.0 * a
         d -= quotient
+    return counts
+
+
+def count_eigs_leq_sweep(order: int, xs, top: int, low: int) -> np.ndarray:
+    """:func:`count_eigs_leq_rows` at each point of ``xs`` for the connected
+    sequences of the order whose index has ``low`` in its low ``top`` bits;
+    returns (len(xs), 2^(order-2-top)) int8 counts, column j for index
+    j*2^top + low.
+
+    A connected sequence is 0, the order-2 index bits (most significant
+    first) and 1, and the recurrence reads it from the last symbol, so
+    sequences with a common suffix share their states.  One path steps
+    through the final 1 and the ``top`` fixed bits; then each free bit, from
+    the least significant, doubles the states into [f_0(d), f_1(d)], which
+    makes the new bit the most significant of the leaf number.  The state
+    before the first symbol is tested but never stepped.  Each sequence's
+    path runs through the same float operations in the same order as the
+    row kernel, so the counts are equal to its counts exactly.
+    """
+    xs = [float(x) for x in xs]
+    pivmin = np.array([_SAFMIN * (order + abs(x) + 1.0) ** 2 for x in xs])[:, None]
+    x = np.array(xs)[:, None]
+    a = (x, x + 1.0)  # x + 0.0 is x: symbol 0 and symbol 1
+    square = (a[0] * a[0], a[1] * a[1])
+    twice = (-2.0 * a[0], -2.0 * a[1])
+    shape = (len(xs), 1 << (order - 2 - top))
+    d, scratch = np.empty(shape), np.empty(shape)
+    negative = np.empty(shape, dtype=bool)
+    counts = np.zeros(shape, dtype=np.int8)
+    d[:, :1] = -x
+
+    def test(width: int) -> None:  # clamp, then count d < 0
+        states, flags = d[:, :width], negative[:, :width]
+        np.less_equal(np.abs(states, out=scratch[:, :width]), pivmin, out=flags)
+        np.copyto(states, -pivmin, where=flags)
+        counts[:, :width] += np.less(states, 0.0, out=flags)
+
+    def step(symbol: int, states: np.ndarray, out: np.ndarray) -> None:  # -2a - a^2/d
+        np.subtract(twice[symbol], np.divide(square[symbol], states, out=out), out=out)
+
+    width = 1
+    for bit in range(-1, order - 2):  # -1: the final symbol 1
+        test(width)
+        if bit < top:
+            step(1 if bit < 0 else (low >> bit) & 1, d[:, :1], d[:, :1])
+        else:
+            step(1, d[:, :width], d[:, width:2 * width])
+            step(0, d[:, :width], d[:, :width])
+            counts[:, width:2 * width] = counts[:, :width]
+            width *= 2
+    test(width)
     return counts
 
 

@@ -4,10 +4,14 @@ The headline claim: apart from the trivial eigenvalues -1 and 0, no threshold
 graph has an eigenvalue in ((-1-sqrt(2))/2, (-1+sqrt(2))/2), open or closed
 alike (see ``check_gap``).  ``check_gap`` decides this for one graph by
 inertia counting on the creation sequence (an exact integer test).  The scan
-functions sweep entire orders exhaustively; they solve the small eigenproblem
-only for the graphs their report needs: kept rows, failures, and the few
-whose inertia counts find an eigenvalue in (0, eta+(A_n)] or [eta-(A_n), -1)
-up to a small margin, since only those can hold an eta extreme.  The
+functions sweep entire orders exhaustively.  A scan with rows (CSV output)
+solves the small eigenproblem of every graph, block by block in index order.
+A scan without rows sweeps the suffix tree of the order in units that fix the
+low index bits; the units only pick the graphs its report needs, the
+failures and the few whose inertia counts find an eigenvalue in
+(0, eta+(A_n)] or [eta-(A_n), -1) up to a small margin, since only those can
+hold an eta extreme.  One final step solves the picked graphs in index order,
+so neither the unit split nor the worker count can change a report.  The
 reduction machinery walks the same vertex-deletion chain the inductive
 argument walks: every non-anti-regular graph has a vertex whose removal drops
 exactly one trivial eigenvalue, and iterating lands on an anti-regular graph
@@ -38,9 +42,9 @@ from .spectra import (
     assemble_spectrum,
     count_eigs_leq,
     count_eigs_leq_rows,
+    count_eigs_leq_sweep,
     eta_extremes,
     quotient_stack,
-    trivial_forecast,
     trivial_multiplicities,
 )
 
@@ -50,21 +54,27 @@ GAP_UPPER = (-1.0 + math.sqrt(2.0)) / 2.0
 
 DEFAULT_ORDER_CAP = 22
 # No scan order may pass this, whatever the cap: sequence indices run up to
-# 2^(order-2), which int64 holds up to order 64.  There, eigvalsh's error on
+# 2^(order-2), and _scan_forecast shifts them up one bit, which int64 holds
+# up to order 64.  There, eigvalsh's error on
 # a 2h x 2h quotient of norm <= order, about 2h * eps * order <= 1e-12, is
 # still far below PRUNE_MARGIN.
 ORDER_CEILING = 64
 # A scan run without rows solves a row only when the kernel finds an
-# eigenvalue within this margin beyond A_n's eta (see _scan_block).  It must
+# eigenvalue within this margin beyond A_n's eta (see _sweep_unit).  It must
 # exceed eigvalsh's absolute error on the row's quotient (about 2h * eps *
 # order, 1e-13 at order 22), so that every row whose solved eta could reach
 # A_n's is still solved and the extremes and their ties are unchanged.
 PRUNE_MARGIN = 1e-9
-# Scans take consecutive indices in blocks of at most this many stacked
-# quotient entries (order^2 per graph bounds (2h)^2), so memory stays flat
-# as the order grows.  Where blocks start does not matter: every per-graph
-# value is the same in any block, and _merge keeps ties on the lowest index.
+# Scans solve rows in blocks of consecutive picked indices, at most this
+# many stacked quotient entries (order^2 per graph bounds (2h)^2), so memory
+# stays flat as the order grows.  Where blocks start does not matter: every
+# per-graph value is the same in any block, and _merge keeps ties on the
+# lowest index.
 SCAN_BLOCK_ENTRIES = 1 << 17
+# A scan without rows sweeps units of at most 2^_SWEEP_UNIT_BITS sequences,
+# a few MB of states.  The split does not matter either: a unit only picks
+# the rows to solve, and every count is the same in any unit.
+_SWEEP_UNIT_BITS = 16
 # Scans refuse more workers than this, since a process pool forks all of its
 # workers on the first task.  A constant, not the core count, so that reports
 # can be compared across worker counts on any host.
@@ -332,14 +342,27 @@ def _check_scan_order(order: int, order_cap: int) -> None:
         raise OrderCapExceededError(f"order {order} above cap {order_cap}")
 
 
-def _block_symbols(order: int, lo: int, hi: int) -> np.ndarray:
-    """0/1 symbols of connected sequences lo..hi-1, numbered as by ``sequence_at``."""
-    index = np.arange(lo, hi, dtype=np.int64)
+def _block_symbols(order: int, index: np.ndarray) -> np.ndarray:
+    """0/1 symbols of the connected sequences at ``index``, numbered as by ``sequence_at``."""
     shifts = np.arange(order - 3, -1, -1)  # index bits, most significant first
-    symbols = np.zeros((hi - lo, order), dtype=np.uint8)
+    symbols = np.zeros((len(index), order), dtype=np.uint8)
     symbols[:, 1:-1] = (index[:, None] >> shifts) & 1
     symbols[:, -1] = 1
     return symbols
+
+
+def _scan_forecast(order: int, index: np.ndarray) -> np.ndarray:
+    """The trivial forecast pad0 + padm1 + inside of :func:`trivial_forecast`
+    for the connected sequences at ``index``: n - 2h + [m_h = 1].
+
+    v = (index << 1) | 1 holds symbols 1..n-1, symbol 1 as its top bit.  Its
+    bit changes, with the leading 0 of symbol 0 above it, are the 2h - 1
+    boundaries of the runs 0, 1, ..., 1, and m_h = 1 exactly when symbol 1
+    is 1.
+    """
+    v = (index << 1) | 1
+    h = (np.bitwise_count(v ^ (v >> 1)).astype(np.int64) + 1) // 2
+    return order - 2 * h + ((v >> (order - 2)) & 1)
 
 
 def _prune_thresholds(order: int) -> tuple[float, float]:
@@ -364,78 +387,52 @@ def _class_sizes(changes: np.ndarray, order: int, h: int) -> tuple[np.ndarray, n
     return runs[:, -2::-2], runs[:, :0:-2]
 
 
-def _scan_block(kind: str, order: int, lo: int, hi: int,
-                thresholds: tuple[float, float] | None) -> tuple:
-    """Scan connected sequences lo..hi-1 of one order; a partial for :func:`_merge`.
+def _scan_block(kind: str, order: int, index: np.ndarray) -> tuple:
+    """Solve the connected sequences at ``index`` (increasing) of one order;
+    a partial for :func:`_merge`.
 
     Returns (graphs, failures, best_plus, best_minus, rows); the bests are
     (eta, sequence) or None, ties going to the lowest index, and rows the
-    block's :class:`ScanRows` or None.  Graphs are grouped by h; each
-    group's symmetrized quotients form one (k_h, 2h, 2h) stack with a single
+    block's :class:`ScanRows`.  Graphs are grouped by h; each group's
+    symmetrized quotients form one (k_h, 2h, 2h) stack with a single
     eigensolve.  The eigenvalues are kept zero-padded to a common width: 0
     is trivial, so the padding counts for neither eta nor the clearance.
-    Gap scans also take the interval count by the block kernel, the trivial
-    forecast and the clearance; conjecture scans read class sizes only for
-    the rows solved.  Strings and reports are built only for failures and
-    the two extremes; kept rows stay arrays.
-
-    With ``thresholds`` = (t+, t-) from :func:`_prune_thresholds`, only the
-    rows a report without rows needs are solved: those where the kernel
-    finds an eigenvalue in (CLASSIFY_EPS/2, t+ + PRUNE_MARGIN] or in
-    (t- - PRUNE_MARGIN, -1 - CLASSIFY_EPS/2], and failed gap rows.  The
-    other rows read eta +inf / -inf and clearance inf.  With None, every
-    row is solved and kept.
+    Gap scans also take the interval count by the row kernel, the forecast
+    and the clearance.  Strings and reports are built only for failures and
+    the two extremes; rows stay arrays.  Scans with rows pass consecutive
+    blocks; scans without rows pass the rows their sweep units picked.
     """
-    gap = kind == "gap"
-    symbols = _block_symbols(order, lo, hi)
-    points = (GAP_LOWER, GAP_UPPER) if gap else ()
-    if thresholds is not None:
-        t_plus, t_minus = thresholds
-        points += (CLASSIFY_EPS / 2, t_plus + PRUNE_MARGIN,
-                   t_minus - PRUNE_MARGIN, -1.0 - CLASSIFY_EPS / 2)
-    counts = count_eigs_leq_rows(symbols, points) if points else None
-    count = counts[1] - counts[0] if gap else None
-    solve = None if thresholds is None else (
-        (counts[-3] > counts[-4]) | (counts[-1] > counts[-2]))
+    symbols = _block_symbols(order, index)
     changes = symbols[:, 1:] != symbols[:, :-1]
     h_of = (changes.sum(axis=1) + 1) // 2  # runs alternate 0, 1, ..., 1
-    eigs = np.zeros((hi - lo, 2 * int(h_of.max())))
-    expected = np.zeros(hi - lo, dtype=np.int64) if gap else None
+    eigs = np.zeros((len(index), 2 * int(h_of.max())))
     for h in np.flatnonzero(np.bincount(h_of)).tolist():
         rows = np.flatnonzero(h_of == h)
-        if gap:
-            m, n = _class_sizes(changes[rows], order, h)
-            pad0, padm1, inside = trivial_forecast(m.T, n.T)
-            expected[rows] = pad0 + padm1 + inside
-            if solve is not None:
-                solve[rows] |= count[rows] != expected[rows]
-        picked = slice(None) if solve is None else solve[rows]
-        solved = rows[picked]
-        if len(solved):
-            m, n = (m[picked], n[picked]) if gap else _class_sizes(changes[solved], order, h)
-            eigs[solved, :2 * h] = np.linalg.eigvalsh(quotient_stack(m, n)[1])
+        m, n = _class_sizes(changes[rows], order, h)
+        eigs[rows, :2 * h] = np.linalg.eigvalsh(quotient_stack(m, n)[1])
     eta_plus, eta_minus = eta_extremes(eigs)
     text = (symbols + ord("0")).view(f"S{order}").ravel()
     i, j = int(np.argmin(eta_plus)), int(np.argmax(eta_minus))
     best_plus = (float(eta_plus[i]), text[i].decode()) if eta_plus[i] < np.inf else None
     best_minus = (float(eta_minus[j]), text[j].decode()) if eta_minus[j] > -np.inf else None
-    failures, rows = [], None
-    if gap:
-        clearance = _clearance(eigs)
+    failures, gap_columns = [], ()
+    if kind == "gap":
+        lower, upper = count_eigs_leq_rows(symbols, (GAP_LOWER, GAP_UPPER))
+        count, expected, clearance = upper - lower, _scan_forecast(order, index), _clearance(eigs)
         failures = [GapReport(text[i].decode(), order, int(count[i]), int(expected[i]),
                               float(clearance[i]), False)
                     for i in np.flatnonzero(count != expected).tolist()]
-    if thresholds is None:
-        rows = ScanRows(text, eta_plus, eta_minus, *((count, expected, clearance) if gap else ()))
-    return hi - lo, failures, best_plus, best_minus, rows
+        gap_columns = (count, expected, clearance)
+    return len(index), failures, best_plus, best_minus, ScanRows(
+        text, eta_plus, eta_minus, *gap_columns)
 
 
 def _merge(partials) -> tuple:
     """Combine scan partials, each (graphs, failures, best_plus, best_minus,
     rows), in order.  The comparisons are strict, so a tie goes to the first
-    partial: with ties in a block going to its lowest index, reports are the
-    same for any split into blocks, chunks and workers.  Rows, when kept, are
-    joined column by column."""
+    partial: with partials of increasing indices and ties in a block going to
+    its lowest index, reports are the same for any split into blocks, chunks
+    and workers.  Rows, when kept, are joined column by column."""
     checked, failures, parts = 0, [], []
     best_plus = best_minus = None
     for graphs, fails, plus, minus, rows in partials:
@@ -459,12 +456,44 @@ def _scan_block_rows(order: int) -> int:
 
 
 def _scan_chunk(args) -> tuple:
-    """Scan sequences [lo, hi) of an order block by block; top-level so
-    process pools can pickle it."""
-    kind, order, lo, hi, thresholds = args
+    """:func:`_scan_block` over the increasing indices of (kind, order,
+    index) block by block, merged; top-level so process pools can pickle it."""
+    kind, order, index = args
     size = _scan_block_rows(order)
-    return _merge(_scan_block(kind, order, start, min(start + size, hi), thresholds)
-                  for start in range(lo, hi, size))
+    return _merge(_scan_block(kind, order, index[start:start + size])
+                  for start in range(0, len(index), size))
+
+
+def _sweep_unit(args) -> np.ndarray:
+    """Indices of the rows of one sweep unit that a scan without rows must
+    solve; top-level so process pools can pickle it.
+
+    The unit is every connected sequence whose index has ``low`` in its low
+    ``top`` bits, counted by :func:`count_eigs_leq_sweep`.  With (t+, t-)
+    from :func:`_prune_thresholds`, a row is picked when the kernel finds an
+    eigenvalue in (CLASSIFY_EPS/2, t+ + PRUNE_MARGIN] or in
+    (t- - PRUNE_MARGIN, -1 - CLASSIFY_EPS/2], and a gap row when its
+    interval count misses the forecast.  No other row can hold an eta
+    extreme or a failure.
+    """
+    kind, order, top, low, (t_plus, t_minus) = args
+    gap = kind == "gap"
+    points = ((GAP_LOWER, GAP_UPPER) if gap else ()) + (
+        CLASSIFY_EPS / 2, t_plus + PRUNE_MARGIN, t_minus - PRUNE_MARGIN, -1.0 - CLASSIFY_EPS / 2)
+    counts = count_eigs_leq_sweep(order, points, top, low)
+    solve = (counts[-3] > counts[-4]) | (counts[-1] > counts[-2])
+    index = (np.arange(counts.shape[1], dtype=np.int64) << top) | low
+    if gap:
+        solve |= counts[1] - counts[0] != _scan_forecast(order, index)
+    return index[solve]
+
+
+def _map(fn, items: list, workers: int) -> list:
+    """``fn`` over ``items`` in order, by a process pool when workers > 1."""
+    if workers == 1:
+        return [fn(item) for item in items]
+    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
+        return list(pool.map(fn, items))
 
 
 def _run_scan(kind: str, order: int, workers: int, order_cap: int, keep_rows: bool) -> ScanReport:
@@ -473,17 +502,20 @@ def _run_scan(kind: str, order: int, workers: int, order_cap: int, keep_rows: bo
         raise ValueError("workers must be >= 1")
     if workers > MAX_WORKERS:
         raise ValueError(f"workers {workers} above the cap {MAX_WORKERS}")
-    thresholds = None if keep_rows else _prune_thresholds(order)
     total = count_threshold(order, connected_only=True)
-    bounds = np.linspace(0, total, num=min(workers, total) + 1, dtype=int)
-    chunks = [(kind, order, int(lo), int(hi), thresholds)
-              for lo, hi in zip(bounds[:-1], bounds[1:])]
-    if workers == 1:
-        partials = [_scan_chunk(chunk) for chunk in chunks]
+    if keep_rows:
+        chunks = [(kind, order, index) for index in np.array_split(
+            np.arange(total, dtype=np.int64), min(workers, total))]
+        checked, failures, best_plus, best_minus, rows = _merge(
+            _map(_scan_chunk, chunks, workers))
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-            partials = list(pool.map(_scan_chunk, chunks))
-    checked, failures, best_plus, best_minus, rows = _merge(partials)
+        # at least one unit per worker, and at most 2^_SWEEP_UNIT_BITS leaves in one
+        top = min(order - 2, max(order - 2 - _SWEEP_UNIT_BITS, (workers - 1).bit_length()))
+        thresholds = _prune_thresholds(order)
+        units = [(kind, order, top, low, thresholds) for low in range(1 << top)]
+        picked = np.sort(np.concatenate(_map(_sweep_unit, units, workers)))
+        _, failures, best_plus, best_minus, _ = _scan_chunk((kind, order, picked))
+        checked, rows = total, None
 
     antiregular_sequence = None
     conjecture_holds = None
@@ -513,7 +545,8 @@ def scan_gap(
 ) -> ScanReport:
     """Run the :func:`check_gap` test on every connected threshold graph of the order.
 
-    Graphs are checked block by block (see ``_scan_block``); every per-graph
+    Kept rows are solved block by block (see ``_scan_block``), and without
+    rows the graphs are swept by units (see ``_sweep_unit``); every per-graph
     value is the one ``check_gap`` reports.
     """
     return _run_scan("gap", order, workers, order_cap, keep_rows)

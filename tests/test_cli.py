@@ -406,6 +406,26 @@ def test_scan_gap_csv_at_order_19_peaks_below_90_mb():
     assert unit == b"kB" and int(peak) < 90 * 1024
 
 
+def test_scan_gap_at_order_22_without_rows_peaks_below_60_mb():
+    # a scan without rows sweeps units of at most 2^16 sequences and solves
+    # only the rows it picks, so its peak does not grow with the 2^20 graphs
+    child = ("import sys\n"
+             "from thresholdlab import cli\n"
+             "code = cli.main(['scan-gap', '--order', '22', '--workers', '1', '--format', 'json'])\n"
+             "with open('/proc/self/status') as fh:\n"
+             "    print(next(ln for ln in fh if ln.startswith('VmHWM:')), file=sys.stderr)\n"
+             "sys.exit(code)\n")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(thresholdlab.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert (report["graphs_checked"], report["verdict"]) == (2 ** 20, "pass")
+    assert report["extremal_eta_plus"][1] == "01" * 11
+    _, peak, unit = done.stderr.split()
+    assert unit == "kB" and int(peak) < 60 * 1024
+
+
 # ---------------------------------------------------------------- exit codes
 
 
@@ -473,12 +493,14 @@ def test_scan_cap_exit_1(capsys):
 
 
 def test_scan_order_ceiling_exit_1(capsys, monkeypatch):
-    # refused from the order alone, whatever the cap: no pool, no chunk
+    # refused from the order alone, whatever the cap: no pool, no chunk, no
+    # sweep unit
     def refuse(*args, **kwargs):
         raise AssertionError("scan started above the ceiling")
 
     monkeypatch.setattr(verify, "ProcessPoolExecutor", refuse)
     monkeypatch.setattr(verify, "_scan_chunk", refuse)
+    monkeypatch.setattr(verify, "_sweep_unit", refuse)
     for command in ("scan-gap", "scan-conjecture"):
         for order in (verify.ORDER_CEILING + 1, 70):
             code, out, err = run(capsys, command, "--order", str(order),
@@ -488,12 +510,13 @@ def test_scan_order_ceiling_exit_1(capsys, monkeypatch):
 
 
 def test_workers_above_cap_exit_1(capsys, monkeypatch):
-    # refused from the worker count alone: no pool, no chunk
+    # refused from the worker count alone: no pool, no chunk, no sweep unit
     def refuse(*args, **kwargs):
         raise AssertionError("scan started above the workers cap")
 
     monkeypatch.setattr(verify, "ProcessPoolExecutor", refuse)
     monkeypatch.setattr(verify, "_scan_chunk", refuse)
+    monkeypatch.setattr(verify, "_sweep_unit", refuse)
     for command in ("scan-gap", "scan-conjecture"):
         for workers in (verify.MAX_WORKERS + 1, 100000):
             code, out, err = run(capsys, command, "--order", "3", "--workers", str(workers))

@@ -21,6 +21,7 @@ from thresholdlab.spectra import (
     assemble_spectrum,
     count_eigs_leq,
     count_eigs_leq_rows,
+    count_eigs_leq_sweep,
     eta_extremes,
     quotient_stack,
     trivial_multiplicities,
@@ -247,6 +248,27 @@ def test_count_eigs_leq_rows_equals_scalar_kernel():
         for x, row in zip(points, counts.tolist()):
             assert row == [count_eigs_leq(seq, x) for seq in seqs], (order, x)
     assert count_eigs_leq_rows(np.zeros((3, 2), dtype=np.uint8), ()).shape == (0, 3)
+
+
+def test_count_eigs_leq_sweep_equals_row_kernel():
+    # the suffix-tree sweep against the row kernel, bit for bit, on every
+    # connected graph up to order 14 at the six points of a gap scan without
+    # rows; units that fix 0, 2 or all order-2 index bits put leaf j of unit
+    # ``low`` at index j * 2^top + low
+    for order in range(2, 15):
+        seqs = list(enumerate_threshold(order, connected_only=True))
+        symbols = np.array([[int(c) for c in str(seq)] for seq in seqs], dtype=np.uint8)
+        t_plus, t_minus = _prune_thresholds(order)
+        points = (GAP_LOWER, GAP_UPPER, CLASSIFY_EPS / 2, t_plus + PRUNE_MARGIN,
+                  t_minus - PRUNE_MARGIN, -1.0 - CLASSIFY_EPS / 2)
+        rows = count_eigs_leq_rows(symbols, points)
+        for top in sorted({0, min(2, order - 2), order - 2}):
+            swept = np.zeros_like(rows)
+            for low in range(2 ** top):
+                counts = count_eigs_leq_sweep(order, points, top, low)
+                assert counts.shape == (len(points), 2 ** (order - 2 - top))
+                swept[:, low::2 ** top] = counts
+            assert swept.tolist() == rows.tolist(), (order, top)
 
 
 @given(sequences, st.floats(min_value=-13.0, max_value=13.0))

@@ -20,7 +20,7 @@ from thresholdlab.graphs import (
 )
 from thresholdlab import verify
 from thresholdlab.cli import scan_csv
-from thresholdlab.spectra import assemble_spectrum, eta_extremes
+from thresholdlab.spectra import assemble_spectrum, eta_extremes, trivial_forecast
 from thresholdlab.verify import (
     DEFAULT_ORDER_CAP,
     GAP_LOWER,
@@ -382,7 +382,7 @@ def test_scan_chunk_matches_single_checks():
     # and of eta_extremes on the assembled spectrum (absent: +inf, -inf)
     for order in range(2, 15):
         total = 2 ** (order - 2)
-        count, failures, _, _, rows = _scan_chunk(("gap", order, 0, total, None))
+        count, failures, _, _, rows = _scan_chunk(("gap", order, np.arange(total)))
         assert count == total and failures == [] and len(rows.sequence) == total
         singles = []
         for index in range(total):
@@ -395,21 +395,23 @@ def test_scan_chunk_matches_single_checks():
                             report.min_nontrivial_distance))
         for field, column in zip(dataclasses.fields(ScanRows), zip(*singles)):
             assert getattr(rows, field.name).tolist() == list(column), (order, field.name)
-        conjecture_rows = _scan_chunk(("conjecture", order, 0, total, None))[4]
+        conjecture_rows = _scan_chunk(("conjecture", order, np.arange(total)))[4]
         assert conjecture_rows == ScanRows(rows.sequence, rows.eta_plus, rows.eta_minus)
 
 
 def test_scan_reports_do_not_depend_on_block_size(monkeypatch):
     # one graph per block merges at every graph boundary; 300 graphs per
-    # block at order 12 (357 at 11) leaves a short last block.  Etas rounded
-    # to one decimal make many graphs tie, and each tie must still go to the
-    # lowest index, as min() over the rows picks it.
+    # block at order 12 (357 at 11) leaves a short last block.  Scans
+    # without rows sweep units of one and of eight strided leaves as well.
+    # Etas rounded to one decimal make many graphs tie, and each tie must
+    # still go to the lowest index, as min() over the rows picks it.
     honest_eta = verify.eta_extremes
     for coarse in (False, True):
         if coarse:
             monkeypatch.setattr(verify, "eta_extremes",
                                 lambda eigs: [np.round(v, 1) for v in honest_eta(eigs)])
         monkeypatch.setattr(verify, "SCAN_BLOCK_ENTRIES", SCAN_BLOCK_ENTRIES)
+        monkeypatch.setattr(verify, "_SWEEP_UNIT_BITS", verify._SWEEP_UNIT_BITS)
         honest = {(scan, order, keep_rows): scan(order, keep_rows=keep_rows)
                   for scan in (scan_gap, scan_conjecture) for order in range(2, 13)
                   for keep_rows in (False, True)}
@@ -422,23 +424,44 @@ def test_scan_reports_do_not_depend_on_block_size(monkeypatch):
                     expected = None if first is None else (
                         etas[first], report.rows.sequence[first].decode())
                     assert getattr(report, f"extremal_{key}") == expected, (coarse, order, key)
-        for entries in (1, 300 * 12**2):
+        for entries, unit_bits in ((1, 0), (300 * 12**2, 3)):
             monkeypatch.setattr(verify, "SCAN_BLOCK_ENTRIES", entries)
+            monkeypatch.setattr(verify, "_SWEEP_UNIT_BITS", unit_bits)
             for (scan, order, keep_rows), report in honest.items():
                 assert scan(order, keep_rows=keep_rows) == report, (
                     coarse, entries, scan.__name__, order, keep_rows)
 
 
+def test_scan_forecast_equals_trivial_forecast_over_class_sizes():
+    # the closed-form forecast n - 2h + [m_h = 1] of every connected
+    # sequence, against trivial_forecast over the class sizes read off its
+    # symbols and against the forms of check_gap
+    for order in range(2, 17):
+        index = np.arange(2 ** (order - 2), dtype=np.int64)
+        symbols = verify._block_symbols(order, index)
+        changes = symbols[:, 1:] != symbols[:, :-1]
+        h_of = (changes.sum(axis=1) + 1) // 2
+        expected = np.zeros(len(index), dtype=np.int64)
+        for h in np.unique(h_of).tolist():
+            rows = np.flatnonzero(h_of == h)
+            m, n = verify._class_sizes(changes[rows], order, h)
+            expected[rows] = sum(trivial_forecast(m.T, n.T))
+        assert verify._scan_forecast(order, index).tolist() == expected.tolist(), order
+        if order <= 10:
+            assert expected.tolist() == [check_gap(form).expected_trivial
+                                         for form in connected(order)], order
+
+
 def test_scan_reports_failures_like_check_gap(monkeypatch):
     # a forecast that is one too high makes every graph fail; each failure
-    # and row must carry check_gap's values with that forecast
-    honest = verify.trivial_forecast
+    # and row must carry check_gap's values with that forecast, with rows
+    # and without
+    honest = verify._scan_forecast
 
-    def one_too_many(m, n):
-        pad0, padm1, inside = honest(m, n)
-        return pad0 + 1, padm1, inside
+    def one_too_many(order, index):
+        return honest(order, index) + 1
 
-    monkeypatch.setattr(verify, "trivial_forecast", one_too_many)
+    monkeypatch.setattr(verify, "_scan_forecast", one_too_many)
     report = scan_gap(6, keep_rows=True)
     assert not report.passed and len(report.failures) == report.graphs_checked == 16
     assert scan_gap(6).failures == report.failures
@@ -455,14 +478,20 @@ def test_scan_reports_failures_like_check_gap(monkeypatch):
     assert len(lines) == 17 and all(line.endswith(",fail") for line in lines[1:])
 
 
-def test_scan_without_rows_equals_report_with_rows():
+def test_scan_without_rows_equals_report_with_rows(monkeypatch):
     # a scan without rows solves only the rows its report needs; the report
-    # must be the one every row solved gives, for any worker count
-    for scan in (scan_gap, scan_conjecture):
-        for order in range(2, 17):
-            full = dataclasses.replace(scan(order, keep_rows=True), rows=None)
-            for workers in (1, 2):
-                assert scan(order, workers=workers) == full, (scan.__name__, order, workers)
+    # must be the one every row solved gives, for any worker count and for
+    # sweep units of any size: 1 and 8 leaves as well as the default
+    full = {(scan, order): dataclasses.replace(scan(order, keep_rows=True), rows=None)
+            for scan in (scan_gap, scan_conjecture) for order in range(2, 17)}
+    for (scan, order), report in full.items():
+        for workers in (1, 2, 3):
+            assert scan(order, workers=workers) == report, (scan.__name__, order, workers)
+    for unit_bits, orders in ((0, range(2, 13)), (3, range(2, 17))):
+        monkeypatch.setattr(verify, "_SWEEP_UNIT_BITS", unit_bits)
+        for (scan, order), report in full.items():
+            if order in orders:
+                assert scan(order) == report, (scan.__name__, order, unit_bits)
 
 
 def solved_rows(monkeypatch) -> list[int]:

@@ -65,15 +65,16 @@ ORDER_CEILING = 64
 # order, 1e-13 at order 22), so that every row whose solved eta could reach
 # A_n's is still solved and the extremes and their ties are unchanged.
 PRUNE_MARGIN = 1e-9
-# Scans solve rows in blocks of consecutive picked indices, at most this
-# many stacked quotient entries (order^2 per graph bounds (2h)^2), so memory
-# stays flat as the order grows.  Where blocks start does not matter: every
-# per-graph value is the same in any block, and _merge keeps ties on the
-# lowest index.
+# Scans solve the rows they need (every row when rows are kept), in index
+# order and in blocks of at most this many stacked quotient entries (order^2
+# per graph bounds (2h)^2), so memory stays flat as the order grows.  Where
+# blocks start does not matter: every per-graph value is the same in any
+# block, and _merge keeps ties on the lowest index.
 SCAN_BLOCK_ENTRIES = 1 << 17
 # A scan without rows sweeps units of at most 2^_SWEEP_UNIT_BITS sequences,
-# a few MB of states.  The split does not matter either: a unit only picks
-# the rows to solve, and every count is the same in any unit.
+# about 7 MB of kernel buffers at six points.  The split does not matter
+# either: units only pick the rows to solve, and every count is the same in
+# any unit.
 _SWEEP_UNIT_BITS = 16
 # Scans refuse more workers than this, since a process pool forks all of its
 # workers on the first task.  A constant, not the core count, so that reports

@@ -9,8 +9,12 @@ sets the verification frontier.  A point is keyed by commit, kind, order,
 workers and format and
 holds the median wall and CPU seconds of its runs (CPU of the scan process
 and of its pool workers), graphs per wall second and per CPU second, and the
-largest peak RSS of the scan process (VmHWM) and of a pool worker.  Points
-already in the file under the same key are replaced.
+largest peak RSS of the scan process (VmHWM) and of a pool worker.  The
+benchmark's yardstick (perfbench/yardstick.py) runs in this process before
+and after each run, and ``cpu_s_norm`` is the median CPU time scaled to a
+host that runs the yardstick in ``yardstick.NOMINAL_S``, so that points
+taken at different times, when the host runs at different speeds, can be
+compared.  Points already in the file under the same key are replaced.
 
 Example:
     python3 scripts/bench_scan_csv.py --src src --commit "$(git rev-parse --short HEAD)" \\
@@ -30,6 +34,9 @@ import statistics
 import subprocess
 import sys
 
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+import yardstick  # noqa: E402
+
 KEY = ("commit", "kind", "order", "workers", "format")
 CHILD = """\
 import os, resource, sys, time
@@ -46,7 +53,9 @@ print(code, wall, time.process_time() - cpu + workers.ru_utime + workers.ru_stim
 
 
 def run(src: str, kind: str, order: int, workers: int,
-        fmt: str) -> tuple[float, float, float, float]:
+        fmt: str) -> tuple[float, float, float, float, float]:
+    """(wall s, CPU s, peak RSS MB, worker peak RSS MB, normalized CPU s) of one run."""
+    before = yardstick.cpu_seconds()
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     done = subprocess.run([sys.executable, "-c", CHILD, f"scan-{kind}", "--order", str(order),
                            "--order-cap", str(order), "--workers", str(workers),
@@ -55,7 +64,9 @@ def run(src: str, kind: str, order: int, workers: int,
     code, *figures = done.stdout.split()
     if code not in ("0", "2"):
         raise SystemExit(f"scan-{kind} --order {order} exited {code}: {done.stderr}")
-    return tuple(map(float, figures))
+    wall, cpu, peak, worker_peak = map(float, figures)
+    yard = (before + yardstick.cpu_seconds()) / 2
+    return wall, cpu, peak, worker_peak, cpu * yardstick.NOMINAL_S / yard
 
 
 def main() -> int:
@@ -83,6 +94,7 @@ def main() -> int:
                 "commit": args.commit, "kind": kind, "order": order,
                 "workers": args.workers, "format": args.format, "runs": args.repeats,
                 "wall_s": round(wall, 3), "cpu_s": round(cpu, 3),
+                "cpu_s_norm": float(f"{statistics.median(r[4] for r in runs):.4g}"),
                 "graphs_per_s": round(graphs / wall), "graphs_per_cpu_s": round(graphs / cpu),
                 "peak_rss_mb": round(max(r[2] for r in runs), 1),
                 "worker_peak_rss_mb": round(max(r[3] for r in runs), 1) if args.workers > 1 else None,

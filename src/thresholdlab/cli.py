@@ -22,8 +22,9 @@ from . import formats, graphs, spectra, verify
 
 FORMATS = ("plain", "json", "csv")
 # gen and spectrum --order build all 2^(n-1) records before printing (with a
-# dense spectrum each for spectrum); at 14 that is 8192 records, about 1.5 s
-# and 180 MB of JSON on a 2-core x86 host, and each order above doubles it.
+# dense spectrum each for spectrum); at 14 that is 8192 records, and as JSON
+# about 1 s of CPU and 112 MB for gen, 1.7 s and 64 MB for spectrum, on a
+# 2-core x86 host.  Each order above doubles it.
 BATCH_ORDER_CAP = 14
 SCAN_CSV_KEYS = ("sequence", "order", "eta_plus", "eta_minus", "count_in_interval",
                  "expected_trivial", "min_nontrivial_distance", "verdict")

@@ -20,12 +20,14 @@ suffix tree of the creation sequences: sequences that end alike share their
 states, so a whole order costs about two steps per graph instead of n.  Its
 counts only pick the graphs that scan solves, the failures and those with
 an eigenvalue near the anti-regular graph's extremes (see
-``verify._sweep_unit``).  A scan with rows, and the solve of the picked
-graphs, takes blocks of graphs: :func:`count_eigs_leq_rows` runs the same
-congruence on a (k, n) array of creation symbols at several points in one
-pass, column by column, the quotients of all forms that share h are built
-by one broadcast into a (k, 2h, 2h) stack and solved by one stacked
-``eigvalsh`` call, and :func:`eta_extremes` takes such stacks too.  Every
+``verify._sweep_unit``), and the gap picks keep the interval counts the
+sweep found.  A scan with rows takes blocks of graphs:
+:func:`count_eigs_leq_rows` runs the same congruence on a (k, n) array of
+creation symbols at several points in one pass, column by column.  In those
+blocks, and in the solve of the picked graphs, the quotients of all forms
+that share h are built by one broadcast into a (k, 2h, 2h) stack and solved
+by one stacked ``eigvalsh`` call, and :func:`eta_extremes` takes such
+stacks too.  Every
 per-graph value is the same float as on the single-graph route, and the
 three kernels give the same counts.
 """

@@ -388,7 +388,7 @@ def _class_sizes(changes: np.ndarray, order: int, h: int) -> tuple[np.ndarray, n
     return runs[:, -2::-2], runs[:, :0:-2]
 
 
-def _scan_block(kind: str, order: int, index: np.ndarray) -> tuple:
+def _scan_block(kind: str, order: int, index: np.ndarray, count: np.ndarray | None) -> tuple:
     """Solve the connected sequences at ``index`` (increasing) of one order;
     a partial for :func:`_merge`.
 
@@ -398,10 +398,12 @@ def _scan_block(kind: str, order: int, index: np.ndarray) -> tuple:
     symmetrized quotients form one (k_h, 2h, 2h) stack with a single
     eigensolve.  The eigenvalues are kept zero-padded to a common width: 0
     is trivial, so the padding counts for neither eta nor the clearance.
-    Gap scans also take the interval count by the row kernel, the forecast
-    and the clearance.  Strings and reports are built only for failures and
-    the two extremes; rows stay arrays.  Scans with rows pass consecutive
-    blocks; scans without rows pass the rows their sweep units picked.
+    Gap scans also take the interval count, the forecast and the clearance.
+    Strings and reports are built only for failures and the two extremes;
+    rows stay arrays.  Scans with rows pass consecutive blocks, and the
+    block's interval counts are taken here by the row kernel; scans without
+    rows pass the rows their sweep units picked, with the interval counts
+    the sweep found for them as ``count``.
     """
     symbols = _block_symbols(order, index)
     changes = symbols[:, 1:] != symbols[:, :-1]
@@ -418,8 +420,10 @@ def _scan_block(kind: str, order: int, index: np.ndarray) -> tuple:
     best_minus = (float(eta_minus[j]), text[j].decode()) if eta_minus[j] > -np.inf else None
     failures, gap_columns = [], ()
     if kind == "gap":
-        lower, upper = count_eigs_leq_rows(symbols, (GAP_LOWER, GAP_UPPER))
-        count, expected, clearance = upper - lower, _scan_forecast(order, index), _clearance(eigs)
+        if count is None:
+            lower, upper = count_eigs_leq_rows(symbols, (GAP_LOWER, GAP_UPPER))
+            count = upper - lower
+        expected, clearance = _scan_forecast(order, index), _clearance(eigs)
         failures = [GapReport(text[i].decode(), order, int(count[i]), int(expected[i]),
                               float(clearance[i]), False)
                     for i in np.flatnonzero(count != expected).tolist()]
@@ -458,16 +462,19 @@ def _scan_block_rows(order: int) -> int:
 
 def _scan_chunk(args) -> tuple:
     """:func:`_scan_block` over the increasing indices of (kind, order,
-    index) block by block, merged; top-level so process pools can pickle it."""
-    kind, order, index = args
+    index, count) block by block, merged; top-level so process pools can
+    pickle it.  ``count`` is None or the interval counts at ``index``."""
+    kind, order, index, count = args
     size = _scan_block_rows(order)
-    return _merge(_scan_block(kind, order, index[start:start + size])
+    return _merge(_scan_block(kind, order, index[start:start + size],
+                              None if count is None else count[start:start + size])
                   for start in range(0, len(index), size))
 
 
-def _sweep_unit(args) -> np.ndarray:
+def _sweep_unit(args) -> tuple:
     """Indices of the rows of one sweep unit that a scan without rows must
-    solve; top-level so process pools can pickle it.
+    solve, and for a gap scan their interval counts (None for a conjecture
+    scan); top-level so process pools can pickle it.
 
     The unit is every connected sequence whose index has ``low`` in its low
     ``top`` bits, counted by :func:`count_eigs_leq_sweep`.  With (t+, t-)
@@ -484,9 +491,11 @@ def _sweep_unit(args) -> np.ndarray:
     counts = count_eigs_leq_sweep(order, points, top, low)
     solve = (counts[-3] > counts[-4]) | (counts[-1] > counts[-2])
     index = (np.arange(counts.shape[1], dtype=np.int64) << top) | low
-    if gap:
-        solve |= counts[1] - counts[0] != _scan_forecast(order, index)
-    return index[solve]
+    if not gap:
+        return index[solve], None
+    count = counts[1].astype(np.int64) - counts[0]
+    solve |= count != _scan_forecast(order, index)
+    return index[solve], count[solve]
 
 
 def _map(fn, items: list, workers: int) -> list:
@@ -505,7 +514,7 @@ def _run_scan(kind: str, order: int, workers: int, order_cap: int, keep_rows: bo
         raise ValueError(f"workers {workers} above the cap {MAX_WORKERS}")
     total = count_threshold(order, connected_only=True)
     if keep_rows:
-        chunks = [(kind, order, index) for index in np.array_split(
+        chunks = [(kind, order, index, None) for index in np.array_split(
             np.arange(total, dtype=np.int64), min(workers, total))]
         checked, failures, best_plus, best_minus, rows = _merge(
             _map(_scan_chunk, chunks, workers))
@@ -514,8 +523,11 @@ def _run_scan(kind: str, order: int, workers: int, order_cap: int, keep_rows: bo
         top = min(order - 2, max(order - 2 - _SWEEP_UNIT_BITS, (workers - 1).bit_length()))
         thresholds = _prune_thresholds(order)
         units = [(kind, order, top, low, thresholds) for low in range(1 << top)]
-        picked = np.sort(np.concatenate(_map(_sweep_unit, units, workers)))
-        _, failures, best_plus, best_minus, _ = _scan_chunk((kind, order, picked))
+        picked, counts = zip(*_map(_sweep_unit, units, workers))
+        picked = np.concatenate(picked)
+        rank = np.argsort(picked)  # units interleave: restore index order
+        count = np.concatenate(counts)[rank] if kind == "gap" else None
+        _, failures, best_plus, best_minus, _ = _scan_chunk((kind, order, picked[rank], count))
         checked, rows = total, None
 
     antiregular_sequence = None

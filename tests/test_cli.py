@@ -6,8 +6,11 @@ import subprocess
 import sys
 import warnings
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import thresholdlab
 from thresholdlab import cli, verify
@@ -119,6 +122,51 @@ def test_to_json_writes_non_finite_floats_as_null():
     assert json.loads(to_json(record)) == {"d": None, "row": [1.5, None, [None, 2]],
                                            "a": [0.5, None]}
     assert to_plain([{"d": math.inf}]) == "d: inf\n"
+
+
+def _as_json_values(value):
+    """``value`` as json.dumps takes it: NSG forms as text, arrays and numpy
+    scalars as lists and numbers, tuples as lists, non-finite floats as None."""
+    if isinstance(value, NsgForm):
+        return format_nsg(value)
+    if isinstance(value, (np.ndarray, np.generic)):
+        return _as_json_values(value.tolist())
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _as_json_values(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_json_values(item) for item in value]
+    return value
+
+
+_JSON_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e300, math.inf, -math.inf, math.nan])
+_JSON_INTS = st.integers() | st.integers(-3, 3)
+_JSON_LEAVES = (
+    st.none() | st.booleans() | _JSON_INTS | _JSON_FLOATS | st.text()
+    | st.sampled_from([NsgForm([3], [2]), NsgForm([1, 2], [1, 1]), NsgForm([], [], 3)])
+    | hnp.arrays(st.sampled_from([np.int64, np.float64, np.bool_]),
+                 hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3))
+    | _JSON_INTS.filter(lambda v: -2**63 <= v < 2**63).map(np.int64)
+    | _JSON_FLOATS.map(np.float64) | st.booleans().map(np.bool_)
+    # the fast paths: int lists, edge-like rows (with bools, as lists or
+    # tuples) and ragged rows, which must not take them
+    | st.lists(_JSON_INTS | st.booleans(), max_size=5)
+    | st.lists(st.tuples(_JSON_INTS, _JSON_INTS | st.booleans()), max_size=4)
+    | st.lists(st.lists(_JSON_INTS, min_size=3, max_size=3), max_size=4)
+    | st.lists(st.lists(_JSON_INTS, max_size=3), max_size=4)
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_VALUES)
+def test_to_json_prints_what_json_dumps_prints(value):
+    assert to_json(value) == json.dumps(_as_json_values(value), indent=2) + "\n"
 
 
 def test_to_csv_renders_columns():
@@ -607,4 +655,5 @@ def test_scripts_run(tmp_path, capsys):
     assert [json.loads(line) for line in lines] == points
     assert [(p["kind"], p["order"], p["workers"]) for p in points] == [
         ("gap", 5, 1), ("gap", 6, 1), ("conjecture", 5, 1), ("conjecture", 6, 1)]
-    assert all(p["graphs_per_cpu_s"] > 0 and p["peak_rss_mb"] > 0 for p in points)
+    assert all(p["graphs_per_cpu_s"] > 0 and p["peak_rss_mb"] > 0 and p["cpu_s_norm"] > 0
+               for p in points)

@@ -191,6 +191,19 @@ def test_golden_json_is_standard():
         json.loads(text, parse_constant=_not_json)
 
 
+def test_golden_json_is_indent_2(tmp_path):
+    # the float bits of the JSON output depend on the BLAS, its layout does
+    # not: the fixture and today's output are both what json.dumps(indent=2)
+    # prints of their own values
+    golden = json.loads(FIXTURE.read_text())
+    files = write_files(tmp_path)
+    cases = [case for case in golden if case["argv"][-1] == "json" and case["stdout"]]
+    assert cases
+    for case in cases:
+        for text in (case["stdout"], run(case["argv"], files)["stdout"]):
+            assert json.dumps(json.loads(text), indent=2) + "\n" == text, case["argv"]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)

@@ -382,7 +382,7 @@ def test_scan_chunk_matches_single_checks():
     # and of eta_extremes on the assembled spectrum (absent: +inf, -inf)
     for order in range(2, 15):
         total = 2 ** (order - 2)
-        count, failures, _, _, rows = _scan_chunk(("gap", order, np.arange(total)))
+        count, failures, _, _, rows = _scan_chunk(("gap", order, np.arange(total), None))
         assert count == total and failures == [] and len(rows.sequence) == total
         singles = []
         for index in range(total):
@@ -395,7 +395,7 @@ def test_scan_chunk_matches_single_checks():
                             report.min_nontrivial_distance))
         for field, column in zip(dataclasses.fields(ScanRows), zip(*singles)):
             assert getattr(rows, field.name).tolist() == list(column), (order, field.name)
-        conjecture_rows = _scan_chunk(("conjecture", order, np.arange(total)))[4]
+        conjecture_rows = _scan_chunk(("conjecture", order, np.arange(total), None))[4]
         assert conjecture_rows == ScanRows(rows.sequence, rows.eta_plus, rows.eta_minus)
 
 

@@ -27,9 +27,8 @@ creation symbols at several points in one pass, column by column.  In those
 blocks, and in the solve of the picked graphs, the quotients of all forms
 that share h are built by one broadcast into a (k, 2h, 2h) stack and solved
 by one stacked ``eigvalsh`` call, and :func:`eta_extremes` takes such
-stacks too.  Every
-per-graph value is the same float as on the single-graph route, and the
-three kernels give the same counts.
+stacks too.  Every per-graph value is the same float as on the
+single-graph route, and the three kernels give the same counts.
 """
 
 from __future__ import annotations

@@ -147,7 +147,7 @@ _JSON_LEAVES = (
     | st.sampled_from([NsgForm([3], [2]), NsgForm([1, 2], [1, 1]), NsgForm([], [], 3)])
     | hnp.arrays(st.sampled_from([np.int64, np.float64, np.bool_]),
                  hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3))
-    | _JSON_INTS.filter(lambda v: -2**63 <= v < 2**63).map(np.int64)
+    | st.integers(-2**63, 2**63 - 1).map(np.int64)
     | _JSON_FLOATS.map(np.float64) | st.booleans().map(np.bool_)
     # the fast paths: int lists, edge-like rows (with bools, as lists or
     # tuples) and ragged rows, which must not take them

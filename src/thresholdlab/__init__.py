@@ -22,7 +22,6 @@ from .spectra import (
     TrivialMults,
     assemble_spectrum,
     count_eigs_leq,
-    count_eigs_leq_rows,
     eta_extremes,
     quotient_stack,
     trivial_forecast,

@@ -14,21 +14,17 @@ the signs of the pivots of a congruence that runs on the creation sequence in
 O(n) with no matrix at all, which returns exact integers even for clustered
 spectra.
 
-Exhaustive scans work on many graphs at a time.  A scan without rows
-counts by :func:`count_eigs_leq_sweep`, which runs the congruence over the
-suffix tree of the creation sequences: sequences that end alike share their
-states, so a whole order costs about two steps per graph instead of n.  Its
-counts only pick the graphs that scan solves, the failures and those with
-an eigenvalue near the anti-regular graph's extremes (see
-``verify._sweep_unit``), and the gap picks keep the interval counts the
-sweep found.  A scan with rows takes blocks of graphs:
-:func:`count_eigs_leq_rows` runs the same congruence on a (k, n) array of
-creation symbols at several points in one pass, column by column.  In those
-blocks, and in the solve of the picked graphs, the quotients of all forms
-that share h are built by one broadcast into a (k, 2h, 2h) stack and solved
-by one stacked ``eigvalsh`` call, and :func:`eta_extremes` takes such
-stacks too.  Every per-graph value is the same float as on the
-single-graph route, and the three kernels give the same counts.
+Exhaustive scans work on many graphs at a time.  They count by
+:func:`count_eigs_leq_sweep`, which runs the congruence over the suffix tree
+of the creation sequences: sequences that end alike share their states, so a
+whole order costs about two steps per graph instead of n.  A scan with rows
+takes the interval counts of every graph from it; a scan without rows also
+counts near the anti-regular graph's extremes, to pick the few graphs it
+solves (see ``verify._scan_unit``).  The quotients of the solved forms that
+share h are built by one broadcast into a (k, 2h, 2h) stack and solved by
+one stacked ``eigvalsh`` call, and :func:`eta_extremes` takes such stacks
+too.  Every per-graph value is the same float as on the single-graph route,
+and the two kernels give the same counts.
 """
 
 from __future__ import annotations
@@ -148,34 +144,8 @@ def count_eigs_leq(seq: CreationSequence, x: float) -> int:
     return count
 
 
-def count_eigs_leq_rows(symbols: np.ndarray, xs) -> np.ndarray:
-    """:func:`count_eigs_leq` at each point of ``xs`` for every row of a (k, n)
-    integer array of 0/1 symbols; returns (len(xs), k) counts.
-
-    Runs the same recurrence on all points and rows at once, one column at a
-    time from the last.  Each (point, row) pair goes through the same float
-    operations in the same order as the scalar form, so the counts are equal
-    to its counts exactly.
-    """
-    xs = [float(x) for x in xs]
-    k, order = symbols.shape
-    pivmin = np.array([_SAFMIN * (order + abs(x) + 1.0) ** 2 for x in xs])[:, None]
-    x = np.array(xs)[:, None]
-    counts = np.zeros((len(xs), k), dtype=np.int64)
-    d = np.repeat(-x, k, axis=1)
-    for column in range(order - 1, -1, -1):
-        np.copyto(d, -pivmin, where=np.abs(d) <= pivmin)
-        counts += d < 0.0
-        a = x + symbols[:, column]  # x + 0.0 is x: the scalar form's a, exactly
-        quotient = a * a
-        quotient /= d
-        d = -2.0 * a
-        d -= quotient
-    return counts
-
-
 def count_eigs_leq_sweep(order: int, xs, top: int, low: int) -> np.ndarray:
-    """:func:`count_eigs_leq_rows` at each point of ``xs`` for the connected
+    """:func:`count_eigs_leq` at each point of ``xs`` for the connected
     sequences of the order whose index has ``low`` in its low ``top`` bits;
     returns (len(xs), 2^(order-2-top)) int8 counts, column j for index
     j*2^top + low.
@@ -188,7 +158,7 @@ def count_eigs_leq_sweep(order: int, xs, top: int, low: int) -> np.ndarray:
     makes the new bit the most significant of the leaf number.  The state
     before the first symbol is tested but never stepped.  Each sequence's
     path runs through the same float operations in the same order as the
-    row kernel, so the counts are equal to its counts exactly.
+    scalar kernel, so the counts are equal to its counts exactly.
     """
     xs = [float(x) for x in xs]
     pivmin = np.array([_SAFMIN * (order + abs(x) + 1.0) ** 2 for x in xs])[:, None]

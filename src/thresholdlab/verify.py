@@ -4,14 +4,14 @@ The headline claim: apart from the trivial eigenvalues -1 and 0, no threshold
 graph has an eigenvalue in ((-1-sqrt(2))/2, (-1+sqrt(2))/2), open or closed
 alike (see ``check_gap``).  ``check_gap`` decides this for one graph by
 inertia counting on the creation sequence (an exact integer test).  The scan
-functions sweep entire orders exhaustively.  A scan with rows (CSV output)
-solves the small eigenproblem of every graph, block by block in index order.
-A scan without rows sweeps the suffix tree of the order in units that fix the
-low index bits; the units only pick the graphs its report needs, the
-failures and the few whose inertia counts find an eigenvalue in
-(0, eta+(A_n)] or [eta-(A_n), -1) up to a small margin, since only those can
-hold an eta extreme.  One final step solves the picked graphs in index order,
-so neither the unit split nor the worker count can change a report.  The
+functions sweep entire orders exhaustively, in units that fix the low index
+bits of the suffix tree.  A scan with rows (CSV output) solves the small
+eigenproblem of every graph; a scan without rows solves only the graphs its
+report needs, the failures and the few whose inertia counts find an
+eigenvalue in (0, eta+(A_n)] or [eta-(A_n), -1) up to a small margin, since
+only those can hold an eta extreme.  Ties go to the lowest sequence and
+failures come in index order, so neither the unit split nor the worker count
+can change a report.  The
 reduction machinery walks the same vertex-deletion chain the inductive
 argument walks: every non-anti-regular graph has a vertex whose removal drops
 exactly one trivial eigenvalue, and iterating lands on an anti-regular graph
@@ -41,7 +41,6 @@ from .spectra import (
     CLASSIFY_EPS,
     assemble_spectrum,
     count_eigs_leq,
-    count_eigs_leq_rows,
     count_eigs_leq_sweep,
     eta_extremes,
     quotient_stack,
@@ -60,21 +59,19 @@ DEFAULT_ORDER_CAP = 22
 # still far below PRUNE_MARGIN.
 ORDER_CEILING = 64
 # A scan run without rows solves a row only when the kernel finds an
-# eigenvalue within this margin beyond A_n's eta (see _sweep_unit).  It must
+# eigenvalue within this margin beyond A_n's eta (see _scan_unit).  It must
 # exceed eigvalsh's absolute error on the row's quotient (about 2h * eps *
 # order, 1e-13 at order 22), so that every row whose solved eta could reach
 # A_n's is still solved and the extremes and their ties are unchanged.
 PRUNE_MARGIN = 1e-9
-# Scans solve the rows they need (every row when rows are kept), in index
-# order and in blocks of at most this many stacked quotient entries (order^2
-# per graph bounds (2h)^2), so memory stays flat as the order grows.  Where
-# blocks start does not matter: every per-graph value is the same in any
-# block, and _merge keeps ties on the lowest index.
+# Scan units solve the rows they need (every row when rows are kept) in
+# blocks of at most this many stacked quotient entries (order^2 per graph
+# bounds (2h)^2), so memory stays flat as the order grows.  Where blocks
+# start does not matter: every per-graph value is the same in any block.
 SCAN_BLOCK_ENTRIES = 1 << 17
-# A scan without rows sweeps units of at most 2^_SWEEP_UNIT_BITS sequences,
-# about 7 MB of kernel buffers at six points.  The split does not matter
-# either: units only pick the rows to solve, and every count is the same in
-# any unit.
+# Scans sweep units of at most 2^_SWEEP_UNIT_BITS sequences, about 7 MB of
+# kernel buffers at six points.  The split does not matter either: every
+# count is the same in any unit, and _merge is order-independent.
 _SWEEP_UNIT_BITS = 16
 # Scans refuse more workers than this, since a process pool forks all of its
 # workers on the first task.  A constant, not the core count, so that reports
@@ -388,22 +385,20 @@ def _class_sizes(changes: np.ndarray, order: int, h: int) -> tuple[np.ndarray, n
     return runs[:, -2::-2], runs[:, :0:-2]
 
 
-def _scan_block(kind: str, order: int, index: np.ndarray, count: np.ndarray | None) -> tuple:
+def _scan_block(kind: str, order: int, index: np.ndarray, counts: np.ndarray) -> tuple:
     """Solve the connected sequences at ``index`` (increasing) of one order;
     a partial for :func:`_merge`.
 
-    Returns (graphs, failures, best_plus, best_minus, rows); the bests are
-    (eta, sequence) or None, ties going to the lowest index, and rows the
-    block's :class:`ScanRows`.  Graphs are grouped by h; each group's
-    symmetrized quotients form one (k_h, 2h, 2h) stack with a single
-    eigensolve.  The eigenvalues are kept zero-padded to a common width: 0
-    is trivial, so the padding counts for neither eta nor the clearance.
-    Gap scans also take the interval count, the forecast and the clearance.
+    Returns (failures, best_plus, best_minus, rows); the bests are (eta,
+    sequence) or None, ties going to the lowest index, and rows the block's
+    :class:`ScanRows`.  Graphs are grouped by h; each group's symmetrized
+    quotients form one (k_h, 2h, 2h) stack with a single eigensolve.  The
+    eigenvalues are kept zero-padded to a common width: 0 is trivial, so the
+    padding counts for neither eta nor the clearance.  Gap scans also take
+    the interval count, from the sweep's ``counts`` at ``index`` (one row per
+    point, the gap endpoints first), the forecast and the clearance.
     Strings and reports are built only for failures and the two extremes;
-    rows stay arrays.  Scans with rows pass consecutive blocks, and the
-    block's interval counts are taken here by the row kernel; scans without
-    rows pass the rows their sweep units picked, with the interval counts
-    the sweep found for them as ``count``.
+    rows stay arrays.
     """
     symbols = _block_symbols(order, index)
     changes = symbols[:, 1:] != symbols[:, :-1]
@@ -420,39 +415,32 @@ def _scan_block(kind: str, order: int, index: np.ndarray, count: np.ndarray | No
     best_minus = (float(eta_minus[j]), text[j].decode()) if eta_minus[j] > -np.inf else None
     failures, gap_columns = [], ()
     if kind == "gap":
-        if count is None:
-            lower, upper = count_eigs_leq_rows(symbols, (GAP_LOWER, GAP_UPPER))
-            count = upper - lower
+        count = counts[1].astype(np.int64) - counts[0]
         expected, clearance = _scan_forecast(order, index), _clearance(eigs)
         failures = [GapReport(text[i].decode(), order, int(count[i]), int(expected[i]),
                               float(clearance[i]), False)
                     for i in np.flatnonzero(count != expected).tolist()]
         gap_columns = (count, expected, clearance)
-    return len(index), failures, best_plus, best_minus, ScanRows(
-        text, eta_plus, eta_minus, *gap_columns)
+    return failures, best_plus, best_minus, ScanRows(text, eta_plus, eta_minus, *gap_columns)
 
 
 def _merge(partials) -> tuple:
-    """Combine scan partials, each (graphs, failures, best_plus, best_minus,
-    rows), in order.  The comparisons are strict, so a tie goes to the first
-    partial: with partials of increasing indices and ties in a block going to
-    its lowest index, reports are the same for any split into blocks, chunks
-    and workers.  Rows, when kept, are joined column by column."""
-    checked, failures, parts = 0, [], []
-    best_plus = best_minus = None
-    for graphs, fails, plus, minus, rows in partials:
-        checked += graphs
-        failures += fails
-        if rows is not None:
-            parts.append(rows)
-        if plus is not None and (best_plus is None or plus[0] < best_plus[0]):
-            best_plus = plus
-        if minus is not None and (best_minus is None or minus[0] > best_minus[0]):
-            best_minus = minus
+    """Combine scan partials, each (failures, best_plus, best_minus, rows),
+    in any order.  Bests compare as (eta, sequence), so a tie goes to the
+    lowest sequence, which within one order is the lowest index, and
+    failures come sorted by sequence.  Rows, when kept, are joined column by
+    column in the order given."""
+    partials = list(partials)
+    failures = sorted((report for partial in partials for report in partial[0]),
+                      key=lambda report: report.sequence)
+    best_plus = min((p[1] for p in partials if p[1]), default=None)
+    best_minus = min((p[2] for p in partials if p[2]),
+                     key=lambda best: (-best[0], best[1]), default=None)
+    parts = [p[3] for p in partials if p[3] is not None]
     if len(parts) > 1:
         parts = [ScanRows(*(None if column[0] is None else np.concatenate(column)
                             for column in zip(*(vars(part).values() for part in parts))))]
-    return checked, failures, best_plus, best_minus, parts[0] if parts else None
+    return failures, best_plus, best_minus, parts[0] if parts else None
 
 
 def _scan_block_rows(order: int) -> int:
@@ -460,42 +448,38 @@ def _scan_block_rows(order: int) -> int:
     return max(1, SCAN_BLOCK_ENTRIES // (order * order))
 
 
-def _scan_chunk(args) -> tuple:
-    """:func:`_scan_block` over the increasing indices of (kind, order,
-    index, count) block by block, merged; top-level so process pools can
-    pickle it.  ``count`` is None or the interval counts at ``index``."""
-    kind, order, index, count = args
-    size = _scan_block_rows(order)
-    return _merge(_scan_block(kind, order, index[start:start + size],
-                              None if count is None else count[start:start + size])
-                  for start in range(0, len(index), size))
-
-
-def _sweep_unit(args) -> tuple:
-    """Indices of the rows of one sweep unit that a scan without rows must
-    solve, and for a gap scan their interval counts (None for a conjecture
-    scan); top-level so process pools can pickle it.
+def _scan_unit(args) -> tuple:
+    """The partial for :func:`_merge` of one sweep unit of (kind, order, top,
+    low, thresholds); top-level so process pools can pickle it.
 
     The unit is every connected sequence whose index has ``low`` in its low
-    ``top`` bits, counted by :func:`count_eigs_leq_sweep`.  With (t+, t-)
-    from :func:`_prune_thresholds`, a row is picked when the kernel finds an
+    ``top`` bits, counted by :func:`count_eigs_leq_sweep` at the gap
+    endpoints for a gap scan.  With rows kept (``thresholds`` None) it solves
+    every row and keeps the rows.  Without, with (t+, t-) from
+    :func:`_prune_thresholds`, it solves a row only when the kernel finds an
     eigenvalue in (CLASSIFY_EPS/2, t+ + PRUNE_MARGIN] or in
-    (t- - PRUNE_MARGIN, -1 - CLASSIFY_EPS/2], and a gap row when its
-    interval count misses the forecast.  No other row can hold an eta
-    extreme or a failure.
+    (t- - PRUNE_MARGIN, -1 - CLASSIFY_EPS/2], or a gap row when its interval
+    count misses the forecast; no other row can hold an eta extreme or a
+    failure.  Rows are solved in increasing index, block by block.
     """
-    kind, order, top, low, (t_plus, t_minus) = args
-    gap = kind == "gap"
-    points = ((GAP_LOWER, GAP_UPPER) if gap else ()) + (
-        CLASSIFY_EPS / 2, t_plus + PRUNE_MARGIN, t_minus - PRUNE_MARGIN, -1.0 - CLASSIFY_EPS / 2)
+    kind, order, top, low, thresholds = args
+    points = (GAP_LOWER, GAP_UPPER) if kind == "gap" else ()
+    if thresholds is not None:
+        t_plus, t_minus = thresholds
+        points += (CLASSIFY_EPS / 2, t_plus + PRUNE_MARGIN,
+                   t_minus - PRUNE_MARGIN, -1.0 - CLASSIFY_EPS / 2)
     counts = count_eigs_leq_sweep(order, points, top, low)
-    solve = (counts[-3] > counts[-4]) | (counts[-1] > counts[-2])
     index = (np.arange(counts.shape[1], dtype=np.int64) << top) | low
-    if not gap:
-        return index[solve], None
-    count = counts[1].astype(np.int64) - counts[0]
-    solve |= count != _scan_forecast(order, index)
-    return index[solve], count[solve]
+    if thresholds is not None:
+        solve = (counts[-3] > counts[-4]) | (counts[-1] > counts[-2])
+        if kind == "gap":
+            solve |= counts[1] - counts[0] != _scan_forecast(order, index)
+        index, counts = index[solve], counts[:, solve]
+    size = _scan_block_rows(order)
+    failures, best_plus, best_minus, rows = _merge(
+        _scan_block(kind, order, index[start:start + size], counts[:, start:start + size])
+        for start in range(0, len(index), size))
+    return failures, best_plus, best_minus, rows if thresholds is None else None
 
 
 def _map(fn, items: list, workers: int) -> list:
@@ -512,23 +496,14 @@ def _run_scan(kind: str, order: int, workers: int, order_cap: int, keep_rows: bo
         raise ValueError("workers must be >= 1")
     if workers > MAX_WORKERS:
         raise ValueError(f"workers {workers} above the cap {MAX_WORKERS}")
-    total = count_threshold(order, connected_only=True)
-    if keep_rows:
-        chunks = [(kind, order, index, None) for index in np.array_split(
-            np.arange(total, dtype=np.int64), min(workers, total))]
-        checked, failures, best_plus, best_minus, rows = _merge(
-            _map(_scan_chunk, chunks, workers))
-    else:
-        # at least one unit per worker, and at most 2^_SWEEP_UNIT_BITS leaves in one
-        top = min(order - 2, max(order - 2 - _SWEEP_UNIT_BITS, (workers - 1).bit_length()))
-        thresholds = _prune_thresholds(order)
-        units = [(kind, order, top, low, thresholds) for low in range(1 << top)]
-        picked, counts = zip(*_map(_sweep_unit, units, workers))
-        picked = np.concatenate(picked)
-        rank = np.argsort(picked)  # units interleave: restore index order
-        count = np.concatenate(counts)[rank] if kind == "gap" else None
-        _, failures, best_plus, best_minus, _ = _scan_chunk((kind, order, picked[rank], count))
-        checked, rows = total, None
+    # at least one unit per worker, and at most 2^_SWEEP_UNIT_BITS leaves in one
+    top = min(order - 2, max(order - 2 - _SWEEP_UNIT_BITS, (workers - 1).bit_length()))
+    thresholds = None if keep_rows else _prune_thresholds(order)
+    units = [(kind, order, top, low, thresholds) for low in range(1 << top)]
+    failures, best_plus, best_minus, rows = _merge(_map(_scan_unit, units, workers))
+    if rows is not None:  # unit low holds indices j * 2^top + low: restore index order
+        rows = ScanRows(*(None if column is None else column.reshape(1 << top, -1).T.ravel()
+                          for column in vars(rows).values()))
 
     antiregular_sequence = None
     conjecture_holds = None
@@ -540,7 +515,7 @@ def _run_scan(kind: str, order: int, workers: int, order_cap: int, keep_rows: bo
     return ScanReport(
         kind=kind,
         order=order,
-        graphs_checked=checked,
+        graphs_checked=count_threshold(order, connected_only=True),
         failures=tuple(failures),
         extremal_eta_plus=best_plus,
         extremal_eta_minus=best_minus,
@@ -558,9 +533,8 @@ def scan_gap(
 ) -> ScanReport:
     """Run the :func:`check_gap` test on every connected threshold graph of the order.
 
-    Kept rows are solved block by block (see ``_scan_block``), and without
-    rows the graphs are swept by units (see ``_sweep_unit``); every per-graph
-    value is the one ``check_gap`` reports.
+    The graphs are swept and solved by units (see ``_scan_unit``); every
+    per-graph value is the one ``check_gap`` reports.
     """
     return _run_scan("gap", order, workers, order_cap, keep_rows)
 

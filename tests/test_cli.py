@@ -541,14 +541,12 @@ def test_scan_cap_exit_1(capsys):
 
 
 def test_scan_order_ceiling_exit_1(capsys, monkeypatch):
-    # refused from the order alone, whatever the cap: no pool, no chunk, no
-    # sweep unit
+    # refused from the order alone, whatever the cap: no pool, no scan unit
     def refuse(*args, **kwargs):
         raise AssertionError("scan started above the ceiling")
 
     monkeypatch.setattr(verify, "ProcessPoolExecutor", refuse)
-    monkeypatch.setattr(verify, "_scan_chunk", refuse)
-    monkeypatch.setattr(verify, "_sweep_unit", refuse)
+    monkeypatch.setattr(verify, "_scan_unit", refuse)
     for command in ("scan-gap", "scan-conjecture"):
         for order in (verify.ORDER_CEILING + 1, 70):
             code, out, err = run(capsys, command, "--order", str(order),
@@ -558,13 +556,12 @@ def test_scan_order_ceiling_exit_1(capsys, monkeypatch):
 
 
 def test_workers_above_cap_exit_1(capsys, monkeypatch):
-    # refused from the worker count alone: no pool, no chunk, no sweep unit
+    # refused from the worker count alone: no pool, no scan unit
     def refuse(*args, **kwargs):
         raise AssertionError("scan started above the workers cap")
 
     monkeypatch.setattr(verify, "ProcessPoolExecutor", refuse)
-    monkeypatch.setattr(verify, "_scan_chunk", refuse)
-    monkeypatch.setattr(verify, "_sweep_unit", refuse)
+    monkeypatch.setattr(verify, "_scan_unit", refuse)
     for command in ("scan-gap", "scan-conjecture"):
         for workers in (verify.MAX_WORKERS + 1, 100000):
             code, out, err = run(capsys, command, "--order", "3", "--workers", str(workers))

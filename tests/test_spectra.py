@@ -20,7 +20,6 @@ from thresholdlab.spectra import (
     TrivialMults,
     assemble_spectrum,
     count_eigs_leq,
-    count_eigs_leq_rows,
     count_eigs_leq_sweep,
     eta_extremes,
     quotient_stack,
@@ -232,43 +231,27 @@ def test_count_eigs_leq_clustered_spectrum():
     assert count_eigs_leq(seq, 1e-9) - count_eigs_leq(seq, -1e-9) == 39
 
 
-def test_count_eigs_leq_rows_equals_scalar_kernel():
-    # the multi-point block kernel against the scalar one on every connected
+def test_count_eigs_leq_sweep_equals_scalar_kernel():
+    # the suffix-tree sweep against the scalar kernel on every connected
     # graph up to order 14, at the six points a gap scan without rows counts
     # (both interval endpoints and the pruning bounds around A_n's eta) and
-    # at the trivial eigenvalues
-    for order in range(1, 15):
-        seqs = list(enumerate_threshold(order, connected_only=True))
-        symbols = np.array([[int(c) for c in str(seq)] for seq in seqs], dtype=np.uint8)
-        t_plus, t_minus = _prune_thresholds(max(order, 2))
-        points = (GAP_LOWER, GAP_UPPER, CLASSIFY_EPS / 2, t_plus + PRUNE_MARGIN,
-                  t_minus - PRUNE_MARGIN, -1.0 - CLASSIFY_EPS / 2, 0.0, -1.0)
-        counts = count_eigs_leq_rows(symbols, points)
-        assert counts.shape == (len(points), len(seqs))
-        for x, row in zip(points, counts.tolist()):
-            assert row == [count_eigs_leq(seq, x) for seq in seqs], (order, x)
-    assert count_eigs_leq_rows(np.zeros((3, 2), dtype=np.uint8), ()).shape == (0, 3)
-
-
-def test_count_eigs_leq_sweep_equals_row_kernel():
-    # the suffix-tree sweep against the row kernel, bit for bit, on every
-    # connected graph up to order 14 at the six points of a gap scan without
-    # rows; units that fix 0, 2 or all order-2 index bits put leaf j of unit
-    # ``low`` at index j * 2^top + low
+    # at the trivial eigenvalues; units that fix 0, 2 or all order-2 index
+    # bits put leaf j of unit ``low`` at index j * 2^top + low
     for order in range(2, 15):
         seqs = list(enumerate_threshold(order, connected_only=True))
-        symbols = np.array([[int(c) for c in str(seq)] for seq in seqs], dtype=np.uint8)
         t_plus, t_minus = _prune_thresholds(order)
         points = (GAP_LOWER, GAP_UPPER, CLASSIFY_EPS / 2, t_plus + PRUNE_MARGIN,
-                  t_minus - PRUNE_MARGIN, -1.0 - CLASSIFY_EPS / 2)
-        rows = count_eigs_leq_rows(symbols, points)
+                  t_minus - PRUNE_MARGIN, -1.0 - CLASSIFY_EPS / 2, 0.0, -1.0)
+        scalar = [[count_eigs_leq(seq, x) for seq in seqs] for x in points]
         for top in sorted({0, min(2, order - 2), order - 2}):
-            swept = np.zeros_like(rows)
+            swept = np.zeros((len(points), len(seqs)), dtype=np.int64)
             for low in range(2 ** top):
                 counts = count_eigs_leq_sweep(order, points, top, low)
                 assert counts.shape == (len(points), 2 ** (order - 2 - top))
                 swept[:, low::2 ** top] = counts
-            assert swept.tolist() == rows.tolist(), (order, top)
+            assert swept.tolist() == scalar, (order, top)
+    # a conjecture scan with rows sweeps no points
+    assert count_eigs_leq_sweep(5, (), 1, 0).shape == (0, 4)
 
 
 @given(sequences, st.floats(min_value=-13.0, max_value=13.0))

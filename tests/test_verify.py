@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -43,7 +44,6 @@ from thresholdlab.verify import (
     reduction_chain,
     scan_conjecture,
     scan_gap,
-    _scan_chunk,
 )
 
 connected_forms = (
@@ -367,23 +367,44 @@ def test_scan_workers_cap(monkeypatch):
 def test_scan_deterministic_across_workers():
     assert scan_gap(8, workers=1) == scan_gap(8, workers=3)
     assert scan_conjecture(7, workers=1) == scan_conjecture(7, workers=2)
-    # order 14 spans several scan blocks that mix several h; the chunks of 2
-    # or 3 workers start off the multiples of the block size, so each worker
+    # order 14 spans several scan blocks that mix several h; one worker
+    # sweeps it in one unit of 4096 graphs and three in four units of 1024
+    # strided graphs, and the block size divides neither, so each worker
     # count cuts the order into different blocks
-    block = SCAN_BLOCK_ENTRIES // 14**2
-    assert block < 1365 and 2048 % block and 1365 % block
+    block = verify._scan_block_rows(14)
+    assert block < 1024 and 4096 % block and 1024 % block
     assert scan_gap(14, workers=1, keep_rows=True) == scan_gap(14, workers=3, keep_rows=True)
     assert (scan_conjecture(14, workers=1, keep_rows=True)
-            == scan_conjecture(14, workers=2, keep_rows=True))
+            == scan_conjecture(14, workers=3, keep_rows=True))
 
 
-def test_scan_chunk_matches_single_checks():
-    # the batched chunk gives, per graph, exactly the values of check_gap
-    # and of eta_extremes on the assembled spectrum (absent: +inf, -inf)
+def test_merge_does_not_depend_on_partial_order():
+    # whatever order the partials come in, a tie of etas goes to the lowest
+    # sequence and failures come in index order
+    def failures(*sequences):
+        return [GapReport(sequence, 5, 1, 2, 0.5, False) for sequence in sequences]
+
+    partials = [
+        (failures("00111"), (0.5, "00111"), (-2.0, "00111"), None),
+        (failures("00011", "01001"), (0.5, "00011"), (-3.0, "00011"), None),
+        (failures(), (0.7, "00001"), (-2.0, "00101"), None),
+        (failures(), None, None, None),
+    ]
+    expected = (failures("00011", "00111", "01001"), (0.5, "00011"), (-2.0, "00101"), None)
+    for order in itertools.permutations(partials):
+        assert verify._merge(order) == expected, order
+    assert verify._merge([]) == ([], None, None, None)
+
+
+def test_scan_rows_match_single_checks():
+    # a scan's rows give, per graph and in index order, exactly the values
+    # of check_gap and of eta_extremes on the assembled spectrum (absent:
+    # +inf, -inf)
     for order in range(2, 15):
         total = 2 ** (order - 2)
-        count, failures, _, _, rows = _scan_chunk(("gap", order, np.arange(total), None))
-        assert count == total and failures == [] and len(rows.sequence) == total
+        scan = scan_gap(order, keep_rows=True)
+        rows = scan.rows
+        assert scan.passed and scan.graphs_checked == len(rows.sequence) == total
         singles = []
         for index in range(total):
             seq = sequence_at(order, index, connected_only=True)
@@ -395,16 +416,16 @@ def test_scan_chunk_matches_single_checks():
                             report.min_nontrivial_distance))
         for field, column in zip(dataclasses.fields(ScanRows), zip(*singles)):
             assert getattr(rows, field.name).tolist() == list(column), (order, field.name)
-        conjecture_rows = _scan_chunk(("conjecture", order, np.arange(total), None))[4]
+        conjecture_rows = scan_conjecture(order, keep_rows=True).rows
         assert conjecture_rows == ScanRows(rows.sequence, rows.eta_plus, rows.eta_minus)
 
 
 def test_scan_reports_do_not_depend_on_block_size(monkeypatch):
-    # one graph per block merges at every graph boundary; 300 graphs per
-    # block at order 12 (357 at 11) leaves a short last block.  Scans
-    # without rows sweep units of one and of eight strided leaves as well.
-    # Etas rounded to one decimal make many graphs tie, and each tie must
-    # still go to the lowest index, as min() over the rows picks it.
+    # one graph per block merges at every graph boundary, in units of one
+    # graph; 300 graphs per block at order 12 (357 at 11) leaves a short
+    # last block of each unit of eight strided graphs.  Etas rounded to one
+    # decimal make many graphs tie, and each tie must still go to the lowest
+    # index, as min() over the rows picks it.
     honest_eta = verify.eta_extremes
     for coarse in (False, True):
         if coarse:

@@ -423,9 +423,9 @@ def test_scan_rows_match_single_checks():
 def test_scan_reports_do_not_depend_on_block_size(monkeypatch):
     # one graph per block merges at every graph boundary, in units of one
     # graph; 300 graphs per block at order 12 (357 at 11) leaves a short
-    # last block of each unit of eight strided graphs.  Etas rounded to one
-    # decimal make many graphs tie, and each tie must still go to the lowest
-    # index, as min() over the rows picks it.
+    # last block; units of eight strided graphs merge at every unit
+    # boundary.  Etas rounded to one decimal make many graphs tie, and each
+    # tie must still go to the lowest index, as min() over the rows picks it.
     honest_eta = verify.eta_extremes
     for coarse in (False, True):
         if coarse:
@@ -445,7 +445,8 @@ def test_scan_reports_do_not_depend_on_block_size(monkeypatch):
                     expected = None if first is None else (
                         etas[first], report.rows.sequence[first].decode())
                     assert getattr(report, f"extremal_{key}") == expected, (coarse, order, key)
-        for entries, unit_bits in ((1, 0), (300 * 12**2, 3)):
+        for entries, unit_bits in ((1, 0), (300 * 12**2, verify._SWEEP_UNIT_BITS),
+                                   (SCAN_BLOCK_ENTRIES, 3)):
             monkeypatch.setattr(verify, "SCAN_BLOCK_ENTRIES", entries)
             monkeypatch.setattr(verify, "_SWEEP_UNIT_BITS", unit_bits)
             for (scan, order, keep_rows), report in honest.items():

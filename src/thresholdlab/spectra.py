@@ -17,10 +17,10 @@ spectra.
 Exhaustive scans work on many graphs at a time.  They count by
 :func:`count_eigs_leq_sweep`, which runs the congruence over the suffix tree
 of the creation sequences: sequences that end alike share their states, so a
-whole order costs about two steps per graph instead of n.  A scan with rows
-takes the interval counts of every graph from it; a scan without rows also
-counts near the anti-regular graph's extremes, to pick the few graphs it
-solves (see ``verify._scan_unit``).  The quotients of the solved forms that
+whole order costs about two steps per graph instead of n.  A gap scan takes
+the interval counts of every graph from it; a scan without rows also counts
+near the anti-regular graph's extremes, to pick the few graphs it solves
+(see ``verify._scan_unit``).  The quotients of the solved forms that
 share h are built by one broadcast into a (k, 2h, 2h) stack and solved by
 one stacked ``eigvalsh`` call, and :func:`eta_extremes` takes such stacks
 too.  Every per-graph value is the same float as on the single-graph route,

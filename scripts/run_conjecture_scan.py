@@ -44,4 +44,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except (ValueError, OSError) as exc:  # an order or worker count out of range, a bad path
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(1)

@@ -28,6 +28,8 @@ FORMATS = ("plain", "json", "csv")
 BATCH_ORDER_CAP = 14
 SCAN_CSV_KEYS = ("sequence", "order", "eta_plus", "eta_minus", "count_in_interval",
                  "expected_trivial", "min_nontrivial_distance", "verdict")
+# scan_csv renders this many rows per text, so one text stays small
+_SCAN_CSV_ROWS = 1024
 
 
 class _Parser(argparse.ArgumentParser):
@@ -199,14 +201,13 @@ def _cmd_check_gap(args) -> int:
 
 
 def scan_csv(report: verify.ScanReport) -> Iterator[str]:
-    """CSV of a scan run with rows: the header and the first scan block's
-    rows, then one text per later block, so that only one block's text is
-    held at a time.  An absent eta is an empty cell."""
+    """CSV of a scan run with rows, as one text per _SCAN_CSV_ROWS rows (the
+    first with the header), so that only one text is held at a time.  An
+    absent eta is an empty cell."""
     rows, order = report.rows, report.order
     gap = rows.count_in_interval is not None
-    step = verify._scan_block_rows(order)
-    for lo in range(0, len(rows.sequence), step):
-        part = slice(lo, lo + step)
+    for lo in range(0, len(rows.sequence), _SCAN_CSV_ROWS):
+        part = slice(lo, lo + _SCAN_CSV_ROWS)
         eta_plus, eta_minus = (np.where(np.isinf(eta), np.nan, eta)  # NaN prints empty
                                for eta in (rows.eta_plus[part], rows.eta_minus[part]))
         sequence = rows.sequence[part]

@@ -9,14 +9,15 @@ bits of the suffix tree.  A scan with rows (CSV output) solves the small
 eigenproblem of every graph; a scan without rows solves only the graphs its
 report needs, the failures and the few whose inertia counts find an
 eigenvalue in (0, eta+(A_n)] or [eta-(A_n), -1) up to a small margin, since
-only those can hold an eta extreme.  Ties go to the lowest sequence and
-failures come in index order, so neither the unit split nor the worker count
-can change a report.  The
-reduction machinery walks the same vertex-deletion chain the inductive
-argument walks: every non-anti-regular graph has a vertex whose removal drops
-exactly one trivial eigenvalue, and iterating lands on an anti-regular graph
-whose extreme nontrivial eigenvalues clear the interval strictly, by a margin
-that shrinks like ~1/n^2 (the endpoints are their large-n limits).
+only those can hold an eta extreme.  One sort puts the solved rows of all
+units in index order, so ties go to the lowest index and failures come in
+index order, and neither the unit split nor the worker count can change a
+report.  The reduction machinery walks the same vertex-deletion chain the
+inductive argument walks: every non-anti-regular graph has a vertex whose
+removal drops exactly one trivial eigenvalue, and iterating lands on an
+anti-regular graph whose extreme nontrivial eigenvalues clear the interval
+strictly, by a margin that shrinks like ~1/n^2 (the endpoints are their
+large-n limits).
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ PRUNE_MARGIN = 1e-9
 SCAN_BLOCK_ENTRIES = 1 << 17
 # Scans sweep units of at most 2^_SWEEP_UNIT_BITS sequences, about 7 MB of
 # kernel buffers at six points.  The split does not matter either: every
-# count is the same in any unit, and _merge is order-independent.
+# count is the same in any unit, and _run_scan sorts the rows by index.
 _SWEEP_UNIT_BITS = 16
 # Scans refuse more workers than this, since a process pool forks all of its
 # workers on the first task.  A constant, not the core count, so that reports
@@ -385,20 +386,13 @@ def _class_sizes(changes: np.ndarray, order: int, h: int) -> tuple[np.ndarray, n
     return runs[:, -2::-2], runs[:, :0:-2]
 
 
-def _scan_block(kind: str, order: int, index: np.ndarray, counts: np.ndarray) -> tuple:
-    """Solve the connected sequences at ``index`` (increasing) of one order;
-    a partial for :func:`_merge`.
+def _scan_block(order: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Text and eigenvalues of the connected sequences at ``index`` of one order.
 
-    Returns (failures, best_plus, best_minus, rows); the bests are (eta,
-    sequence) or None, ties going to the lowest index, and rows the block's
-    :class:`ScanRows`.  Graphs are grouped by h; each group's symmetrized
-    quotients form one (k_h, 2h, 2h) stack with a single eigensolve.  The
-    eigenvalues are kept zero-padded to a common width: 0 is trivial, so the
-    padding counts for neither eta nor the clearance.  Gap scans also take
-    the interval count, from the sweep's ``counts`` at ``index`` (one row per
-    point, the gap endpoints first), the forecast and the clearance.
-    Strings and reports are built only for failures and the two extremes;
-    rows stay arrays.
+    Graphs are grouped by h; each group's symmetrized quotients form one
+    (k_h, 2h, 2h) stack with a single eigensolve.  The eigenvalues are kept
+    zero-padded to a common width: 0 is trivial, so the padding counts for
+    neither eta nor the clearance.
     """
     symbols = _block_symbols(order, index)
     changes = symbols[:, 1:] != symbols[:, :-1]
@@ -408,78 +402,53 @@ def _scan_block(kind: str, order: int, index: np.ndarray, counts: np.ndarray) ->
         rows = np.flatnonzero(h_of == h)
         m, n = _class_sizes(changes[rows], order, h)
         eigs[rows, :2 * h] = np.linalg.eigvalsh(quotient_stack(m, n)[1])
-    eta_plus, eta_minus = eta_extremes(eigs)
-    text = (symbols + ord("0")).view(f"S{order}").ravel()
-    i, j = int(np.argmin(eta_plus)), int(np.argmax(eta_minus))
-    best_plus = (float(eta_plus[i]), text[i].decode()) if eta_plus[i] < np.inf else None
-    best_minus = (float(eta_minus[j]), text[j].decode()) if eta_minus[j] > -np.inf else None
-    failures, gap_columns = [], ()
-    if kind == "gap":
-        count = counts[1].astype(np.int64) - counts[0]
-        expected, clearance = _scan_forecast(order, index), _clearance(eigs)
-        failures = [GapReport(text[i].decode(), order, int(count[i]), int(expected[i]),
-                              float(clearance[i]), False)
-                    for i in np.flatnonzero(count != expected).tolist()]
-        gap_columns = (count, expected, clearance)
-    return failures, best_plus, best_minus, ScanRows(text, eta_plus, eta_minus, *gap_columns)
+    return (symbols + ord("0")).view(f"S{order}").ravel(), eigs
 
 
-def _merge(partials) -> tuple:
-    """Combine scan partials, each (failures, best_plus, best_minus, rows),
-    in any order.  Bests compare as (eta, sequence), so a tie goes to the
-    lowest sequence, which within one order is the lowest index, and
-    failures come sorted by sequence.  Rows, when kept, are joined column by
-    column in the order given."""
-    partials = list(partials)
-    failures = sorted((report for partial in partials for report in partial[0]),
-                      key=lambda report: report.sequence)
-    best_plus = min((p[1] for p in partials if p[1]), default=None)
-    best_minus = min((p[2] for p in partials if p[2]),
-                     key=lambda best: (-best[0], best[1]), default=None)
-    parts = [p[3] for p in partials if p[3] is not None]
-    if len(parts) > 1:
-        parts = [ScanRows(*(None if column[0] is None else np.concatenate(column)
-                            for column in zip(*(vars(part).values() for part in parts))))]
-    return failures, best_plus, best_minus, parts[0] if parts else None
-
-
-def _scan_block_rows(order: int) -> int:
-    """Graphs per scan block at this order (see SCAN_BLOCK_ENTRIES)."""
-    return max(1, SCAN_BLOCK_ENTRIES // (order * order))
-
-
-def _scan_unit(args) -> tuple:
-    """The partial for :func:`_merge` of one sweep unit of (kind, order, top,
-    low, thresholds); top-level so process pools can pickle it.
+def _scan_unit(args) -> tuple[np.ndarray, list]:
+    """(index, columns) of the rows one sweep unit of (kind, order, top, low,
+    thresholds) solves, the columns in :class:`ScanRows` order; top-level so
+    process pools can pickle it.
 
     The unit is every connected sequence whose index has ``low`` in its low
     ``top`` bits, counted by :func:`count_eigs_leq_sweep` at the gap
     endpoints for a gap scan.  With rows kept (``thresholds`` None) it solves
-    every row and keeps the rows.  Without, with (t+, t-) from
-    :func:`_prune_thresholds`, it solves a row only when the kernel finds an
-    eigenvalue in (CLASSIFY_EPS/2, t+ + PRUNE_MARGIN] or in
-    (t- - PRUNE_MARGIN, -1 - CLASSIFY_EPS/2], or a gap row when its interval
-    count misses the forecast; no other row can hold an eta extreme or a
-    failure.  Rows are solved in increasing index, block by block.
+    every row.  Without, with (t+, t-) from :func:`_prune_thresholds`, it
+    solves a row only when the kernel finds an eigenvalue in
+    (CLASSIFY_EPS/2, t+ + PRUNE_MARGIN] or in (t- - PRUNE_MARGIN, -1 -
+    CLASSIFY_EPS/2], or a gap row when its interval count misses the
+    forecast; no other row can hold an eta extreme or a failure.  Rows are
+    solved block by block.
     """
     kind, order, top, low, thresholds = args
-    points = (GAP_LOWER, GAP_UPPER) if kind == "gap" else ()
+    gap = kind == "gap"
+    points = (GAP_LOWER, GAP_UPPER) if gap else ()
     if thresholds is not None:
         t_plus, t_minus = thresholds
         points += (CLASSIFY_EPS / 2, t_plus + PRUNE_MARGIN,
                    t_minus - PRUNE_MARGIN, -1.0 - CLASSIFY_EPS / 2)
     counts = count_eigs_leq_sweep(order, points, top, low)
     index = (np.arange(counts.shape[1], dtype=np.int64) << top) | low
+    gap_columns = []
+    if gap:
+        gap_columns = [counts[1].astype(np.int64) - counts[0], _scan_forecast(order, index)]
     if thresholds is not None:
         solve = (counts[-3] > counts[-4]) | (counts[-1] > counts[-2])
-        if kind == "gap":
-            solve |= counts[1] - counts[0] != _scan_forecast(order, index)
-        index, counts = index[solve], counts[:, solve]
-    size = _scan_block_rows(order)
-    failures, best_plus, best_minus, rows = _merge(
-        _scan_block(kind, order, index[start:start + size], counts[:, start:start + size])
-        for start in range(0, len(index), size))
-    return failures, best_plus, best_minus, rows if thresholds is None else None
+        if gap:
+            solve |= gap_columns[0] != gap_columns[1]
+        index, gap_columns = index[solve], [column[solve] for column in gap_columns]
+    text = np.empty(len(index), f"S{order}")
+    eta_plus, eta_minus, clearance = (np.empty(len(index)) for _ in range(3))
+    size = max(1, SCAN_BLOCK_ENTRIES // (order * order))  # graphs per block
+    for start in range(0, len(index), size):
+        part = slice(start, start + size)
+        text[part], eigs = _scan_block(order, index[part])
+        eta_plus[part], eta_minus[part] = eta_extremes(eigs)
+        if gap:
+            clearance[part] = _clearance(eigs)
+    if gap:
+        return index, [text, eta_plus, eta_minus, *gap_columns, clearance]
+    return index, [text, eta_plus, eta_minus]
 
 
 def _map(fn, items: list, workers: int) -> list:
@@ -500,10 +469,27 @@ def _run_scan(kind: str, order: int, workers: int, order_cap: int, keep_rows: bo
     top = min(order - 2, max(order - 2 - _SWEEP_UNIT_BITS, (workers - 1).bit_length()))
     thresholds = None if keep_rows else _prune_thresholds(order)
     units = [(kind, order, top, low, thresholds) for low in range(1 << top)]
-    failures, best_plus, best_minus, rows = _merge(_map(_scan_unit, units, workers))
-    if rows is not None:  # unit low holds indices j * 2^top + low: restore index order
-        rows = ScanRows(*(None if column is None else column.reshape(1 << top, -1).T.ravel()
-                          for column in vars(rows).values()))
+    results = _map(_scan_unit, units, workers)
+    # one sort puts the rows of all units in index order, so the first
+    # extreme is the lowest index and failures come in index order
+    index_order = np.argsort(np.concatenate([index for index, _ in results]))
+    parts = [columns for _, columns in results]
+    # one column at a time, each unit's part dropped once gathered, so kept
+    # rows are held about once
+    columns = [np.concatenate([part.pop(0) for part in parts])[index_order]
+               for _ in range(len(parts[0]))]
+    text, eta_plus, eta_minus = columns[:3]
+    best_plus = best_minus = None
+    if len(text):
+        i, j = int(np.argmin(eta_plus)), int(np.argmax(eta_minus))
+        best_plus = (float(eta_plus[i]), text[i].decode()) if eta_plus[i] < np.inf else None
+        best_minus = (float(eta_minus[j]), text[j].decode()) if eta_minus[j] > -np.inf else None
+    failures = ()
+    if kind == "gap":
+        count, expected, clearance = columns[3:]
+        failures = tuple(GapReport(text[i].decode(), order, int(count[i]), int(expected[i]),
+                                   float(clearance[i]), False)
+                         for i in np.flatnonzero(count != expected).tolist())
 
     antiregular_sequence = None
     conjecture_holds = None
@@ -516,12 +502,12 @@ def _run_scan(kind: str, order: int, workers: int, order_cap: int, keep_rows: bo
         kind=kind,
         order=order,
         graphs_checked=count_threshold(order, connected_only=True),
-        failures=tuple(failures),
+        failures=failures,
         extremal_eta_plus=best_plus,
         extremal_eta_minus=best_minus,
         antiregular_sequence=antiregular_sequence,
         conjecture_holds=conjecture_holds,
-        rows=rows,
+        rows=ScanRows(*columns) if keep_rows else None,
     )
 
 

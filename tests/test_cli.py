@@ -622,11 +622,15 @@ def test_out_writes_file_not_stdout(tmp_path, capsys):
 # ---------------------------------------------------------------- scripts
 
 
-def run_script(tmp_path, name, *argv):
-    script = pathlib.Path(__file__).parents[1] / "scripts" / name
+def script(tmp_path, name, *argv) -> subprocess.CompletedProcess:
+    path = pathlib.Path(__file__).parents[1] / "scripts" / name
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(thresholdlab.__file__).parents[1])}
-    done = subprocess.run([sys.executable, str(script), *argv], capture_output=True,
+    return subprocess.run([sys.executable, str(path), *argv], capture_output=True,
                           text=True, env=env, cwd=tmp_path, timeout=120)
+
+
+def run_script(tmp_path, name, *argv):
+    done = script(tmp_path, name, *argv)
     assert (done.returncode, done.stderr) == (0, ""), (name, done.stderr)
     return done.stdout.splitlines()
 
@@ -654,3 +658,20 @@ def test_scripts_run(tmp_path, capsys):
         ("gap", 5, 1), ("gap", 6, 1), ("conjecture", 5, 1), ("conjecture", 6, 1)]
     assert all(p["graphs_per_cpu_s"] > 0 and p["peak_rss_mb"] > 0 and p["cpu_s_norm"] > 0
                for p in points)
+
+
+def test_scripts_reject_out_of_range_input(tmp_path):
+    # a message and exit 1, as the CLI gives; exit 2 would claim a counterexample
+    for name, *argv, message in (
+            ("run_gap_scan.py", "--min-order", "23", "--max-order", "23",
+             "order 23 above cap 22"),
+            ("run_gap_scan.py", "--max-order", "3", "--workers", "0", "workers must be >= 1"),
+            ("run_conjecture_scan.py", "--min-order", "23", "--max-order", "23",
+             "order 23 above cap 22"),
+            ("run_conjecture_scan.py", "--max-order", "3", "--workers", "0",
+             "workers must be >= 1"),
+            ("antiregular_bounds.py", "--min-order", "1",
+             "anti-regular graphs need order >= 2, got 1")):
+        done = script(tmp_path, name, *argv)
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {message}\n"), (
+            name, argv, done.stderr)

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -371,29 +370,11 @@ def test_scan_deterministic_across_workers():
     # sweeps it in one unit of 4096 graphs and three in four units of 1024
     # strided graphs, and the block size divides neither, so each worker
     # count cuts the order into different blocks
-    block = verify._scan_block_rows(14)
+    block = SCAN_BLOCK_ENTRIES // 14**2
     assert block < 1024 and 4096 % block and 1024 % block
     assert scan_gap(14, workers=1, keep_rows=True) == scan_gap(14, workers=3, keep_rows=True)
     assert (scan_conjecture(14, workers=1, keep_rows=True)
             == scan_conjecture(14, workers=3, keep_rows=True))
-
-
-def test_merge_does_not_depend_on_partial_order():
-    # whatever order the partials come in, a tie of etas goes to the lowest
-    # sequence and failures come in index order
-    def failures(*sequences):
-        return [GapReport(sequence, 5, 1, 2, 0.5, False) for sequence in sequences]
-
-    partials = [
-        (failures("00111"), (0.5, "00111"), (-2.0, "00111"), None),
-        (failures("00011", "01001"), (0.5, "00011"), (-3.0, "00011"), None),
-        (failures(), (0.7, "00001"), (-2.0, "00101"), None),
-        (failures(), None, None, None),
-    ]
-    expected = (failures("00011", "00111", "01001"), (0.5, "00011"), (-2.0, "00101"), None)
-    for order in itertools.permutations(partials):
-        assert verify._merge(order) == expected, order
-    assert verify._merge([]) == ([], None, None, None)
 
 
 def test_scan_rows_match_single_checks():
@@ -486,6 +467,11 @@ def test_scan_reports_failures_like_check_gap(monkeypatch):
     monkeypatch.setattr(verify, "_scan_forecast", one_too_many)
     report = scan_gap(6, keep_rows=True)
     assert not report.passed and len(report.failures) == report.graphs_checked == 16
+    assert scan_gap(6).failures == report.failures
+    # rows reach the report from strided units in any order: three workers
+    # and units of two graphs still give the failures in index order
+    assert scan_gap(6, workers=3).failures == report.failures
+    monkeypatch.setattr(verify, "_SWEEP_UNIT_BITS", 1)
     assert scan_gap(6).failures == report.failures
     for failure in report.failures:
         truth = check_gap(creation_to_nsg(parse_creation_sequence(failure.sequence)))

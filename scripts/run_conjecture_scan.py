@@ -46,6 +46,6 @@ def main() -> int:
 if __name__ == "__main__":
     try:
         sys.exit(main())
-    except (ValueError, OSError) as exc:  # an order or worker count out of range, a bad path
+    except (ValueError, OSError) as exc:  # an order or worker count out of range
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(1)

@@ -9,18 +9,18 @@ Example:
     python3 scripts/antiregular_bounds.py --max-order 500 --csv bounds.csv
 """
 
-import argparse
 import sys
 
+from thresholdlab.cli import _integer, _Parser
 from thresholdlab.formats import sig12
 from thresholdlab.verify import GAP_LOWER, GAP_UPPER, check_antiregular_bounds
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--min-order", type=int, default=2)
-    parser.add_argument("--max-order", type=int, default=100)
-    parser.add_argument("--step", type=int, default=1)
+    parser = _Parser(description=__doc__.splitlines()[0])
+    parser.add_argument("--min-order", type=_integer, default=2)
+    parser.add_argument("--max-order", type=_integer, default=100)
+    parser.add_argument("--step", type=_integer, default=1)
     parser.add_argument("--csv", help="write a CSV table to this path")
     args = parser.parse_args()
 

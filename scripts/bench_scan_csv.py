@@ -8,8 +8,8 @@ scan keeps every row; a JSON or plain one keeps none, which is the path that
 sets the verification frontier.  A point is keyed by commit, kind, order,
 workers and format and
 holds the median wall and CPU seconds of its runs (CPU of the scan process
-and of its pool workers), graphs per wall second and per CPU second, and the
-largest peak RSS of the scan process (VmHWM) and of a pool worker.  The
+and of the workers it forks), graphs per wall second and per CPU second, and
+the largest peak RSS of the scan process (VmHWM) and of a forked worker.  The
 benchmark's yardstick (perfbench/yardstick.py) runs in this process before
 and after each run, and ``cpu_s_norm`` is the median CPU time scaled to a
 host that runs the yardstick in ``yardstick.NOMINAL_S``, so that points

@@ -9,19 +9,19 @@ Example:
     python3 scripts/run_conjecture_scan.py --max-order 16 --workers 4
 """
 
-import argparse
 import sys
 import time
 
+from thresholdlab.cli import _integer, _Parser
 from thresholdlab.verify import DEFAULT_ORDER_CAP, scan_conjecture
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--min-order", type=int, default=2)
-    parser.add_argument("--max-order", type=int, default=16)
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP)
+    parser = _Parser(description=__doc__.splitlines()[0])
+    parser.add_argument("--min-order", type=_integer, default=2)
+    parser.add_argument("--max-order", type=_integer, default=16)
+    parser.add_argument("--workers", type=_integer, default=1)
+    parser.add_argument("--order-cap", type=_integer, default=DEFAULT_ORDER_CAP)
     args = parser.parse_args()
 
     counterexamples = 0

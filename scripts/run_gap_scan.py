@@ -11,21 +11,20 @@ Example:
     python3 scripts/run_gap_scan.py --max-order 14 --workers 4 --csv-dir out/
 """
 
-import argparse
 import pathlib
 import sys
 import time
 
-from thresholdlab.cli import scan_csv
+from thresholdlab.cli import _integer, _Parser, scan_csv
 from thresholdlab.verify import DEFAULT_ORDER_CAP, scan_gap
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--min-order", type=int, default=2)
-    parser.add_argument("--max-order", type=int, default=14)
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP)
+    parser = _Parser(description=__doc__.splitlines()[0])
+    parser.add_argument("--min-order", type=_integer, default=2)
+    parser.add_argument("--max-order", type=_integer, default=14)
+    parser.add_argument("--workers", type=_integer, default=1)
+    parser.add_argument("--order-cap", type=_integer, default=DEFAULT_ORDER_CAP)
     parser.add_argument("--csv-dir", help="write per-graph rows to <dir>/gap_<order>.csv")
     args = parser.parse_args()
 

@@ -9,21 +9,25 @@ bits of the suffix tree.  A scan with rows (CSV output) solves the small
 eigenproblem of every graph; a scan without rows solves only the graphs its
 report needs, the failures and the few whose inertia counts find an
 eigenvalue in (0, eta+(A_n)] or [eta-(A_n), -1) up to a small margin, since
-only those can hold an eta extreme.  One sort puts the solved rows of all
-units in index order, so ties go to the lowest index and failures come in
-index order, and neither the unit split nor the worker count can change a
-report.  The reduction machinery walks the same vertex-deletion chain the
-inductive argument walks: every non-anti-regular graph has a vertex whose
-removal drops exactly one trivial eigenvalue, and iterating lands on an
-anti-regular graph whose extreme nontrivial eigenvalues clear the interval
-strictly, by a margin that shrinks like ~1/n^2 (the endpoints are their
-large-n limits).
+only those can hold an eta extreme.  With k workers the scan forks k - 1
+children, each of which sweeps a fixed stride of the units and pipes its rows
+back, and sweeps the first stride itself (``_map``; POSIX only, as it needs
+``os.fork``).  One sort puts the solved rows of all units in index order, so
+ties go to the lowest index and failures come in index order, and neither the
+unit split nor the worker count can change a report.  The reduction
+machinery walks the same vertex-deletion chain the inductive argument walks:
+every non-anti-regular graph has a vertex whose removal drops exactly one
+trivial eigenvalue, and iterating lands on an anti-regular graph whose
+extreme nontrivial eigenvalues clear the interval strictly, by a margin that
+shrinks like ~1/n^2 (the endpoints are their large-n limits).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 from enum import Enum
 
@@ -74,9 +78,9 @@ SCAN_BLOCK_ENTRIES = 1 << 17
 # kernel buffers at six points.  The split does not matter either: every
 # count is the same in any unit, and _run_scan sorts the rows by index.
 _SWEEP_UNIT_BITS = 16
-# Scans refuse more workers than this, since a process pool forks all of its
-# workers on the first task.  A constant, not the core count, so that reports
-# can be compared across worker counts on any host.
+# Scans refuse more workers than this, since a scan forks all of its workers
+# (one fewer, as the parent is one) before any unit runs.  A constant, not the
+# core count, so that reports can be compared across worker counts on any host.
 MAX_WORKERS = 64
 INTERLACING_TOL = 1e-7
 
@@ -405,10 +409,10 @@ def _scan_block(order: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (symbols + ord("0")).view(f"S{order}").ravel(), eigs
 
 
-def _scan_unit(args) -> tuple[np.ndarray, list]:
-    """(index, columns) of the rows one sweep unit of (kind, order, top, low,
-    thresholds) solves, the columns in :class:`ScanRows` order; top-level so
-    process pools can pickle it.
+def _scan_unit(kind: str, order: int, top: int, low: int,
+               thresholds: tuple[float, float] | None) -> tuple[np.ndarray, list]:
+    """(index, columns) of the rows one sweep unit solves, the columns in
+    :class:`ScanRows` order.
 
     The unit is every connected sequence whose index has ``low`` in its low
     ``top`` bits, counted by :func:`count_eigs_leq_sweep` at the gap
@@ -420,7 +424,6 @@ def _scan_unit(args) -> tuple[np.ndarray, list]:
     forecast; no other row can hold an eta extreme or a failure.  Rows are
     solved block by block.
     """
-    kind, order, top, low, thresholds = args
     gap = kind == "gap"
     points = (GAP_LOWER, GAP_UPPER) if gap else ()
     if thresholds is not None:
@@ -451,12 +454,70 @@ def _scan_unit(args) -> tuple[np.ndarray, list]:
     return index, [text, eta_plus, eta_minus]
 
 
-def _map(fn, items: list, workers: int) -> list:
-    """``fn`` over ``items`` in order, by a process pool when workers > 1."""
-    if workers == 1:
+def _map(fn, items, workers: int) -> list:
+    """``fn`` over ``items`` in k = min(workers, len(items)) strides, stride
+    by stride.
+
+    The parent forks k - 1 children and computes stride 0, ``items[::k]``,
+    itself.  Child i computes ``items[i::k]``, sends its results, or the
+    exception a unit raised, back as one pickle over its own pipe, and leaves
+    by ``os._exit``, so it flushes no stdio buffer it inherited.  A child that
+    ends without a result raises ChildProcessError.  However the map ends,
+    every child is reaped, and any still running is killed first.
+    """
+    k = min(workers, len(items))
+    if k == 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
+    children = []  # (pid, read end) of each child not yet reaped
+    try:
+        for stride in range(1, k):
+            part = items[stride::k]
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _child(fn, part, write)
+            os.close(write)  # before the next fork, so each pipe has one writer
+            children.append((pid, open(read, "rb")))
+        results = [fn(item) for item in items[::k]]
+        while children:
+            pid, reader = children[0]
+            with reader:
+                data = reader.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            if code != 0:
+                raise ChildProcessError(f"a scan worker ended with status {code} before "
+                                        "sending its result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results += value
+        return results
+    finally:
+        for pid, reader in children:
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _child(fn, items, write: int) -> None:
+    """Body of a forked child of :func:`_map`: never returns."""
+    code = 1
+    try:
+        with open(write, "wb") as pipe:
+            try:
+                message = True, [fn(item) for item in items]
+            except Exception as exc:  # re-raised in the parent
+                message = False, exc
+            pickle.dump(message, pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _run_scan(kind: str, order: int, workers: int, order_cap: int, keep_rows: bool) -> ScanReport:
@@ -465,11 +526,13 @@ def _run_scan(kind: str, order: int, workers: int, order_cap: int, keep_rows: bo
         raise ValueError("workers must be >= 1")
     if workers > MAX_WORKERS:
         raise ValueError(f"workers {workers} above the cap {MAX_WORKERS}")
+    if workers > 1 and not hasattr(os, "fork"):
+        raise ValueError("more than one worker needs os.fork, which this platform lacks")
     # at least one unit per worker, and at most 2^_SWEEP_UNIT_BITS leaves in one
     top = min(order - 2, max(order - 2 - _SWEEP_UNIT_BITS, (workers - 1).bit_length()))
     thresholds = None if keep_rows else _prune_thresholds(order)
-    units = [(kind, order, top, low, thresholds) for low in range(1 << top)]
-    results = _map(_scan_unit, units, workers)
+    results = _map(lambda low: _scan_unit(kind, order, top, low, thresholds),
+                   range(1 << top), workers)
     # one sort puts the rows of all units in index order, so the first
     # extreme is the lowest index and failures come in index order
     index_order = np.argsort(np.concatenate([index for index, _ in results]))

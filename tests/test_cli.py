@@ -541,11 +541,11 @@ def test_scan_cap_exit_1(capsys):
 
 
 def test_scan_order_ceiling_exit_1(capsys, monkeypatch):
-    # refused from the order alone, whatever the cap: no pool, no scan unit
+    # refused from the order alone, whatever the cap: no os.fork, no scan unit
     def refuse(*args, **kwargs):
         raise AssertionError("scan started above the ceiling")
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
     monkeypatch.setattr(verify, "_scan_unit", refuse)
     for command in ("scan-gap", "scan-conjecture"):
         for order in (verify.ORDER_CEILING + 1, 70):
@@ -556,17 +556,51 @@ def test_scan_order_ceiling_exit_1(capsys, monkeypatch):
 
 
 def test_workers_above_cap_exit_1(capsys, monkeypatch):
-    # refused from the worker count alone: no pool, no scan unit
+    # refused from the worker count alone: no os.fork, no scan unit
     def refuse(*args, **kwargs):
         raise AssertionError("scan started above the workers cap")
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
     monkeypatch.setattr(verify, "_scan_unit", refuse)
     for command in ("scan-gap", "scan-conjecture"):
         for workers in (verify.MAX_WORKERS + 1, 100000):
             code, out, err = run(capsys, command, "--order", "3", "--workers", str(workers))
             assert (code, out) == (1, "")
             assert err == f"error: workers {workers} above the cap {verify.MAX_WORKERS}\n"
+
+
+# a scan whose forked children end by os._exit(3) before sending any result
+WORKER_DEATH = """\
+import os, sys
+from thresholdlab import cli, verify
+parent, unit = os.getpid(), verify._scan_unit
+verify._scan_unit = lambda *args: unit(*args) if os.getpid() == parent else os._exit(3)
+code = cli.main(sys.argv[1:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:  # every child was reaped
+    sys.exit(code)
+sys.exit(99)
+"""
+
+
+def test_worker_death_exit_1():
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(thresholdlab.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", WORKER_DEATH, "scan-gap", "--order", "8",
+                           "--workers", "3"], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "", "error: a scan worker ended with status 3 before sending its result\n")
+
+
+def test_workers_without_fork_exit_1(capsys, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    for command in ("scan-gap", "scan-conjecture"):
+        assert run(capsys, command, "--order", "8", "--workers", "2") == (
+            1, "", "error: more than one worker needs os.fork, which this platform lacks\n")
+        assert run(capsys, command, "--order", "8")[0] == 0
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_commands_build_no_dense_matrix(tmp_path, capsys, monkeypatch):
@@ -658,6 +692,14 @@ def test_scripts_run(tmp_path, capsys):
         ("gap", 5, 1), ("gap", 6, 1), ("conjecture", 5, 1), ("conjecture", 6, 1)]
     assert all(p["graphs_per_cpu_s"] > 0 and p["peak_rss_mb"] > 0 and p["cpu_s_norm"] > 0
                for p in points)
+    # usage errors exit 1, as the CLI's do (2 claims a counterexample), and
+    # integer options follow the CLI's integer rule
+    for name in ("run_gap_scan.py", "run_conjecture_scan.py", "antiregular_bounds.py"):
+        for value in ("x", "1_0"):
+            done = script(tmp_path, name, "--max-order", value)
+            assert (done.returncode, done.stdout) == (1, ""), (name, value)
+            assert done.stderr.endswith(
+                f"{name}: error: argument --max-order: value must be an integer, got '{value}'\n")
 
 
 def test_scripts_reject_out_of_range_input(tmp_path):

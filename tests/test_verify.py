@@ -1,5 +1,10 @@
 import dataclasses
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -336,31 +341,103 @@ def test_scan_order_ceiling():
             scan(ORDER_CEILING + 1, order_cap=10**6)
 
 
+def assert_no_children():
+    # every process a scan forked has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_scan_workers_cap(monkeypatch):
-    # refused before any pool exists; a pool never gets more workers than chunks
-    pools = []
+    # refused before any os.fork; a scan never forks more children than it
+    # has units besides the parent's own
+    forks = []
+    real_fork = os.fork
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
+    def fork():
+        forks.append(1)
+        return real_fork()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, chunks):
-            return map(fn, chunks)
-
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "fork", fork)
     for scan in (scan_gap, scan_conjecture):
         with pytest.raises(ValueError, match=f"above the cap {verify.MAX_WORKERS}"):
             scan(3, workers=verify.MAX_WORKERS + 1)
-    assert pools == []
+    assert forks == []
     assert scan_gap(3, workers=5) == scan_gap(3)
+    children = [len(forks)]
     assert scan_conjecture(5, workers=verify.MAX_WORKERS) == scan_conjecture(5)
-    assert pools == [2, 8]
+    children.append(len(forks) - children[0])
+    assert children == [1, 7]
+    assert_no_children()
+
+
+def patch_units(monkeypatch, child, parent=None):
+    """Run ``child()`` in place of each scan unit of a forked child, and
+    ``parent()``, when given, in place of each unit of the parent."""
+    pid, real = os.getpid(), verify._scan_unit
+
+    def unit(*args):
+        if os.getpid() != pid:
+            return child()
+        return real(*args) if parent is None else parent()
+
+    monkeypatch.setattr(verify, "_scan_unit", unit)
+
+
+def test_scan_reraises_a_child_unit_error(monkeypatch):
+    def child():
+        raise OrderCapExceededError("unit failed in a child")
+
+    patch_units(monkeypatch, child)
+    with pytest.raises(OrderCapExceededError) as raised:
+        scan_gap(8, workers=3)
+    assert (raised.type, str(raised.value)) == (OrderCapExceededError, "unit failed in a child")
+    assert_no_children()
+
+
+def test_scan_child_without_result_raises(monkeypatch):
+    patch_units(monkeypatch, lambda: os._exit(3))
+    with pytest.raises(ChildProcessError, match="status 3 before sending its result"):
+        scan_conjecture(8, workers=3, keep_rows=True)
+    assert_no_children()
+
+
+def test_scan_kills_children_when_the_parent_raises(monkeypatch):
+    def parent():
+        raise OrderCapExceededError("unit failed in the parent")
+
+    patch_units(monkeypatch, lambda: time.sleep(60), parent)
+    start = time.monotonic()
+    with pytest.raises(OrderCapExceededError, match="in the parent"):
+        scan_gap(8, workers=3)
+    assert time.monotonic() - start < 30  # the sleeping children were killed, not awaited
+    assert_no_children()
+
+
+def test_scan_prints_unflushed_stdout_once():
+    # stdout to a pipe is block-buffered, so the text is still in the buffer
+    # when the scan forks; a child must not flush its copy
+    code = ("from thresholdlab.verify import scan_gap\n"
+            "print('before', end='')\n"
+            "assert scan_gap(8, workers=2).passed\n"
+            "print(' after')\n")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(verify.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "before after\n", "")
+
+
+def test_scan_workers_need_fork(monkeypatch):
+    expected = scan_gap(8)
+    units = []
+    real = verify._scan_unit
+    monkeypatch.setattr(verify, "_scan_unit", lambda *args: units.append(1) or real(*args))
+    monkeypatch.delattr(os, "fork")
+    for scan in (scan_gap, scan_conjecture):
+        with pytest.raises(ValueError, match="needs os.fork"):
+            scan(8, workers=2)
+    assert units == []
+    assert scan_gap(8, workers=1) == expected
+    assert_no_children()
 
 
 def test_scan_deterministic_across_workers():

@@ -414,13 +414,15 @@ def test_scan_kills_children_when_the_parent_raises(monkeypatch):
 
 
 def test_scan_prints_unflushed_stdout_once():
-    # stdout to a pipe is block-buffered, so the text is still in the buffer
-    # when the scan forks; a child must not flush its copy
+    # stdout to a pipe is block-buffered (unless PYTHONUNBUFFERED is set), so
+    # the text is still in the buffer when the scan forks; a child must not
+    # flush its copy
     code = ("from thresholdlab.verify import scan_gap\n"
             "print('before', end='')\n"
             "assert scan_gap(8, workers=2).passed\n"
             "print(' after')\n")
-    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(verify.__file__).parents[1])}
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(pathlib.Path(verify.__file__).parents[1])
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert (done.returncode, done.stdout, done.stderr) == (0, "before after\n", "")

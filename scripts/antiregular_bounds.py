@@ -23,6 +23,8 @@ def main() -> int:
     parser.add_argument("--step", type=_integer, default=1)
     parser.add_argument("--csv", help="write a CSV table to this path")
     args = parser.parse_args()
+    if args.step < 1:
+        raise ValueError(f"--step must be at least 1, got {args.step}")
 
     rows = ["order,eta_plus,eta_minus,plus_clearance,minus_clearance,verdict"]
     bad = 0

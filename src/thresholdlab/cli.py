@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import math
 import sys
 from typing import Iterable, Iterator
 
@@ -202,22 +203,34 @@ def _cmd_check_gap(args) -> int:
 
 def scan_csv(report: verify.ScanReport) -> Iterator[str]:
     """CSV of a scan run with rows, as one text per _SCAN_CSV_ROWS rows (the
-    first with the header), so that only one text is held at a time.  An
-    absent eta is an empty cell."""
+    first with the header), so that only one text is held at a time.
+
+    Each row is one ``%`` template: floats at 12 significant digits, as
+    ``formats.to_csv`` prints them.  A row with an absent eta takes the
+    template with ``%s`` eta cells, the absent one empty.
+    """
     rows, order = report.rows, report.order
     gap = rows.count_in_interval is not None
+    tail = ",%d,%d,%.12g,%s\n" if gap else "\n"
+    row = f"%s,{order},%.12g,%.12g{tail}"
+    loose = f"%s,{order},%s,%s{tail}"
     for lo in range(0, len(rows.sequence), _SCAN_CSV_ROWS):
         part = slice(lo, lo + _SCAN_CSV_ROWS)
-        eta_plus, eta_minus = (np.where(np.isinf(eta), np.nan, eta)  # NaN prints empty
-                               for eta in (rows.eta_plus[part], rows.eta_minus[part]))
-        sequence = rows.sequence[part]
-        columns = [sequence, np.full(len(sequence), order), eta_plus, eta_minus]
+        columns = [list(map(bytes.decode, rows.sequence[part].tolist())),
+                   rows.eta_plus[part].tolist(), rows.eta_minus[part].tolist()]
         if gap:
             count, expected = rows.count_in_interval[part], rows.expected_trivial[part]
-            columns += [count, expected, rows.min_nontrivial_distance[part],
-                        np.where(count == expected, "pass", "fail")]
-        keys = SCAN_CSV_KEYS[:len(columns)] if lo == 0 else None
-        yield formats.to_csv(keys, columns)
+            columns += [count.tolist(), expected.tolist(),
+                        rows.min_nontrivial_distance[part].tolist(),
+                        np.where(count == expected, "pass", "fail").tolist()]
+        lines = list(map(row.__mod__, zip(*columns)))
+        absent = np.isinf(rows.eta_plus[part]) | np.isinf(rows.eta_minus[part])
+        for i in np.flatnonzero(absent).tolist():
+            cell = [column[i] for column in columns]
+            cell[1:3] = ["" if math.isinf(eta) else formats.sig12(eta) for eta in cell[1:3]]
+            lines[i] = loose % tuple(cell)
+        head = ",".join(SCAN_CSV_KEYS[:len(columns) + 1]) + "\n" if lo == 0 else ""
+        yield head + "".join(lines)
 
 
 def _scan(args) -> int:

@@ -21,10 +21,12 @@ whole order costs about two steps per graph instead of n.  A gap scan takes
 the interval counts of every graph from it; a scan without rows also counts
 near the anti-regular graph's extremes, to pick the few graphs it solves
 (see ``verify._scan_unit``).  The quotients of the solved forms that
-share h are built by one broadcast into a (k, 2h, 2h) stack and solved by
-one stacked ``eigvalsh`` call, and :func:`eta_extremes` takes such stacks
-too.  Every per-graph value is the same float as on the single-graph route,
-and the two kernels give the same counts.
+share h are built in place into one (k, 2h, 2h) stack of symmetrized
+matrices (:func:`quotient_stack`, which returns no raw divisor matrix) and
+solved by one stacked ``eigvalsh`` call, which reads one triangle of each;
+:func:`eta_extremes` takes such stacks too.  Every per-graph value is the
+same float as on the single-graph route, and the two kernels give the same
+counts.
 """
 
 from __future__ import annotations
@@ -48,29 +50,32 @@ class TrivialMults:
     multm1: int
 
 
-def quotient_stack(m: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Raw and symmetrized divisor matrices of k forms that share one h.
+def quotient_stack(m: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Symmetrized divisor matrices of k forms that share one h.
 
-    ``m`` and ``n`` are (k, h) arrays of class sizes; both results are
-    (k, 2h, 2h) stacks, built by broadcasting, entry for entry the same
-    floats for any k.  The cells are V_1..V_h, U_1..U_h of the equitable
-    partition: row V_i sees n_j vertices in V_j (n_i - 1 in its own class)
-    and the whole of U_j exactly when j >= i; row U_i sees V_j exactly when
+    ``m`` and ``n`` are (k, h) arrays of class sizes; the result is a
+    (k, 2h, 2h) stack, entry for entry the same floats for any k.  The cells
+    are V_1..V_h, U_1..U_h of the equitable partition: in the raw divisor
+    matrix, row V_i sees n_j vertices in V_j (n_i - 1 in its own class) and
+    the whole of U_j exactly when j >= i; row U_i sees V_j exactly when
     j <= i and nothing in any U_j.  Isolated vertices are not cells.  The
-    symmetrized form is D^(1/2) raw D^(-1/2) with D = diag(cell sizes): it has
-    the same eigenvalues and is symmetric up to rounding, which ``eigvalsh``
+    stack holds D^(1/2) raw D^(-1/2) with D = diag(cell sizes), built in
+    place: the raw counts block by block, then each entry as
+    (raw_ij * s_i) / s_j with s = sqrt(cell sizes).  It has the raw
+    matrix's eigenvalues and is symmetric up to rounding, which ``eigvalsh``
     never sees, as it reads one triangle only.
     """
     k, h = m.shape
     i = np.arange(h)
     upper = i[:, None] <= i  # j >= i
-    raw = np.zeros((k, 2 * h, 2 * h))
-    raw[:, :h, :h] = n[:, None, :] - (i[:, None] == i)
-    raw[:, :h, h:] = m[:, None, :] * upper
-    raw[:, h:, :h] = n[:, None, :] * upper.T
+    stack = np.zeros((k, 2 * h, 2 * h))
+    stack[:, :h, :h] = n[:, None, :] - (i[:, None] == i)
+    stack[:, :h, h:] = m[:, None, :] * upper
+    stack[:, h:, :h] = n[:, None, :] * upper.T
     scale = np.sqrt(np.concatenate([n, m], axis=1))
-    symmetrized = raw * scale[:, :, None] / scale[:, None, :]
-    return raw, symmetrized
+    stack *= scale[:, :, None]
+    stack /= scale[:, None, :]
+    return stack
 
 
 def trivial_forecast(m, n, isolated=0) -> tuple:
@@ -109,8 +114,8 @@ def assemble_spectrum(form: NsgForm) -> np.ndarray:
     form has an empty quotient and only the padding.
     """
     pad0, padm1, _ = trivial_forecast(form.m, form.n, form.isolated)
-    symmetrized = quotient_stack(np.array([form.m]), np.array([form.n]))[1][0]
-    values = np.concatenate([np.linalg.eigvalsh(symmetrized), np.zeros(pad0),
+    quotient = quotient_stack(np.array([form.m]), np.array([form.n]))[0]
+    values = np.concatenate([np.linalg.eigvalsh(quotient), np.zeros(pad0),
                              np.full(padm1, -1.0)])
     return np.sort(values)[::-1]
 

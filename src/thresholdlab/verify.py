@@ -9,10 +9,12 @@ bits of the suffix tree.  A scan with rows (CSV output) solves the small
 eigenproblem of every graph; a scan without rows solves only the graphs its
 report needs, the failures and the few whose inertia counts find an
 eigenvalue in (0, eta+(A_n)] or [eta-(A_n), -1) up to a small margin, since
-only those can hold an eta extreme.  With k workers the scan forks k - 1
-children, each of which sweeps a fixed stride of the units and pipes its rows
-back, and sweeps the first stride itself (``_map``; POSIX only, as it needs
-``os.fork``).  One sort puts the solved rows of all units in index order, so
+only those can hold an eta extreme.  A unit groups the graphs it solves by
+h, read off each index by a popcount, and solves each group in stacks of at
+most SCAN_BLOCK_ENTRIES quotient entries, rows * (2h)^2.  With k workers the
+scan forks k - 1 children, each of which sweeps a fixed stride of the units
+and pipes its rows back, and sweeps the first stride itself (``_map``; POSIX
+only, as it needs ``os.fork``).  One sort puts the solved rows of all units in index order, so
 ties go to the lowest index and failures come in index order, and neither the
 unit split nor the worker count can change a report.  The reduction
 machinery walks the same vertex-deletion chain the inductive argument walks:
@@ -69,11 +71,11 @@ ORDER_CEILING = 64
 # order, 1e-13 at order 22), so that every row whose solved eta could reach
 # A_n's is still solved and the extremes and their ties are unchanged.
 PRUNE_MARGIN = 1e-9
-# Scan units solve the rows they need (every row when rows are kept) in
-# blocks of at most this many stacked quotient entries (order^2 per graph
-# bounds (2h)^2), so memory stays flat as the order grows.  Where blocks
-# start does not matter: every per-graph value is the same in any block.
-SCAN_BLOCK_ENTRIES = 1 << 17
+# Scan units solve the rows they need (every row when rows are kept) one h
+# at a time, in stacks of at most this many quotient entries, counted as
+# rows * (2h)^2, so memory stays flat as the order grows.  Where stacks
+# start does not matter: every per-graph value is the same in any stack.
+SCAN_BLOCK_ENTRIES = 1 << 15
 # Scans sweep units of at most 2^_SWEEP_UNIT_BITS sequences, about 7 MB of
 # kernel buffers at six points.  The split does not matter either: every
 # count is the same in any unit, and _run_scan sorts the rows by index.
@@ -354,18 +356,27 @@ def _block_symbols(order: int, index: np.ndarray) -> np.ndarray:
     return symbols
 
 
-def _scan_forecast(order: int, index: np.ndarray) -> np.ndarray:
-    """The trivial forecast pad0 + padm1 + inside of :func:`trivial_forecast`
-    for the connected sequences at ``index``: n - 2h + [m_h = 1].
+def _scan_h(index: np.ndarray) -> np.ndarray:
+    """h, the number of clique classes, of the connected sequences at ``index``.
 
     v = (index << 1) | 1 holds symbols 1..n-1, symbol 1 as its top bit.  Its
     bit changes, with the leading 0 of symbol 0 above it, are the 2h - 1
-    boundaries of the runs 0, 1, ..., 1, and m_h = 1 exactly when symbol 1
-    is 1.
+    boundaries of the runs 0, 1, ..., 1.  The result is uint8, built with
+    one int64 temporary, as a unit's h takes little memory beside its rows.
+    """
+    changes = index << 1
+    changes |= 1  # v, whose v >> 1 is index
+    changes ^= index
+    return (np.bitwise_count(changes) + 1) // 2
+
+
+def _scan_forecast(order: int, index: np.ndarray) -> np.ndarray:
+    """The trivial forecast pad0 + padm1 + inside of :func:`trivial_forecast`
+    for the connected sequences at ``index``: n - 2h + [m_h = 1], h from
+    :func:`_scan_h`; m_h = 1 exactly when symbol 1 is 1.
     """
     v = (index << 1) | 1
-    h = (np.bitwise_count(v ^ (v >> 1)).astype(np.int64) + 1) // 2
-    return order - 2 * h + ((v >> (order - 2)) & 1)
+    return order - 2 * _scan_h(index).astype(np.int64) + ((v >> (order - 2)) & 1)
 
 
 def _prune_thresholds(order: int) -> tuple[float, float]:
@@ -390,23 +401,31 @@ def _class_sizes(changes: np.ndarray, order: int, h: int) -> tuple[np.ndarray, n
     return runs[:, -2::-2], runs[:, :0:-2]
 
 
-def _scan_block(order: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Text and eigenvalues of the connected sequences at ``index`` of one order.
+def _solve(order: int, index: np.ndarray, gap: bool) -> list[np.ndarray]:
+    """Text, eta+ and eta-, and for a gap scan the clearance, of the
+    connected sequences at ``index`` of one order.
 
-    Graphs are grouped by h; each group's symmetrized quotients form one
-    (k_h, 2h, 2h) stack with a single eigensolve.  The eigenvalues are kept
-    zero-padded to a common width: 0 is trivial, so the padding counts for
-    neither eta nor the clearance.
+    The rows are grouped by h, and each group is solved in (k, 2h, 2h)
+    stacks of k * (2h)^2 <= SCAN_BLOCK_ENTRIES entries (k = 1 at least),
+    one ``eigvalsh`` call per stack; symbols and class sizes are built per
+    stack, and its values written straight into the columns.
     """
-    symbols = _block_symbols(order, index)
-    changes = symbols[:, 1:] != symbols[:, :-1]
-    h_of = (changes.sum(axis=1) + 1) // 2  # runs alternate 0, 1, ..., 1
-    eigs = np.zeros((len(index), 2 * int(h_of.max())))
+    columns = [np.empty(len(index), f"S{order}")]
+    columns += [np.empty(len(index)) for _ in range(3 if gap else 2)]
+    h_of = _scan_h(index)
     for h in np.flatnonzero(np.bincount(h_of)).tolist():
-        rows = np.flatnonzero(h_of == h)
-        m, n = _class_sizes(changes[rows], order, h)
-        eigs[rows, :2 * h] = np.linalg.eigvalsh(quotient_stack(m, n)[1])
-    return (symbols + ord("0")).view(f"S{order}").ravel(), eigs
+        group = np.flatnonzero(h_of == h)
+        size = max(1, SCAN_BLOCK_ENTRIES // (2 * h) ** 2)  # rows per stack
+        for start in range(0, len(group), size):
+            rows = group[start:start + size]
+            symbols = _block_symbols(order, index[rows])
+            m, n = _class_sizes(symbols[:, 1:] != symbols[:, :-1], order, h)
+            eigs = np.linalg.eigvalsh(quotient_stack(m, n))
+            columns[0][rows] = (symbols + ord("0")).view(f"S{order}").ravel()
+            columns[1][rows], columns[2][rows] = eta_extremes(eigs)
+            if gap:
+                columns[3][rows] = _clearance(eigs)
+    return columns
 
 
 def _scan_unit(kind: str, order: int, top: int, low: int,
@@ -421,8 +440,8 @@ def _scan_unit(kind: str, order: int, top: int, low: int,
     solves a row only when the kernel finds an eigenvalue in
     (CLASSIFY_EPS/2, t+ + PRUNE_MARGIN] or in (t- - PRUNE_MARGIN, -1 -
     CLASSIFY_EPS/2], or a gap row when its interval count misses the
-    forecast; no other row can hold an eta extreme or a failure.  Rows are
-    solved block by block.
+    forecast; no other row can hold an eta extreme or a failure.  The rows
+    are solved by :func:`_solve`.
     """
     gap = kind == "gap"
     points = (GAP_LOWER, GAP_UPPER) if gap else ()
@@ -430,8 +449,8 @@ def _scan_unit(kind: str, order: int, top: int, low: int,
         t_plus, t_minus = thresholds
         points += (CLASSIFY_EPS / 2, t_plus + PRUNE_MARGIN,
                    t_minus - PRUNE_MARGIN, -1.0 - CLASSIFY_EPS / 2)
-    counts = count_eigs_leq_sweep(order, points, top, low)
-    index = (np.arange(counts.shape[1], dtype=np.int64) << top) | low
+    index = (np.arange(1 << (order - 2 - top), dtype=np.int64) << top) | low
+    counts = count_eigs_leq_sweep(order, points, top, low) if points else None
     gap_columns = []
     if gap:
         gap_columns = [counts[1].astype(np.int64) - counts[0], _scan_forecast(order, index)]
@@ -440,18 +459,8 @@ def _scan_unit(kind: str, order: int, top: int, low: int,
         if gap:
             solve |= gap_columns[0] != gap_columns[1]
         index, gap_columns = index[solve], [column[solve] for column in gap_columns]
-    text = np.empty(len(index), f"S{order}")
-    eta_plus, eta_minus, clearance = (np.empty(len(index)) for _ in range(3))
-    size = max(1, SCAN_BLOCK_ENTRIES // (order * order))  # graphs per block
-    for start in range(0, len(index), size):
-        part = slice(start, start + size)
-        text[part], eigs = _scan_block(order, index[part])
-        eta_plus[part], eta_minus[part] = eta_extremes(eigs)
-        if gap:
-            clearance[part] = _clearance(eigs)
-    if gap:
-        return index, [text, eta_plus, eta_minus, *gap_columns, clearance]
-    return index, [text, eta_plus, eta_minus]
+    text, eta_plus, eta_minus, *clearance = _solve(order, index, gap)
+    return index, [text, eta_plus, eta_minus, *gap_columns, *clearance]
 
 
 def _map(fn, items, workers: int) -> list:

@@ -65,6 +65,23 @@ def nsg_edges(m, n, isolated=0):
     return order, edges
 
 
+def divisor_matrix(m, n):
+    """Raw 2h x 2h divisor matrix of NSG(m;n) over the cells V_1..V_h,
+    U_1..U_h: entry (a, b) counts the neighbours in cell b of the first
+    vertex of cell a, read off the edges of :func:`nsg_edges`."""
+    _, edges = nsg_edges(m, n)
+    cells, pos = [], 0
+    for size in (*n, *m):
+        cells.append(range(pos, pos + size))
+        pos += size
+    raw = np.zeros((len(cells), len(cells)))
+    for a, cell in enumerate(cells):
+        v = cell[0]
+        for b, other in enumerate(cells):
+            raw[a, b] = sum((min(v, w), max(v, w)) in edges for w in other)
+    return raw
+
+
 def adjacency_from_edges(order, edges):
     """uint8 adjacency matrix of a simple graph given by its edge list."""
     a = np.zeros((order, order), dtype=np.uint8)

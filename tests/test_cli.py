@@ -332,6 +332,28 @@ def test_scan_gap_csv_rows(capsys):
     assert all(row.endswith(",pass") for row in rows[1:])
 
 
+def test_scan_csv_equals_to_csv_over_the_columns(monkeypatch):
+    # the row template prints what formats.to_csv prints over the scan's
+    # columns, an absent eta as NaN: order 2 has no eta-, nor has K_n at any
+    # order; blocks of 7 rows also check where blocks join
+    for rows_per_text in (cli._SCAN_CSV_ROWS, 7):
+        monkeypatch.setattr(cli, "_SCAN_CSV_ROWS", rows_per_text)
+        for scan in (verify.scan_gap, verify.scan_conjecture):
+            for order in range(2, 13):
+                report = scan(order, keep_rows=True)
+                rows = report.rows
+                columns = [rows.sequence, np.full(len(rows.sequence), order),
+                           *(np.where(np.isinf(eta), np.nan, eta)
+                             for eta in (rows.eta_plus, rows.eta_minus))]
+                if report.kind == "gap":
+                    count, expected = rows.count_in_interval, rows.expected_trivial
+                    columns += [count, expected, rows.min_nontrivial_distance,
+                                np.where(count == expected, "pass", "fail")]
+                assert np.isinf(rows.eta_minus).any()
+                assert "".join(cli.scan_csv(report)) == to_csv(
+                    cli.SCAN_CSV_KEYS[:len(columns)], columns), (rows_per_text, order)
+
+
 def test_scan_identical_invocations_byte_identical(capsys):
     first = run(capsys, "scan-conjecture", "--order", "9", "--format", "json")
     second = run(capsys, "scan-conjecture", "--order", "9", "--format", "json")
@@ -683,6 +705,10 @@ def test_scripts_run(tmp_path, capsys):
     assert [line[:6] for line in lines] == [f"n={o:4d}" for o in range(2, 13)]
     assert all(line.endswith("[pass]") for line in lines)
     assert len((tmp_path / "tmp" / "b.csv").read_text().splitlines()) == 12
+    for step in ("0", "-1"):  # range() would refuse 0 in its own words, and run no -1 step
+        done = script(tmp_path, "antiregular_bounds.py", "--max-order", "12", "--step", step)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            1, "", f"error: --step must be at least 1, got {step}\n"), step
     src = str(pathlib.Path(thresholdlab.__file__).parents[1])
     lines = run_script(tmp_path, "bench_scan_csv.py", "--src", src, "--commit", "x",
                        "--orders", "5", "6", "--repeats", "1", "--out", "tmp/bench.json")

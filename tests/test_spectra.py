@@ -34,9 +34,10 @@ PAW_SPECTRUM = [2.170086486626034, 0.3111078174659816, -1.0, -1.4811943040920156
 
 
 def quotient(form):
-    """(raw, symmetrized) quotient of one form."""
-    raw, symmetrized = quotient_stack(np.array([form.m]), np.array([form.n]))
-    return raw[0], symmetrized[0]
+    """(raw, symmetrized) quotient of one form: the oracle's divisor matrix
+    and the library's symmetrized one."""
+    symmetrized = quotient_stack(np.array([form.m]), np.array([form.n]))[0]
+    return oracles.divisor_matrix(form.m, form.n), symmetrized
 
 
 def small_forms(max_order, min_h=0):
@@ -103,17 +104,33 @@ def test_quotient_minus_one_membership():
         assert hits == (1 if form.m[-1] == 1 else 0), form
 
 
+def symmetrize(form, raw):
+    """D^(1/2) raw D^(-1/2), D = diag(cell sizes V_1..V_h, U_1..U_h), each
+    entry as (raw_ij * s_i) / s_j with s = sqrt(D)."""
+    scale = np.sqrt(np.array([*form.n, *form.m], dtype=float))
+    return raw * scale[:, None] / scale[None, :]
+
+
+def test_quotient_stack_is_the_symmetrized_divisor_matrix():
+    # entry for entry the oracle's raw matrix scaled by D^(1/2) . D^(-1/2),
+    # with the same float operations in the same order
+    for form in small_forms(10, min_h=1):
+        raw, symmetrized = quotient(form)
+        assert np.array_equal(symmetrized, symmetrize(form, raw)), form
+
+
 def test_quotient_stack_matches_single_forms():
     # the scans' stacked build gives each form its single-form quotient
     # entry for entry, so both routes solve the same floats
     for h in (1, 2, 3):
         forms = [NsgForm(m, n) for m in itertools.product((1, 2, 5), repeat=h)
                  for n in itertools.product((1, 3), repeat=h)]
-        raw, symmetrized = quotient_stack(np.array([f.m for f in forms]),
-                                          np.array([f.n for f in forms]))
+        symmetrized = quotient_stack(np.array([f.m for f in forms]),
+                                     np.array([f.n for f in forms]))
         for k, form in enumerate(forms):
-            assert np.array_equal(raw[k], quotient(form)[0])
-            assert np.array_equal(symmetrized[k], quotient(form)[1])
+            raw, single = quotient(form)
+            assert np.array_equal(symmetrized[k], symmetrize(form, raw))
+            assert np.array_equal(symmetrized[k], single)
 
 
 # ---------------------------------------------------------------- eigensolving

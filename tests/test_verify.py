@@ -445,12 +445,15 @@ def test_scan_workers_need_fork(monkeypatch):
 def test_scan_deterministic_across_workers():
     assert scan_gap(8, workers=1) == scan_gap(8, workers=3)
     assert scan_conjecture(7, workers=1) == scan_conjecture(7, workers=2)
-    # order 14 spans several scan blocks that mix several h; one worker
-    # sweeps it in one unit of 4096 graphs and three in four units of 1024
-    # strided graphs, and the block size divides neither, so each worker
-    # count cuts the order into different blocks
-    block = SCAN_BLOCK_ENTRIES // 14**2
-    assert block < 1024 and 4096 % block and 1024 % block
+    # order 14 has 1716 graphs with h = 4; one worker sweeps them in one
+    # unit of 4096 graphs and solves them in stacks of 512 and a short last
+    # one, three sweep them in four units of 1024 strided graphs and solve
+    # each unit's share in one stack, so each worker count cuts the order
+    # into different stacks
+    h_of = verify._scan_h(np.arange(4096))
+    stack = SCAN_BLOCK_ENTRIES // (2 * 4) ** 2
+    assert np.count_nonzero(h_of == 4) == 1716 and stack < 1716 and 1716 % stack
+    assert all(np.count_nonzero(h_of[low::4] == 4) < stack for low in range(4))
     assert scan_gap(14, workers=1, keep_rows=True) == scan_gap(14, workers=3, keep_rows=True)
     assert (scan_conjecture(14, workers=1, keep_rows=True)
             == scan_conjecture(14, workers=3, keep_rows=True))
@@ -481,10 +484,10 @@ def test_scan_rows_match_single_checks():
 
 
 def test_scan_reports_do_not_depend_on_block_size(monkeypatch):
-    # one graph per block merges at every graph boundary, in units of one
-    # graph; 300 graphs per block at order 12 (357 at 11) leaves a short
-    # last block; units of eight strided graphs merge at every unit
-    # boundary.  Etas rounded to one decimal make many graphs tie, and each
+    # one graph per stack merges at every graph boundary, in units of one
+    # graph; stacks of 300 graphs at h = 3 (168 at h = 4) leave a short
+    # last stack of the 462 (330) such graphs at order 12; units of eight
+    # strided graphs merge at every unit boundary.  Etas rounded to one decimal make many graphs tie, and each
     # tie must still go to the lowest index, as min() over the rows picks it.
     honest_eta = verify.eta_extremes
     for coarse in (False, True):
@@ -505,7 +508,7 @@ def test_scan_reports_do_not_depend_on_block_size(monkeypatch):
                     expected = None if first is None else (
                         etas[first], report.rows.sequence[first].decode())
                     assert getattr(report, f"extremal_{key}") == expected, (coarse, order, key)
-        for entries, unit_bits in ((1, 0), (300 * 12**2, verify._SWEEP_UNIT_BITS),
+        for entries, unit_bits in ((1, 0), (300 * 6**2, verify._SWEEP_UNIT_BITS),
                                    (SCAN_BLOCK_ENTRIES, 3)):
             monkeypatch.setattr(verify, "SCAN_BLOCK_ENTRIES", entries)
             monkeypatch.setattr(verify, "_SWEEP_UNIT_BITS", unit_bits)
@@ -523,6 +526,7 @@ def test_scan_forecast_equals_trivial_forecast_over_class_sizes():
         symbols = verify._block_symbols(order, index)
         changes = symbols[:, 1:] != symbols[:, :-1]
         h_of = (changes.sum(axis=1) + 1) // 2
+        assert verify._scan_h(index).tolist() == h_of.tolist(), order
         expected = np.zeros(len(index), dtype=np.int64)
         for h in np.unique(h_of).tolist():
             rows = np.flatnonzero(h_of == h)
@@ -603,6 +607,33 @@ def test_scan_without_rows_solves_under_one_percent(monkeypatch):
         solved[0] = 0
         scan(14, keep_rows=True)
         assert solved[0] == 4096, scan.__name__
+
+
+def test_scan_stacks_hold_one_h_within_the_entry_bound(monkeypatch):
+    # a kept-row scan solves every graph once, in stacks of forms that all
+    # have the stack's h nonempty classes, each stack k graphs of (2h)^2
+    # entries with k * (2h)^2 <= SCAN_BLOCK_ENTRIES, or a single graph
+    stacks = []
+    honest = verify.quotient_stack
+
+    def recording(m, n):
+        stacks.append((m.copy(), n.copy()))
+        return honest(m, n)
+
+    monkeypatch.setattr(verify, "quotient_stack", recording)
+    for entries, orders in ((SCAN_BLOCK_ENTRIES, range(2, 17)), (100, range(2, 13))):
+        monkeypatch.setattr(verify, "SCAN_BLOCK_ENTRIES", entries)
+        for scan in (scan_gap, scan_conjecture):
+            for order in orders:
+                stacks.clear()
+                scan(order, keep_rows=True)
+                assert sum(len(m) for m, _ in stacks) == 2 ** (order - 2), (entries, order)
+                for m, n in stacks:
+                    k, h = m.shape
+                    assert m.min() >= 1 and n.min() >= 1, (entries, order, h)
+                    assert (m.sum(axis=1) + n.sum(axis=1) == order).all(), (entries, order, h)
+                    assert k * (2 * h) ** 2 <= entries or k == 1, (entries, order, h, k)
+    assert any(len(m) == 1 and 4 * m.shape[1] ** 2 > 100 for m, _ in stacks)
 
 
 def one_flip_from_antiregular(order):

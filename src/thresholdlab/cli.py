@@ -3,9 +3,9 @@
 Subcommands: gen, spectrum, check-gap, scan-gap, scan-conjecture,
 check-antiregular, reduce, recognize.  Each handler builds records (ordered
 dicts) and renders them with ``formats.to_plain``, ``to_csv`` or
-``to_json``; a scan's CSV rows go from their columns to the output one scan
-block at a time (``scan_csv``).  Exit codes: 0 success/pass, 2 verification
-failure, 1 usage or input error.
+``to_json``; a scan's CSV rows go from their columns to the output 1024
+rows at a time, one ``%`` template per row (``scan_csv``).  Exit codes: 0
+success/pass, 2 verification failure, 1 usage or input error.
 """
 
 from __future__ import annotations

@@ -14,7 +14,11 @@ benchmark's yardstick (perfbench/yardstick.py) runs in this process before
 and after each run, and ``cpu_s_norm`` is the median CPU time scaled to a
 host that runs the yardstick in ``yardstick.NOMINAL_S``, so that points
 taken at different times, when the host runs at different speeds, can be
-compared.  Points already in the file under the same key are replaced.
+compared.  ``minflt`` is the median count of minor page faults of the scan
+(``ru_minflt`` of the scan process during the scan, plus that of the
+workers it forks and reaps).  Points already in the file under the same key
+are replaced.  A ``--repeats`` below 1 or an ``--out`` whose directory does
+not exist is refused with exit 1 before any scan runs.
 
 Example:
     python3 scripts/bench_scan_csv.py --src src --commit "$(git rev-parse --short HEAD)" \\
@@ -41,20 +45,23 @@ KEY = ("commit", "kind", "order", "workers", "format")
 CHILD = """\
 import os, resource, sys, time
 from thresholdlab import cli
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 start, cpu = time.perf_counter(), time.process_time()
 code = cli.main(sys.argv[1:] + ["--out", os.devnull])
 wall = time.perf_counter() - start
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 workers = resource.getrusage(resource.RUSAGE_CHILDREN)
 with open("/proc/self/status") as fh:
     peak = next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM:"))
 print(code, wall, time.process_time() - cpu + workers.ru_utime + workers.ru_stime,
-      peak / 1024, workers.ru_maxrss / 1024)
+      peak / 1024, workers.ru_maxrss / 1024, faults + workers.ru_minflt)
 """
 
 
 def run(src: str, kind: str, order: int, workers: int,
-        fmt: str) -> tuple[float, float, float, float, float]:
-    """(wall s, CPU s, peak RSS MB, worker peak RSS MB, normalized CPU s) of one run."""
+        fmt: str) -> tuple[float, float, float, float, float, int]:
+    """(wall s, CPU s, peak RSS MB, worker peak RSS MB, normalized CPU s,
+    minor faults) of one run."""
     before = yardstick.cpu_seconds()
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     done = subprocess.run([sys.executable, "-c", CHILD, f"scan-{kind}", "--order", str(order),
@@ -64,9 +71,9 @@ def run(src: str, kind: str, order: int, workers: int,
     code, *figures = done.stdout.split()
     if code not in ("0", "2"):
         raise SystemExit(f"scan-{kind} --order {order} exited {code}: {done.stderr}")
-    wall, cpu, peak, worker_peak = map(float, figures)
+    wall, cpu, peak, worker_peak, faults = map(float, figures)
     yard = (before + yardstick.cpu_seconds()) / 2
-    return wall, cpu, peak, worker_peak, cpu * yardstick.NOMINAL_S / yard
+    return wall, cpu, peak, worker_peak, cpu * yardstick.NOMINAL_S / yard, int(faults)
 
 
 def main() -> int:
@@ -79,9 +86,15 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", required=True, help="BENCH JSON file to update")
     args = parser.parse_args()
+    out = pathlib.Path(args.out)
+    if args.repeats < 1:
+        print(f"error: --repeats must be at least 1, got {args.repeats}", file=sys.stderr)
+        return 1
+    if not out.parent.is_dir():
+        print(f"error: --out directory {str(out.parent)!r} does not exist", file=sys.stderr)
+        return 1
 
     src = str(pathlib.Path(args.src).resolve())
-    out = pathlib.Path(args.out)
     points = json.loads(out.read_text()) if out.exists() else []
     for kind in ("gap", "conjecture"):
         for order in args.orders:
@@ -95,6 +108,7 @@ def main() -> int:
                 "workers": args.workers, "format": args.format, "runs": args.repeats,
                 "wall_s": round(wall, 3), "cpu_s": round(cpu, 3),
                 "cpu_s_norm": float(f"{statistics.median(r[4] for r in runs):.4g}"),
+                "minflt": round(statistics.median(r[5] for r in runs)),
                 "graphs_per_s": round(graphs / wall), "graphs_per_cpu_s": round(graphs / cpu),
                 "peak_rss_mb": round(max(r[2] for r in runs), 1),
                 "worker_peak_rss_mb": round(max(r[3] for r in runs), 1) if args.workers > 1 else None,

@@ -17,21 +17,24 @@ spectra.
 Exhaustive scans work on many graphs at a time.  They count by
 :func:`count_eigs_leq_sweep`, which runs the congruence over the suffix tree
 of the creation sequences: sequences that end alike share their states, so a
-whole order costs about two steps per graph instead of n.  A gap scan takes
-the interval counts of every graph from it; a scan without rows also counts
-near the anti-regular graph's extremes, to pick the few graphs it solves
-(see ``verify._scan_unit``).  The quotients of the solved forms that
-share h are built in place into one (k, 2h, 2h) stack of symmetrized
-matrices (:func:`quotient_stack`, which returns no raw divisor matrix) and
-solved by one stacked ``eigvalsh`` call, which reads one triangle of each;
-:func:`eta_extremes` takes such stacks too.  Every per-graph value is the
-same float as on the single-graph route, and the two kernels give the same
-counts.
+whole order costs about two steps per graph instead of n.  It sweeps a
+worker's whole stride of units in one workspace, allocated once, and counts
+a state when d <= pivmin, clamping only at the rare level where a state lies
+within pivmin of zero.  A gap scan takes the interval counts of every graph
+from it; a scan without rows also counts near the anti-regular graph's
+extremes, to pick the few graphs it solves (see ``verify._pick_rows``).
+The quotients of the solved forms that share h are built in place into one
+(k, 2h, 2h) stack of symmetrized matrices (:func:`quotient_stack`, which
+returns no raw divisor matrix) and solved by one stacked ``eigvalsh`` call,
+which reads one triangle of each; :func:`eta_extremes` takes such stacks
+too.  Every per-graph value is the same float as on the single-graph route,
+and the two kernels give the same counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -149,10 +152,11 @@ def count_eigs_leq(seq: CreationSequence, x: float) -> int:
     return count
 
 
-def count_eigs_leq_sweep(order: int, xs, top: int, low: int) -> np.ndarray:
+def count_eigs_leq_sweep(order: int, xs, top: int, lows) -> Iterator[np.ndarray]:
     """:func:`count_eigs_leq` at each point of ``xs`` for the connected
-    sequences of the order whose index has ``low`` in its low ``top`` bits;
-    returns (len(xs), 2^(order-2-top)) int8 counts, column j for index
+    sequences of the order whose index has ``low`` in its low ``top`` bits,
+    for each ``low`` of ``lows`` in turn; yields one (len(xs),
+    2^(order-2-top)) int8 array of counts per low, column j for index
     j*2^top + low.
 
     A connected sequence is 0, the order-2 index bits (most significant
@@ -161,43 +165,56 @@ def count_eigs_leq_sweep(order: int, xs, top: int, low: int) -> np.ndarray:
     through the final 1 and the ``top`` fixed bits; then each free bit, from
     the least significant, doubles the states into [f_0(d), f_1(d)], which
     makes the new bit the most significant of the leaf number.  The state
-    before the first symbol is tested but never stepped.  Each sequence's
-    path runs through the same float operations in the same order as the
-    scalar kernel, so the counts are equal to its counts exactly.
+    before the first symbol is tested but never stepped.
+
+    A state counts when d <= pivmin, which is exactly d < 0 after the scalar
+    kernel's clamp.  The clamp runs only at a level where some state lies
+    within pivmin of zero, seen as fewer states below -pivmin than at or
+    below pivmin, and then clamps as the scalar kernel does.  Each
+    sequence's path runs through the same float operations in the same
+    order as the scalar kernel, so the counts are equal to its counts
+    exactly.
+
+    All units share one workspace: the states, a scratch array, the flags
+    and the counts are allocated once, and every yielded array is the same
+    counts buffer, which holds a unit's counts only until the next unit is
+    swept.
     """
     xs = [float(x) for x in xs]
     pivmin = np.array([_SAFMIN * (order + abs(x) + 1.0) ** 2 for x in xs])[:, None]
-    x = np.array(xs)[:, None]
-    a = (x, x + 1.0)  # x + 0.0 is x: symbol 0 and symbol 1
-    square = (a[0] * a[0], a[1] * a[1])
-    twice = (-2.0 * a[0], -2.0 * a[1])
-    shape = (len(xs), 1 << (order - 2 - top))
-    d, scratch = np.empty(shape), np.empty(shape)
-    negative = np.empty(shape, dtype=bool)
-    counts = np.zeros(shape, dtype=np.int8)
-    d[:, :1] = -x
+    clamped = -pivmin
+    x = np.array(xs)[:, None, None]
+    a = np.concatenate([x, x + 1.0], axis=1)  # x + 0.0 is x: symbol 0 and symbol 1
+    square, twice = a * a, -2.0 * a  # (points, 2, 1)
+    points, leaves = len(xs), 1 << (order - 2 - top)
+    d, scratch = np.empty((points, leaves)), np.empty((points, leaves))
+    flags, strict = np.empty((points, leaves), dtype=np.int8), np.empty((points, leaves), dtype=bool)
+    counts = np.empty((points, leaves), dtype=np.int8)
 
-    def test(width: int) -> None:  # clamp, then count d < 0
-        states, flags = d[:, :width], negative[:, :width]
-        np.less_equal(np.abs(states, out=scratch[:, :width]), pivmin, out=flags)
-        np.copyto(states, -pivmin, where=flags)
-        counts[:, :width] += np.less(states, 0.0, out=flags)
+    def test(width: int) -> None:  # count d <= pivmin; clamp if any |d| <= pivmin
+        states, below = d[:, :width], flags[:, :width]
+        counts[:, :width] += np.less_equal(states, pivmin, out=below)
+        if np.count_nonzero(np.less(states, clamped, out=strict[:, :width])) < np.count_nonzero(below):
+            np.less_equal(np.abs(states, out=scratch[:, :width]), pivmin, out=strict[:, :width])
+            np.copyto(states, clamped, where=strict[:, :width])
 
-    def step(symbol: int, states: np.ndarray, out: np.ndarray) -> None:  # -2a - a^2/d
-        np.subtract(twice[symbol], np.divide(square[symbol], states, out=out), out=out)
-
-    width = 1
-    for bit in range(-1, order - 2):  # -1: the final symbol 1
+    for low in lows:
+        d[:, :1], counts[:, :1] = -x[:, 0], 0
+        width = 1
+        for bit in range(-1, order - 2):  # -1: the final symbol 1
+            test(width)
+            if bit < top:
+                symbol = 1 if bit < 0 else (low >> bit) & 1
+                d[:, :1] = twice[:, symbol] - square[:, symbol] / d[:, :1]
+            else:  # -2a - a^2/d for both symbols, into [f_0(d), f_1(d)]
+                both = (points, 2, width)
+                quotient = np.divide(square, d[:, None, :width],
+                                     out=scratch[:, :2 * width].reshape(both))
+                np.subtract(twice, quotient, out=d[:, :2 * width].reshape(both))
+                counts[:, width:2 * width] = counts[:, :width]
+                width *= 2
         test(width)
-        if bit < top:
-            step(1 if bit < 0 else (low >> bit) & 1, d[:, :1], d[:, :1])
-        else:
-            step(1, d[:, :width], d[:, width:2 * width])
-            step(0, d[:, :width], d[:, :width])
-            counts[:, width:2 * width] = counts[:, :width]
-            width *= 2
-    test(width)
-    return counts
+        yield counts
 
 
 def eta_extremes(values: np.ndarray) -> tuple:

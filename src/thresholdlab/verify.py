@@ -9,14 +9,18 @@ bits of the suffix tree.  A scan with rows (CSV output) solves the small
 eigenproblem of every graph; a scan without rows solves only the graphs its
 report needs, the failures and the few whose inertia counts find an
 eigenvalue in (0, eta+(A_n)] or [eta-(A_n), -1) up to a small margin, since
-only those can hold an eta extreme.  A unit groups the graphs it solves by
-h, read off each index by a popcount, and solves each group in stacks of at
-most SCAN_BLOCK_ENTRIES quotient entries, rows * (2h)^2.  With k workers the
-scan forks k - 1 children, each of which sweeps a fixed stride of the units
-and pipes its rows back, and sweeps the first stride itself (``_map``; POSIX
-only, as it needs ``os.fork``).  One sort puts the solved rows of all units in index order, so
-ties go to the lowest index and failures come in index order, and neither the
-unit split nor the worker count can change a report.  The reduction
+only those can hold an eta extreme.  A gap scan without rows counts at four
+points, the gap endpoints and the margins beyond A_n's extremes, and a
+conjecture scan at four of its own (see ``_pick_rows``).  With k workers
+the scan forks k - 1 children, each of which sweeps a fixed stride of the
+units in one kernel workspace and pipes one result back, its solved rows,
+and sweeps the first stride itself (``_map``; POSIX only, as it needs
+``os.fork``).  A worker groups the graphs it solves by h, read off each
+index by a popcount, and solves each group in stacks of at most
+SCAN_BLOCK_ENTRIES quotient entries, rows * (2h)^2.  One sort puts the
+solved rows of all workers in index order, so ties go to the lowest index
+and failures come in index order, and neither the unit split nor the worker
+count can change a report.  The reduction
 machinery walks the same vertex-deletion chain the inductive argument walks:
 every non-anti-regular graph has a vertex whose removal drops exactly one
 trivial eigenvalue, and iterating lands on an anti-regular graph whose
@@ -32,6 +36,8 @@ import pickle
 import signal
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
+from typing import Iterator
 
 import numpy as np
 
@@ -60,25 +66,27 @@ GAP_UPPER = (-1.0 + math.sqrt(2.0)) / 2.0
 
 DEFAULT_ORDER_CAP = 22
 # No scan order may pass this, whatever the cap: sequence indices run up to
-# 2^(order-2), and _scan_forecast shifts them up one bit, which int64 holds
+# 2^(order-2), and _scan_h shifts them up one bit, which int64 holds
 # up to order 64.  There, eigvalsh's error on
 # a 2h x 2h quotient of norm <= order, about 2h * eps * order <= 1e-12, is
 # still far below PRUNE_MARGIN.
 ORDER_CEILING = 64
 # A scan run without rows solves a row only when the kernel finds an
-# eigenvalue within this margin beyond A_n's eta (see _scan_unit).  It must
+# eigenvalue within this margin beyond A_n's eta (see _scan_stride).  It must
 # exceed eigvalsh's absolute error on the row's quotient (about 2h * eps *
 # order, 1e-13 at order 22), so that every row whose solved eta could reach
 # A_n's is still solved and the extremes and their ties are unchanged.
 PRUNE_MARGIN = 1e-9
-# Scan units solve the rows they need (every row when rows are kept) one h
-# at a time, in stacks of at most this many quotient entries, counted as
-# rows * (2h)^2, so memory stays flat as the order grows.  Where stacks
-# start does not matter: every per-graph value is the same in any stack.
+# Scan workers solve the rows their units need (every row when rows are
+# kept) one h at a time, in stacks of at most this many quotient entries,
+# counted as rows * (2h)^2, so memory stays flat as the order grows.  Where
+# stacks start does not matter: every per-graph value is the same in any
+# stack.
 SCAN_BLOCK_ENTRIES = 1 << 15
-# Scans sweep units of at most 2^_SWEEP_UNIT_BITS sequences, about 7 MB of
-# kernel buffers at six points.  The split does not matter either: every
-# count is the same in any unit, and _run_scan sorts the rows by index.
+# Scans sweep units of at most 2^_SWEEP_UNIT_BITS sequences; a worker's
+# kernel workspace, allocated once for all its units, is then about 5 MB at
+# four points.  The split does not matter either: every count is the same
+# in any unit, and _run_scan sorts the rows by index.
 _SWEEP_UNIT_BITS = 16
 # Scans refuse more workers than this, since a scan forks all of its workers
 # (one fewer, as the parent is one) before any unit runs.  A constant, not the
@@ -154,8 +162,8 @@ class ScanRows:
     absent eta reads +inf (``eta_plus``) or -inf (``eta_minus``), as from
     ``eta_extremes``.  Gap scans add the interval count, the trivial
     forecast and the clearance (inf when no eigenvalue is nontrivial), each
-    as ``check_gap`` reports it; conjecture scans leave them None.  Two are
-    equal when every column is.
+    as ``check_gap`` reports it, the two counts as int8; conjecture scans
+    leave them None.  Two are equal when every column is.
     """
 
     sequence: np.ndarray
@@ -362,7 +370,8 @@ def _scan_h(index: np.ndarray) -> np.ndarray:
     v = (index << 1) | 1 holds symbols 1..n-1, symbol 1 as its top bit.  Its
     bit changes, with the leading 0 of symbol 0 above it, are the 2h - 1
     boundaries of the runs 0, 1, ..., 1.  The result is uint8, built with
-    one int64 temporary, as a unit's h takes little memory beside its rows.
+    one int64 temporary, as the h of a run of rows takes little memory beside
+    the rows.
     """
     changes = index << 1
     changes |= 1  # v, whose v >> 1 is index
@@ -370,13 +379,27 @@ def _scan_h(index: np.ndarray) -> np.ndarray:
     return (np.bitwise_count(changes) + 1) // 2
 
 
-def _scan_forecast(order: int, index: np.ndarray) -> np.ndarray:
+def _scan_forecast(order: int, top: int, lows) -> Iterator[np.ndarray]:
     """The trivial forecast pad0 + padm1 + inside of :func:`trivial_forecast`
-    for the connected sequences at ``index``: n - 2h + [m_h = 1], h from
-    :func:`_scan_h`; m_h = 1 exactly when symbol 1 is 1.
+    of the connected sequences of each sweep unit, one int8 array per
+    ``low`` of ``lows``, leaf j for index j*2^top + low as in
+    :func:`count_eigs_leq_sweep`.
+
+    It is n - 2h + [m_h = 1] = n - 1 - c + [m_h = 1], with c = 2h - 1 the
+    bit changes of v = (index << 1) | 1 against the index (see
+    :func:`_scan_h`); m_h = 1 exactly when symbol 1, bit n - 2 of v, is 1.
+    The changes below bit ``top`` depend on ``low`` alone, and those from it
+    up are the changes of (j << 1) | b against j, b being bit top - 1 of
+    ``low`` (1 when top = 0), so two tables over j, built once, serve every
+    unit.
     """
-    v = (index << 1) | 1
-    return order - 2 * _scan_h(index).astype(np.int64) + ((v >> (order - 2)) & 1)
+    free = order - 2 - top
+    j = np.arange(1 << free, dtype=np.int64)
+    tables = [((v >> free) - np.bitwise_count(v ^ j)).astype(np.int8)
+              for v in (j << 1, (j << 1) | 1)]
+    for low in lows:
+        changes = ((((low << 1) | 1) ^ low) & ((1 << top) - 1)).bit_count()
+        yield tables[(low >> (top - 1)) & 1 if top else 1] + (order - 1 - changes)
 
 
 def _prune_thresholds(order: int) -> tuple[float, float]:
@@ -405,78 +428,107 @@ def _solve(order: int, index: np.ndarray, gap: bool) -> list[np.ndarray]:
     """Text, eta+ and eta-, and for a gap scan the clearance, of the
     connected sequences at ``index`` of one order.
 
-    The rows are grouped by h, and each group is solved in (k, 2h, 2h)
-    stacks of k * (2h)^2 <= SCAN_BLOCK_ENTRIES entries (k = 1 at least),
-    one ``eigvalsh`` call per stack; symbols and class sizes are built per
+    The rows are grouped by h within runs of 2^_SWEEP_UNIT_BITS, so that the
+    grouping's index arrays stay the size of one unit's however many rows a
+    worker solves.  Each group is solved in (k, 2h, 2h) stacks of
+    k * (2h)^2 <= SCAN_BLOCK_ENTRIES entries (k = 1 at least), one
+    ``eigvalsh`` call per stack; symbols and class sizes are built per
     stack, and its values written straight into the columns.
     """
     columns = [np.empty(len(index), f"S{order}")]
     columns += [np.empty(len(index)) for _ in range(3 if gap else 2)]
-    h_of = _scan_h(index)
-    for h in np.flatnonzero(np.bincount(h_of)).tolist():
-        group = np.flatnonzero(h_of == h)
-        size = max(1, SCAN_BLOCK_ENTRIES // (2 * h) ** 2)  # rows per stack
-        for start in range(0, len(group), size):
-            rows = group[start:start + size]
-            symbols = _block_symbols(order, index[rows])
-            m, n = _class_sizes(symbols[:, 1:] != symbols[:, :-1], order, h)
-            eigs = np.linalg.eigvalsh(quotient_stack(m, n))
-            columns[0][rows] = (symbols + ord("0")).view(f"S{order}").ravel()
-            columns[1][rows], columns[2][rows] = eta_extremes(eigs)
-            if gap:
-                columns[3][rows] = _clearance(eigs)
+    run = 1 << _SWEEP_UNIT_BITS
+    for first in range(0, len(index), run):
+        h_of = _scan_h(index[first:first + run])
+        for h in np.flatnonzero(np.bincount(h_of)).tolist():
+            group = np.flatnonzero(h_of == h) + first
+            size = max(1, SCAN_BLOCK_ENTRIES // (2 * h) ** 2)  # rows per stack
+            for start in range(0, len(group), size):
+                rows = group[start:start + size]
+                symbols = _block_symbols(order, index[rows])
+                m, n = _class_sizes(symbols[:, 1:] != symbols[:, :-1], order, h)
+                eigs = np.linalg.eigvalsh(quotient_stack(m, n))
+                columns[0][rows] = (symbols + ord("0")).view(f"S{order}").ravel()
+                columns[1][rows], columns[2][rows] = eta_extremes(eigs)
+                if gap:
+                    columns[3][rows] = _clearance(eigs)
     return columns
 
 
-def _scan_unit(kind: str, order: int, top: int, low: int,
-               thresholds: tuple[float, float] | None) -> tuple[np.ndarray, list]:
-    """(index, columns) of the rows one sweep unit solves, the columns in
-    :class:`ScanRows` order.
-
-    The unit is every connected sequence whose index has ``low`` in its low
-    ``top`` bits, counted by :func:`count_eigs_leq_sweep` at the gap
-    endpoints for a gap scan.  With rows kept (``thresholds`` None) it solves
-    every row.  Without, with (t+, t-) from :func:`_prune_thresholds`, it
-    solves a row only when the kernel finds an eigenvalue in
-    (CLASSIFY_EPS/2, t+ + PRUNE_MARGIN] or in (t- - PRUNE_MARGIN, -1 -
-    CLASSIFY_EPS/2], or a gap row when its interval count misses the
-    forecast; no other row can hold an eta extreme or a failure.  The rows
-    are solved by :func:`_solve`.
+def _scan_stride(kind: str, order: int, top: int, lows,
+                 thresholds: tuple[float, float] | None) -> tuple[np.ndarray, list]:
+    """(index, columns) of the rows that one worker's sweep units solve, the
+    columns in :class:`ScanRows` order: the rows :func:`_pick_rows` picks,
+    solved together by :func:`_solve` once the sweep's workspace is freed.
     """
-    gap = kind == "gap"
-    points = (GAP_LOWER, GAP_UPPER) if gap else ()
-    if thresholds is not None:
-        t_plus, t_minus = thresholds
-        points += (CLASSIFY_EPS / 2, t_plus + PRUNE_MARGIN,
-                   t_minus - PRUNE_MARGIN, -1.0 - CLASSIFY_EPS / 2)
-    index = (np.arange(1 << (order - 2 - top), dtype=np.int64) << top) | low
-    counts = count_eigs_leq_sweep(order, points, top, low) if points else None
-    gap_columns = []
-    if gap:
-        gap_columns = [counts[1].astype(np.int64) - counts[0], _scan_forecast(order, index)]
-    if thresholds is not None:
-        solve = (counts[-3] > counts[-4]) | (counts[-1] > counts[-2])
-        if gap:
-            solve |= gap_columns[0] != gap_columns[1]
-        index, gap_columns = index[solve], [column[solve] for column in gap_columns]
-    text, eta_plus, eta_minus, *clearance = _solve(order, index, gap)
+    index, gap_columns = _pick_rows(kind, order, top, lows, thresholds)
+    text, eta_plus, eta_minus, *clearance = _solve(order, index, kind == "gap")
     return index, [text, eta_plus, eta_minus, *gap_columns, *clearance]
 
 
-def _map(fn, items, workers: int) -> list:
-    """``fn`` over ``items`` in k = min(workers, len(items)) strides, stride
-    by stride.
+def _pick_rows(kind: str, order: int, top: int, lows,
+               thresholds: tuple[float, float] | None) -> tuple[np.ndarray, list]:
+    """int64 index and int8 gap columns (interval count, forecast) of the
+    rows that a stride of sweep units solves.
 
-    The parent forks k - 1 children and computes stride 0, ``items[::k]``,
-    itself.  Child i computes ``items[i::k]``, sends its results, or the
-    exception a unit raised, back as one pickle over its own pipe, and leaves
-    by ``os._exit``, so it flushes no stdio buffer it inherited.  A child that
+    A unit is every connected sequence whose index has ``low`` in its low
+    ``top`` bits, for each ``low`` of ``lows``; all of them are swept in one
+    kernel workspace (see :func:`count_eigs_leq_sweep`).  With rows kept
+    (``thresholds`` None) every row is solved, and a gap scan counts at the
+    gap endpoints L and U.  Without, with (t+, t-) from
+    :func:`_prune_thresholds` and m = PRUNE_MARGIN, a gap scan counts at L,
+    U, t+ + m and t- - m, and solves a row when count(t+ + m) > count(U),
+    count(L) > count(t- - m) or its interval count misses the forecast.  A
+    row that passes has nothing nontrivial in (L, U], so for it count(U) and
+    count(L) are count(CLASSIFY_EPS/2) and count(-1 - CLASSIFY_EPS/2), which
+    a conjecture scan sweeps in their place.  Either way a row is solved
+    when it may have an eigenvalue in (CLASSIFY_EPS/2, t+ + m] or in (t- - m,
+    -1 - CLASSIFY_EPS/2], or fails, and no other row can hold an eta extreme
+    or a failure.  A scan without rows keeps each unit's counts and forecast
+    in int8 and only the rows it solves as int64; a unit that solves nothing
+    adds nothing.
+    """
+    gap = kind == "gap"
+    if thresholds is None:  # every row, the index in one allocation
+        index = np.bitwise_or.outer(np.asarray(lows), np.arange(0, 1 << (order - 2), 1 << top))
+        if not gap:
+            return index.ravel(), []
+        units = zip(count_eigs_leq_sweep(order, (GAP_LOWER, GAP_UPPER), top, lows),
+                    _scan_forecast(order, top, lows))
+        columns = zip(*((counts[1] - counts[0], forecast) for counts, forecast in units))
+        return index.ravel(), [np.concatenate(column) for column in columns]
+    t_plus, t_minus = thresholds
+    lower, upper = (GAP_LOWER, GAP_UPPER) if gap else (-1.0 - CLASSIFY_EPS / 2, CLASSIFY_EPS / 2)
+    sweep = count_eigs_leq_sweep(order, (lower, upper, t_plus + PRUNE_MARGIN,
+                                         t_minus - PRUNE_MARGIN), top, lows)
+    forecasts = _scan_forecast(order, top, lows) if gap else repeat(None)
+    parts = [[np.empty(0, np.int64)] + [np.empty(0, np.int8)] * (2 if gap else 0)]
+    for low, counts, forecast in zip(lows, sweep, forecasts):
+        solve = (counts[2] > counts[1]) | (counts[0] > counts[3])
+        if gap:
+            interval = counts[1] - counts[0]
+            solve |= interval != forecast
+        rows = np.flatnonzero(solve)
+        if len(rows):
+            parts.append([(rows << top) | low] + ([interval[rows], forecast[rows]] if gap else []))
+    index, *gap_columns = [np.concatenate(column) for column in zip(*parts)]
+    return index, gap_columns
+
+
+def _map(fn, items, workers: int) -> list:
+    """[fn(items[i::k]) for i in range(k)], k = min(workers, len(items)):
+    one result per stride.
+
+    The parent forks k - 1 children and computes stride 0, ``fn(items[::k])``,
+    itself.  Child i computes ``fn(items[i::k])``, sends its result, or the
+    exception it raised, back as one pickle over its own pipe, and leaves by
+    ``os._exit``, so it flushes no stdio buffer it inherited.  A child that
     ends without a result raises ChildProcessError.  However the map ends,
     every child is reaped, and any still running is killed first.
     """
     k = min(workers, len(items))
     if k == 1:
-        return [fn(item) for item in items]
+        return [fn(items)]
     children = []  # (pid, read end) of each child not yet reaped
     try:
         for stride in range(1, k):
@@ -492,7 +544,7 @@ def _map(fn, items, workers: int) -> list:
                 _child(fn, part, write)
             os.close(write)  # before the next fork, so each pipe has one writer
             children.append((pid, open(read, "rb")))
-        results = [fn(item) for item in items[::k]]
+        results = [fn(items[::k])]
         while children:
             pid, reader = children[0]
             with reader:
@@ -505,7 +557,7 @@ def _map(fn, items, workers: int) -> list:
             ok, value = pickle.loads(data)
             if not ok:
                 raise value
-            results += value
+            results.append(value)
         return results
     finally:
         for pid, reader in children:
@@ -520,7 +572,7 @@ def _child(fn, items, write: int) -> None:
     try:
         with open(write, "wb") as pipe:
             try:
-                message = True, [fn(item) for item in items]
+                message = True, fn(items)
             except Exception as exc:  # re-raised in the parent
                 message = False, exc
             pickle.dump(message, pipe, pickle.HIGHEST_PROTOCOL)
@@ -540,13 +592,13 @@ def _run_scan(kind: str, order: int, workers: int, order_cap: int, keep_rows: bo
     # at least one unit per worker, and at most 2^_SWEEP_UNIT_BITS leaves in one
     top = min(order - 2, max(order - 2 - _SWEEP_UNIT_BITS, (workers - 1).bit_length()))
     thresholds = None if keep_rows else _prune_thresholds(order)
-    results = _map(lambda low: _scan_unit(kind, order, top, low, thresholds),
+    results = _map(lambda lows: _scan_stride(kind, order, top, lows, thresholds),
                    range(1 << top), workers)
-    # one sort puts the rows of all units in index order, so the first
+    # one sort puts the rows of all workers in index order, so the first
     # extreme is the lowest index and failures come in index order
     index_order = np.argsort(np.concatenate([index for index, _ in results]))
     parts = [columns for _, columns in results]
-    # one column at a time, each unit's part dropped once gathered, so kept
+    # one column at a time, each worker's part dropped once gathered, so kept
     # rows are held about once
     columns = [np.concatenate([part.pop(0) for part in parts])[index_order]
                for _ in range(len(parts[0]))]
@@ -591,7 +643,7 @@ def scan_gap(
 ) -> ScanReport:
     """Run the :func:`check_gap` test on every connected threshold graph of the order.
 
-    The graphs are swept and solved by units (see ``_scan_unit``); every
+    The graphs are swept and solved by units (see ``_scan_stride``); every
     per-graph value is the one ``check_gap`` reports.
     """
     return _run_scan("gap", order, workers, order_cap, keep_rows)

@@ -568,7 +568,7 @@ def test_scan_order_ceiling_exit_1(capsys, monkeypatch):
         raise AssertionError("scan started above the ceiling")
 
     monkeypatch.setattr(os, "fork", refuse)
-    monkeypatch.setattr(verify, "_scan_unit", refuse)
+    monkeypatch.setattr(verify, "_scan_stride", refuse)
     for command in ("scan-gap", "scan-conjecture"):
         for order in (verify.ORDER_CEILING + 1, 70):
             code, out, err = run(capsys, command, "--order", str(order),
@@ -583,7 +583,7 @@ def test_workers_above_cap_exit_1(capsys, monkeypatch):
         raise AssertionError("scan started above the workers cap")
 
     monkeypatch.setattr(os, "fork", refuse)
-    monkeypatch.setattr(verify, "_scan_unit", refuse)
+    monkeypatch.setattr(verify, "_scan_stride", refuse)
     for command in ("scan-gap", "scan-conjecture"):
         for workers in (verify.MAX_WORKERS + 1, 100000):
             code, out, err = run(capsys, command, "--order", "3", "--workers", str(workers))
@@ -595,8 +595,8 @@ def test_workers_above_cap_exit_1(capsys, monkeypatch):
 WORKER_DEATH = """\
 import os, sys
 from thresholdlab import cli, verify
-parent, unit = os.getpid(), verify._scan_unit
-verify._scan_unit = lambda *args: unit(*args) if os.getpid() == parent else os._exit(3)
+parent, stride = os.getpid(), verify._scan_stride
+verify._scan_stride = lambda *args: stride(*args) if os.getpid() == parent else os._exit(3)
 code = cli.main(sys.argv[1:])
 try:
     os.waitpid(-1, os.WNOHANG)
@@ -717,7 +717,16 @@ def test_scripts_run(tmp_path, capsys):
     assert [(p["kind"], p["order"], p["workers"]) for p in points] == [
         ("gap", 5, 1), ("gap", 6, 1), ("conjecture", 5, 1), ("conjecture", 6, 1)]
     assert all(p["graphs_per_cpu_s"] > 0 and p["peak_rss_mb"] > 0 and p["cpu_s_norm"] > 0
-               for p in points)
+               and p["minflt"] >= 0 for p in points)
+    # refused before any scan runs: no point printed, no file written
+    for argv, message in ((("--repeats", "0", "--out", "tmp/none.json"),
+                           "--repeats must be at least 1, got 0"),
+                          (("--out", "missing/bench.json"),
+                           "--out directory 'missing' does not exist")):
+        done = script(tmp_path, "bench_scan_csv.py", "--src", src, "--commit", "x",
+                      "--orders", "5", *argv)
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {message}\n")
+    assert not (tmp_path / "tmp" / "none.json").exists()
     # usage errors exit 1, as the CLI's do (2 claims a counterexample), and
     # integer options follow the CLI's integer rule
     for name in ("run_gap_scan.py", "run_conjecture_scan.py", "antiregular_bounds.py"):

@@ -250,10 +250,12 @@ def test_count_eigs_leq_clustered_spectrum():
 
 def test_count_eigs_leq_sweep_equals_scalar_kernel():
     # the suffix-tree sweep against the scalar kernel on every connected
-    # graph up to order 14, at the six points a gap scan without rows counts
-    # (both interval endpoints and the pruning bounds around A_n's eta) and
-    # at the trivial eigenvalues; units that fix 0, 2 or all order-2 index
-    # bits put leaf j of unit ``low`` at index j * 2^top + low
+    # graph up to order 14, at the points scans without rows count (both
+    # interval endpoints, the pruning bounds around A_n's eta and the
+    # conjecture scan's CLASSIFY_EPS points) and at the trivial eigenvalues:
+    # at x = 0 the first pivot is exactly 0, so the clamp runs there.  Units
+    # that fix 0, 2 or all order-2 index bits put leaf j of unit ``low`` at
+    # index j * 2^top + low, and all units of one call share one workspace
     for order in range(2, 15):
         seqs = list(enumerate_threshold(order, connected_only=True))
         t_plus, t_minus = _prune_thresholds(order)
@@ -262,13 +264,15 @@ def test_count_eigs_leq_sweep_equals_scalar_kernel():
         scalar = [[count_eigs_leq(seq, x) for seq in seqs] for x in points]
         for top in sorted({0, min(2, order - 2), order - 2}):
             swept = np.zeros((len(points), len(seqs)), dtype=np.int64)
-            for low in range(2 ** top):
-                counts = count_eigs_leq_sweep(order, points, top, low)
+            first = None
+            for low, counts in enumerate(count_eigs_leq_sweep(order, points, top,
+                                                              range(2 ** top))):
                 assert counts.shape == (len(points), 2 ** (order - 2 - top))
+                first = counts if first is None else first
+                assert np.shares_memory(counts, first), (order, top, low)
                 swept[:, low::2 ** top] = counts
             assert swept.tolist() == scalar, (order, top)
-    # a conjecture scan with rows sweeps no points
-    assert count_eigs_leq_sweep(5, (), 1, 0).shape == (0, 4)
+    assert next(count_eigs_leq_sweep(5, (), 1, [0])).shape == (0, 4)
 
 
 @given(sequences, st.floats(min_value=-13.0, max_value=13.0))

@@ -25,12 +25,13 @@ from thresholdlab.graphs import (
 )
 from thresholdlab import verify
 from thresholdlab.cli import scan_csv
-from thresholdlab.spectra import assemble_spectrum, eta_extremes, trivial_forecast
+from thresholdlab.spectra import CLASSIFY_EPS, assemble_spectrum, eta_extremes, trivial_forecast
 from thresholdlab.verify import (
     DEFAULT_ORDER_CAP,
     GAP_LOWER,
     GAP_UPPER,
     ORDER_CEILING,
+    PRUNE_MARGIN,
     SCAN_BLOCK_ENTRIES,
     DisconnectedError,
     EmptyClassError,
@@ -371,16 +372,16 @@ def test_scan_workers_cap(monkeypatch):
 
 
 def patch_units(monkeypatch, child, parent=None):
-    """Run ``child()`` in place of each scan unit of a forked child, and
-    ``parent()``, when given, in place of each unit of the parent."""
-    pid, real = os.getpid(), verify._scan_unit
+    """Run ``child()`` in place of the scan units of a forked child, and
+    ``parent()``, when given, in place of the units of the parent."""
+    pid, real = os.getpid(), verify._scan_stride
 
-    def unit(*args):
+    def stride(*args):
         if os.getpid() != pid:
             return child()
         return real(*args) if parent is None else parent()
 
-    monkeypatch.setattr(verify, "_scan_unit", unit)
+    monkeypatch.setattr(verify, "_scan_stride", stride)
 
 
 def test_scan_reraises_a_child_unit_error(monkeypatch):
@@ -431,8 +432,8 @@ def test_scan_prints_unflushed_stdout_once():
 def test_scan_workers_need_fork(monkeypatch):
     expected = scan_gap(8)
     units = []
-    real = verify._scan_unit
-    monkeypatch.setattr(verify, "_scan_unit", lambda *args: units.append(1) or real(*args))
+    real = verify._scan_stride
+    monkeypatch.setattr(verify, "_scan_stride", lambda *args: units.append(1) or real(*args))
     monkeypatch.delattr(os, "fork")
     for scan in (scan_gap, scan_conjecture):
         with pytest.raises(ValueError, match="needs os.fork"):
@@ -442,13 +443,58 @@ def test_scan_workers_need_fork(monkeypatch):
     assert_no_children()
 
 
+def test_scan_workers_return_one_result_each(monkeypatch):
+    # a worker sweeps its whole stride of units and returns one (index,
+    # columns) pair: 3 results for 2^7 units, not one per unit
+    lengths = []
+    real = verify._map
+
+    def counting(fn, items, workers):
+        results = real(fn, items, workers)
+        lengths.append((len(items), len(results)))
+        return results
+
+    monkeypatch.setattr(verify, "_map", counting)
+    monkeypatch.setattr(verify, "_SWEEP_UNIT_BITS", 3)
+    assert scan_gap(12, workers=3) == scan_gap(12)
+    assert lengths == [(2 ** 7, 3), (2 ** 7, 1)]
+    assert_no_children()
+
+
+def test_scans_sweep_their_own_points(monkeypatch):
+    # without rows a gap scan counts at L, U, t+ + m and t- - m and a
+    # conjecture scan at -1 - eps/2, eps/2 and the same bounds, with t+ and
+    # t- from A_n and m = PRUNE_MARGIN; with rows a gap scan counts at L and
+    # U, and a conjecture scan sweeps nothing
+    swept = []
+    real = verify.count_eigs_leq_sweep
+
+    def recording(order, xs, top, lows):
+        swept.append(tuple(xs))
+        return real(order, xs, top, lows)
+
+    monkeypatch.setattr(verify, "count_eigs_leq_sweep", recording)
+    for order in (2, 9, 14):
+        t_plus, t_minus = verify._prune_thresholds(order)
+        bounds = (t_plus + PRUNE_MARGIN, t_minus - PRUNE_MARGIN)
+        for scan, keep_rows, points in (
+                (scan_gap, False, [(GAP_LOWER, GAP_UPPER, *bounds)]),
+                (scan_conjecture, False, [(-1.0 - CLASSIFY_EPS / 2, CLASSIFY_EPS / 2, *bounds)]),
+                (scan_gap, True, [(GAP_LOWER, GAP_UPPER)]),
+                (scan_conjecture, True, [])):
+            swept.clear()
+            scan(order, keep_rows=keep_rows)
+            assert swept == points, (scan.__name__, order, keep_rows)
+
+
 def test_scan_deterministic_across_workers():
     assert scan_gap(8, workers=1) == scan_gap(8, workers=3)
     assert scan_conjecture(7, workers=1) == scan_conjecture(7, workers=2)
     # order 14 has 1716 graphs with h = 4; one worker sweeps them in one
     # unit of 4096 graphs and solves them in stacks of 512 and a short last
-    # one, three sweep them in four units of 1024 strided graphs and solve
-    # each unit's share in one stack, so each worker count cuts the order
+    # one, three sweep four units of 1024 strided graphs, units 0 and 3 in
+    # the parent and one each in the children, and the children solve
+    # their unit's share in one stack, so each worker count cuts the order
     # into different stacks
     h_of = verify._scan_h(np.arange(4096))
     stack = SCAN_BLOCK_ENTRIES // (2 * 4) ** 2
@@ -519,8 +565,9 @@ def test_scan_reports_do_not_depend_on_block_size(monkeypatch):
 
 def test_scan_forecast_equals_trivial_forecast_over_class_sizes():
     # the closed-form forecast n - 2h + [m_h = 1] of every connected
-    # sequence, against trivial_forecast over the class sizes read off its
-    # symbols and against the forms of check_gap
+    # sequence, unit by unit for units that fix 0, 3 or all index bits,
+    # against trivial_forecast over the class sizes read off its symbols and
+    # against the forms of check_gap
     for order in range(2, 17):
         index = np.arange(2 ** (order - 2), dtype=np.int64)
         symbols = verify._block_symbols(order, index)
@@ -532,7 +579,11 @@ def test_scan_forecast_equals_trivial_forecast_over_class_sizes():
             rows = np.flatnonzero(h_of == h)
             m, n = verify._class_sizes(changes[rows], order, h)
             expected[rows] = sum(trivial_forecast(m.T, n.T))
-        assert verify._scan_forecast(order, index).tolist() == expected.tolist(), order
+        for top in sorted({0, min(3, order - 2), order - 2}):
+            forecasts = verify._scan_forecast(order, top, range(2 ** top))
+            for low, forecast in enumerate(forecasts):
+                assert forecast.dtype == np.int8
+                assert forecast.tolist() == expected[low::2 ** top].tolist(), (order, top, low)
         if order <= 10:
             assert expected.tolist() == [check_gap(form).expected_trivial
                                          for form in connected(order)], order
@@ -544,8 +595,8 @@ def test_scan_reports_failures_like_check_gap(monkeypatch):
     # and without
     honest = verify._scan_forecast
 
-    def one_too_many(order, index):
-        return honest(order, index) + 1
+    def one_too_many(order, top, lows):
+        return (forecast + 1 for forecast in honest(order, top, lows))
 
     monkeypatch.setattr(verify, "_scan_forecast", one_too_many)
     report = scan_gap(6, keep_rows=True)

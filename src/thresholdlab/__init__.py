@@ -7,7 +7,6 @@ from .graphs import (
     WeightRealization,
     anti_regular,
     build_adjacency,
-    complement,
     count_threshold,
     creation_to_nsg,
     enumerate_threshold,

@@ -226,17 +226,6 @@ def anti_regular(order: int) -> NsgForm:
     return NsgForm((1,) * (h - 1) + (2,), (1,) * h)
 
 
-def complement(seq: CreationSequence) -> CreationSequence:
-    """Creation sequence of the edge-complement graph.
-
-    Adding an isolated vertex to G adds a dominating vertex to the complement
-    and vice versa, so flipping every symbol after the first complements the
-    graph vertex-for-vertex.
-    """
-    flipped = "".join(DOMINATING if c == ISOLATED else ISOLATED for c in seq.symbols[1:])
-    return CreationSequence(seq.symbols[0] + flipped)
-
-
 def count_threshold(order: int, connected_only: bool = False) -> int:
     """Number of canonical creation sequences of the given order."""
     if order < 1:

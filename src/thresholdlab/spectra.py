@@ -20,9 +20,10 @@ of the creation sequences: sequences that end alike share their states, so a
 whole order costs about two steps per graph instead of n.  It sweeps a
 worker's whole stride of units in one workspace, allocated once, and counts
 a state when d <= pivmin, clamping only at the rare level where a state lies
-within pivmin of zero.  A gap scan takes the interval counts of every graph
-from it; a scan without rows also counts near the anti-regular graph's
-extremes, to pick the few graphs it solves (see ``verify._pick_rows``).
+within pivmin of zero.  Every scan, of either kind, counts each graph with
+it at the same four points, the gap endpoints and just beyond the
+anti-regular graph's extremes, which pick the few graphs a scan without
+rows solves (see ``verify._pick_rows``).
 The quotients of the solved forms that share h are built in place into one
 (k, 2h, 2h) stack of symmetrized matrices (:func:`quotient_stack`, which
 returns no raw divisor matrix) and solved by one stacked ``eigvalsh`` call,

@@ -5,13 +5,14 @@ graph has an eigenvalue in ((-1-sqrt(2))/2, (-1+sqrt(2))/2), open or closed
 alike (see ``check_gap``).  ``check_gap`` decides this for one graph by
 inertia counting on the creation sequence (an exact integer test).  The scan
 functions sweep entire orders exhaustively, in units that fix the low index
-bits of the suffix tree.  A scan with rows (CSV output) solves the small
+bits of the suffix tree.  Every scan, of either kind, counts at the same
+four points, the gap endpoints and the margins beyond A_n's extremes, and
+checks each graph's interval count against its forecast (see
+``_pick_rows``).  A scan with rows (CSV output) solves the small
 eigenproblem of every graph; a scan without rows solves only the graphs its
-report needs, the failures and the few whose inertia counts find an
-eigenvalue in (0, eta+(A_n)] or [eta-(A_n), -1) up to a small margin, since
-only those can hold an eta extreme.  A gap scan without rows counts at four
-points, the gap endpoints and the margins beyond A_n's extremes, and a
-conjecture scan at four of its own (see ``_pick_rows``).  With k workers
+report needs, the ones that miss their forecast and the few whose inertia
+counts find an eigenvalue in (0, eta+(A_n)] or [eta-(A_n), -1) up to a
+small margin, since only those can hold an eta extreme.  With k workers
 the scan forks k - 1 children, each of which sweeps a fixed stride of the
 units in one kernel workspace and pipes one result back, its solved rows,
 and sweeps the first stride itself (``_map``; POSIX only, as it needs
@@ -36,7 +37,6 @@ import pickle
 import signal
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
 from typing import Iterator
 
 import numpy as np
@@ -71,11 +71,12 @@ DEFAULT_ORDER_CAP = 22
 # a 2h x 2h quotient of norm <= order, about 2h * eps * order <= 1e-12, is
 # still far below PRUNE_MARGIN.
 ORDER_CEILING = 64
-# A scan run without rows solves a row only when the kernel finds an
-# eigenvalue within this margin beyond A_n's eta (see _scan_stride).  It must
-# exceed eigvalsh's absolute error on the row's quotient (about 2h * eps *
-# order, 1e-13 at order 22), so that every row whose solved eta could reach
-# A_n's is still solved and the extremes and their ties are unchanged.
+# A scan run without rows solves a row that meets its forecast only when the
+# kernel finds an eigenvalue within this margin beyond A_n's eta (see
+# _pick_rows).  It must exceed eigvalsh's absolute error on the row's
+# quotient (about 2h * eps * order, 1e-13 at order 22), so that every row
+# whose solved eta could reach A_n's is still solved and the extremes and
+# their ties are unchanged.
 PRUNE_MARGIN = 1e-9
 # Scan workers solve the rows their units need (every row when rows are
 # kept) one h at a time, in stacks of at most this many quotient entries,
@@ -455,64 +456,49 @@ def _solve(order: int, index: np.ndarray, gap: bool) -> list[np.ndarray]:
     return columns
 
 
-def _scan_stride(kind: str, order: int, top: int, lows,
-                 thresholds: tuple[float, float] | None) -> tuple[np.ndarray, list]:
+def _scan_stride(gap: bool, order: int, top: int, lows, thresholds: tuple[float, float],
+                 keep_rows: bool) -> tuple[np.ndarray, list]:
     """(index, columns) of the rows that one worker's sweep units solve, the
-    columns in :class:`ScanRows` order: the rows :func:`_pick_rows` picks,
-    solved together by :func:`_solve` once the sweep's workspace is freed.
+    columns in :class:`ScanRows` order, the clearance for a gap scan only:
+    the rows :func:`_pick_rows` picks, solved together by :func:`_solve`
+    once the sweep's workspace is freed.
     """
-    index, gap_columns = _pick_rows(kind, order, top, lows, thresholds)
-    text, eta_plus, eta_minus, *clearance = _solve(order, index, kind == "gap")
-    return index, [text, eta_plus, eta_minus, *gap_columns, *clearance]
+    index, counted = _pick_rows(order, top, lows, thresholds, keep_rows)
+    text, eta_plus, eta_minus, *clearance = _solve(order, index, gap)
+    return index, [text, eta_plus, eta_minus, *counted, *clearance]
 
 
-def _pick_rows(kind: str, order: int, top: int, lows,
-               thresholds: tuple[float, float] | None) -> tuple[np.ndarray, list]:
-    """int64 index and int8 gap columns (interval count, forecast) of the
-    rows that a stride of sweep units solves.
+def _pick_rows(order: int, top: int, lows, thresholds: tuple[float, float],
+               keep_rows: bool) -> tuple[np.ndarray, list]:
+    """int64 index and int8 interval count and forecast of the rows that a
+    stride of sweep units solves, for a scan of either kind.
 
     A unit is every connected sequence whose index has ``low`` in its low
     ``top`` bits, for each ``low`` of ``lows``; all of them are swept in one
-    kernel workspace (see :func:`count_eigs_leq_sweep`).  With rows kept
-    (``thresholds`` None) every row is solved, and a gap scan counts at the
-    gap endpoints L and U.  Without, with (t+, t-) from
-    :func:`_prune_thresholds` and m = PRUNE_MARGIN, a gap scan counts at L,
-    U, t+ + m and t- - m, and solves a row when count(t+ + m) > count(U),
-    count(L) > count(t- - m) or its interval count misses the forecast.  A
-    row that passes has nothing nontrivial in (L, U], so for it count(U) and
-    count(L) are count(CLASSIFY_EPS/2) and count(-1 - CLASSIFY_EPS/2), which
-    a conjecture scan sweeps in their place.  Either way a row is solved
-    when it may have an eigenvalue in (CLASSIFY_EPS/2, t+ + m] or in (t- - m,
-    -1 - CLASSIFY_EPS/2], or fails, and no other row can hold an eta extreme
-    or a failure.  A scan without rows keeps each unit's counts and forecast
-    in int8 and only the rows it solves as int64; a unit that solves nothing
-    adds nothing.
+    kernel workspace (see :func:`count_eigs_leq_sweep`) at L, U, t+ + m and
+    t- - m, with (t+, t-) from :func:`_prune_thresholds` and m =
+    PRUNE_MARGIN.  With rows kept every row is solved.  Without, a row is
+    solved when count(t+ + m) > count(U), count(L) > count(t- - m) or its
+    interval count misses the forecast of :func:`_scan_forecast`.  A row
+    that meets its forecast has nothing nontrivial in (L, U], so a row that
+    is not solved has no eigenvalue in (0, t+ + m] or [t- - m, -1) beside
+    the trivial ones, and no other row can hold an eta extreme or a
+    failure, whether or not the theorem holds.  A scan without rows keeps
+    each unit's counts and forecast in int8 and only the rows it solves as
+    int64; a unit that solves nothing adds nothing.
     """
-    gap = kind == "gap"
-    if thresholds is None:  # every row, the index in one allocation
-        index = np.bitwise_or.outer(np.asarray(lows), np.arange(0, 1 << (order - 2), 1 << top))
-        if not gap:
-            return index.ravel(), []
-        units = zip(count_eigs_leq_sweep(order, (GAP_LOWER, GAP_UPPER), top, lows),
-                    _scan_forecast(order, top, lows))
-        columns = zip(*((counts[1] - counts[0], forecast) for counts, forecast in units))
-        return index.ravel(), [np.concatenate(column) for column in columns]
     t_plus, t_minus = thresholds
-    lower, upper = (GAP_LOWER, GAP_UPPER) if gap else (-1.0 - CLASSIFY_EPS / 2, CLASSIFY_EPS / 2)
-    sweep = count_eigs_leq_sweep(order, (lower, upper, t_plus + PRUNE_MARGIN,
+    sweep = count_eigs_leq_sweep(order, (GAP_LOWER, GAP_UPPER, t_plus + PRUNE_MARGIN,
                                          t_minus - PRUNE_MARGIN), top, lows)
-    forecasts = _scan_forecast(order, top, lows) if gap else repeat(None)
-    parts = [[np.empty(0, np.int64)] + [np.empty(0, np.int8)] * (2 if gap else 0)]
-    for low, counts, forecast in zip(lows, sweep, forecasts):
-        solve = (counts[2] > counts[1]) | (counts[0] > counts[3])
-        if gap:
-            interval = counts[1] - counts[0]
-            solve |= interval != forecast
-        rows = np.flatnonzero(solve)
+    parts = [[np.empty(0, np.int64), np.empty(0, np.int8), np.empty(0, np.int8)]]
+    for low, counts, forecast in zip(lows, sweep, _scan_forecast(order, top, lows)):
+        interval = counts[1] - counts[0]
+        rows = np.flatnonzero(keep_rows | (counts[2] > counts[1]) | (counts[0] > counts[3])
+                              | (interval != forecast))
         if len(rows):
-            parts.append([(rows << top) | low] + ([interval[rows], forecast[rows]] if gap else []))
-    index, *gap_columns = [np.concatenate(column) for column in zip(*parts)]
-    return index, gap_columns
+            parts.append([(rows << top) | low, interval[rows], forecast[rows]])
+    index, *counted = [np.concatenate(column) for column in zip(*parts)]
+    return index, counted
 
 
 def _map(fn, items, workers: int) -> list:
@@ -591,15 +577,18 @@ def _run_scan(kind: str, order: int, workers: int, order_cap: int, keep_rows: bo
         raise ValueError("more than one worker needs os.fork, which this platform lacks")
     # at least one unit per worker, and at most 2^_SWEEP_UNIT_BITS leaves in one
     top = min(order - 2, max(order - 2 - _SWEEP_UNIT_BITS, (workers - 1).bit_length()))
-    thresholds = None if keep_rows else _prune_thresholds(order)
-    results = _map(lambda lows: _scan_stride(kind, order, top, lows, thresholds),
+    thresholds = _prune_thresholds(order)
+    results = _map(lambda lows: _scan_stride(kind == "gap", order, top, lows, thresholds,
+                                             keep_rows),
                    range(1 << top), workers)
     # one sort puts the rows of all workers in index order, so the first
     # extreme is the lowest index and failures come in index order
     index_order = np.argsort(np.concatenate([index for index, _ in results]))
-    parts = [columns for _, columns in results]
     # one column at a time, each worker's part dropped once gathered, so kept
-    # rows are held about once
+    # rows are held about once; the indices, and the two counts that a
+    # conjecture report does not keep, are dropped first
+    parts = [columns if kind == "gap" else columns[:3] for _, columns in results]
+    del results
     columns = [np.concatenate([part.pop(0) for part in parts])[index_order]
                for _ in range(len(parts[0]))]
     text, eta_plus, eta_minus = columns[:3]
@@ -609,15 +598,13 @@ def _run_scan(kind: str, order: int, workers: int, order_cap: int, keep_rows: bo
         best_plus = (float(eta_plus[i]), text[i].decode()) if eta_plus[i] < np.inf else None
         best_minus = (float(eta_minus[j]), text[j].decode()) if eta_minus[j] > -np.inf else None
     failures = ()
+    antiregular_sequence = conjecture_holds = None
     if kind == "gap":
         count, expected, clearance = columns[3:]
         failures = tuple(GapReport(text[i].decode(), order, int(count[i]), int(expected[i]),
                                    float(clearance[i]), False)
                          for i in np.flatnonzero(count != expected).tolist())
-
-    antiregular_sequence = None
-    conjecture_holds = None
-    if kind == "conjecture":
+    else:
         antiregular_sequence = str(nsg_to_creation(anti_regular(order)))
         plus_ok = best_plus is not None and best_plus[1] == antiregular_sequence
         minus_ok = best_minus is None or best_minus[1] == antiregular_sequence

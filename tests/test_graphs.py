@@ -18,7 +18,6 @@ from thresholdlab.graphs import (
     OrderTooSmallError,
     anti_regular,
     build_adjacency,
-    complement,
     count_threshold,
     creation_to_nsg,
     enumerate_threshold,
@@ -197,35 +196,6 @@ def test_anti_regular_degree_sequence():
     for order in range(2, 12):
         degs = oracles.degree_multiset(build_adjacency(nsg_to_creation(anti_regular(order))))
         assert len(set(degs)) == order - 1
-
-
-# ---------------------------------------------------------------- complement
-
-
-def test_complement_examples():
-    assert complement(parse_creation_sequence("01")).symbols == "00"
-    assert complement(parse_creation_sequence("0101")).symbols == "0010"
-
-
-def test_complement_is_exact_edge_complement():
-    for seq in all_sequences(8):
-        a = build_adjacency(seq).astype(int)
-        b = build_adjacency(complement(seq)).astype(int)
-        off_diagonal = np.ones_like(a) - np.eye(seq.order, dtype=int)
-        assert np.array_equal(a + b, off_diagonal)
-
-
-def test_complement_involution_exhaustive():
-    for seq in all_sequences(10):
-        assert complement(complement(seq)) == seq
-
-
-def test_complement_degree_sequence():
-    for seq in all_sequences(9):
-        n = seq.order
-        d = oracles.degree_multiset(build_adjacency(seq))
-        dc = oracles.degree_multiset(build_adjacency(complement(seq)))
-        assert dc == sorted(n - 1 - x for x in d)
 
 
 # ---------------------------------------------------------------- enumeration
@@ -456,11 +426,6 @@ def test_trivial_multiplicities_match_partition_classes():
 @given(sequences)
 def test_round_trip_property(seq):
     assert nsg_to_creation(creation_to_nsg(seq)) == seq
-
-
-@given(sequences)
-def test_complement_involution_property(seq):
-    assert complement(complement(seq)) == seq
 
 
 @given(sequences)

@@ -25,7 +25,7 @@ from thresholdlab.graphs import (
 )
 from thresholdlab import verify
 from thresholdlab.cli import scan_csv
-from thresholdlab.spectra import CLASSIFY_EPS, assemble_spectrum, eta_extremes, trivial_forecast
+from thresholdlab.spectra import assemble_spectrum, eta_extremes, trivial_forecast
 from thresholdlab.verify import (
     DEFAULT_ORDER_CAP,
     GAP_LOWER,
@@ -462,10 +462,8 @@ def test_scan_workers_return_one_result_each(monkeypatch):
 
 
 def test_scans_sweep_their_own_points(monkeypatch):
-    # without rows a gap scan counts at L, U, t+ + m and t- - m and a
-    # conjecture scan at -1 - eps/2, eps/2 and the same bounds, with t+ and
-    # t- from A_n and m = PRUNE_MARGIN; with rows a gap scan counts at L and
-    # U, and a conjecture scan sweeps nothing
+    # every scan, of either kind and with or without rows, counts at L, U,
+    # t+ + m and t- - m, with t+ and t- from A_n and m = PRUNE_MARGIN
     swept = []
     real = verify.count_eigs_leq_sweep
 
@@ -476,15 +474,12 @@ def test_scans_sweep_their_own_points(monkeypatch):
     monkeypatch.setattr(verify, "count_eigs_leq_sweep", recording)
     for order in (2, 9, 14):
         t_plus, t_minus = verify._prune_thresholds(order)
-        bounds = (t_plus + PRUNE_MARGIN, t_minus - PRUNE_MARGIN)
-        for scan, keep_rows, points in (
-                (scan_gap, False, [(GAP_LOWER, GAP_UPPER, *bounds)]),
-                (scan_conjecture, False, [(-1.0 - CLASSIFY_EPS / 2, CLASSIFY_EPS / 2, *bounds)]),
-                (scan_gap, True, [(GAP_LOWER, GAP_UPPER)]),
-                (scan_conjecture, True, [])):
-            swept.clear()
-            scan(order, keep_rows=keep_rows)
-            assert swept == points, (scan.__name__, order, keep_rows)
+        points = [(GAP_LOWER, GAP_UPPER, t_plus + PRUNE_MARGIN, t_minus - PRUNE_MARGIN)]
+        for scan in (scan_gap, scan_conjecture):
+            for keep_rows in (False, True):
+                swept.clear()
+                scan(order, keep_rows=keep_rows)
+                assert swept == points, (scan.__name__, order, keep_rows)
 
 
 def test_scan_deterministic_across_workers():
@@ -647,6 +642,35 @@ def solved_rows(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(verify, "quotient_stack", counting)
     return solved
+
+
+def test_scans_pick_rows_by_one_rule(monkeypatch):
+    # without rows both kinds pass the same graphs to quotient_stack; a
+    # forecast one too high makes a conjecture scan solve every graph, and
+    # its report stays the honest one, without failures
+    picked = []
+    honest_stack = verify.quotient_stack
+
+    def recording(m, n):
+        picked.extend(zip(m.tolist(), n.tolist()))
+        return honest_stack(m, n)
+
+    monkeypatch.setattr(verify, "quotient_stack", recording)
+    for order in range(2, 15):
+        chosen = []
+        for scan in (scan_gap, scan_conjecture):
+            picked.clear()
+            scan(order)
+            chosen.append(sorted(picked))
+        assert chosen[0] == chosen[1], order
+    report = scan_conjecture(6)
+    honest = verify._scan_forecast
+    monkeypatch.setattr(verify, "_scan_forecast", lambda order, top, lows: (
+        forecast + 1 for forecast in honest(order, top, lows)))
+    picked.clear()
+    assert scan_conjecture(6) == report
+    assert len(picked) == report.graphs_checked == 16
+    assert report.failures == () and report.passed
 
 
 def test_scan_without_rows_solves_under_one_percent(monkeypatch):

@@ -3,16 +3,20 @@
 
 Prints eta+(A_n), eta-(A_n) and their distances to the interval endpoints for
 a range of orders.  The distances decay roughly like 1.74/n^2, which is worth
-seeing once: the interval is tight.
+seeing once: the interval is tight.  Orders go up to the CLI's single-graph
+cap, ``formats.EDGE_ORDER_CAP`` (2000); a larger --max-order, a --step below
+1 or a --csv whose directory does not exist is refused with exit 1 before any
+order is solved.
 
 Example:
     python3 scripts/antiregular_bounds.py --max-order 500 --csv bounds.csv
 """
 
+import pathlib
 import sys
 
 from thresholdlab.cli import _integer, _Parser
-from thresholdlab.formats import sig12
+from thresholdlab.formats import EDGE_ORDER_CAP, sig12
 from thresholdlab.verify import GAP_LOWER, GAP_UPPER, check_antiregular_bounds
 
 
@@ -25,6 +29,10 @@ def main() -> int:
     args = parser.parse_args()
     if args.step < 1:
         raise ValueError(f"--step must be at least 1, got {args.step}")
+    if args.max_order > EDGE_ORDER_CAP:  # A_n's quotient is n x n
+        raise ValueError(f"--max-order {args.max_order} is above the cap {EDGE_ORDER_CAP}")
+    if args.csv and not (folder := pathlib.Path(args.csv).parent).is_dir():
+        raise ValueError(f"--csv directory {str(folder)!r} does not exist")
 
     rows = ["order,eta_plus,eta_minus,plus_clearance,minus_clearance,verdict"]
     bad = 0

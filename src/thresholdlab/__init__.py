@@ -23,7 +23,6 @@ from .spectra import (
     count_eigs_leq,
     eta_extremes,
     quotient_stack,
-    trivial_forecast,
     trivial_multiplicities,
 )
 from .verify import (

@@ -12,9 +12,8 @@ Formats:
 Command output is rendered from records: ordered dicts of numbers, strings,
 ``NsgForm``s, lists, arrays and (u, v) edge tuples.  ``to_plain`` and
 ``to_json`` turn them into ``key: value`` lines and JSON; ``to_csv`` takes
-them as columns, a list or an array per key, so that a long table such as a
-scan's rows is rendered a column at a time.  Floats print at 12 significant
-digits (``sig12``) in plain and CSV.  ``to_json`` prints exactly what
+them as columns, a list per key.  Floats print at 12 significant digits
+(``sig12``) in plain and CSV.  ``to_json`` prints exactly what
 ``json.dumps(indent=2)`` would, but by its own small recursive emitter: the
 json module's C string encoder, ``repr`` for numbers, and one join per list
 of ints or one ``%d`` template per row of an int table.  With an indent,
@@ -27,7 +26,6 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable
 
@@ -205,31 +203,11 @@ def to_plain(records) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def _csv_cells(column) -> Iterable[str]:
-    """The cells of one CSV column.  An array takes one C-level formatter for
-    all its cells: floats at 12 significant digits ("%.12g" prints what sig12
-    prints) with NaN, an absent value, empty; bytes decoded; anything else
-    by str.  Any other column is rendered value by value by ``_text``."""
-    if not isinstance(column, np.ndarray):
-        return [_text(value, csv=True) for value in column]
-    if column.dtype.kind == "f":
-        cells = list(map("%.12g".__mod__, column.tolist()))
-        for i in np.flatnonzero(np.isnan(column)).tolist():
-            cells[i] = ""
-        return cells
-    if column.dtype.kind == "S":
-        return map(bytes.decode, column.tolist())
-    return map(str, column.tolist())
-
-
 def to_csv(keys, columns) -> str:
     """A header of ``keys``, then one row per index of the equal-length
-    ``columns``, one column per key.  With ``keys`` None there is no header,
-    as for a later block of rows of one table.
+    ``columns``, one list per key.
 
     None is empty, NSG text quoted, bools True/False, floats at 12 digits.
     """
-    lines = map(",".join, zip(*map(_csv_cells, columns)))
-    if keys is not None:
-        lines = chain([",".join(keys)], lines)
-    return "\n".join(lines) + "\n"
+    cells = ([_text(value, csv=True) for value in column] for column in columns)
+    return "\n".join([",".join(keys), *map(",".join, zip(*cells))]) + "\n"

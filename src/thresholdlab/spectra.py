@@ -82,45 +82,33 @@ def quotient_stack(m: np.ndarray, n: np.ndarray) -> np.ndarray:
     return stack
 
 
-def trivial_forecast(m, n, isolated=0) -> tuple:
-    """The trivial-eigenvalue forecast over class sizes, as (pad0, padm1, inside).
-
-    Every vertex beyond the first in a coclique class is a duplicate and every
-    extra clique-class vertex a coduplicate: they force pad0 = sum(m_i - 1) +
-    isolated zeros and padm1 = sum(n_i - 1) copies of -1, none of which the
-    quotient sees.  ``inside`` is 1 when m_h = 1: the lone top coclique vertex
-    then closes up with V_h to give one more -1, which the quotient carries.
-    ``m`` and ``n`` run over i = 1..h on their first axis: tuples for one
-    form, or (h, k) arrays for k forms, which get k-vectors back.
-    """
-    h = len(m)
-    pad0 = sum(m) - h + isolated
-    padm1 = sum(n) - h
-    inside = (m[-1] == 1) * 1 if h else 0
-    return pad0, padm1, inside
-
-
 def trivial_multiplicities(form: NsgForm) -> TrivialMults:
     """Closed-form multiplicities of 0 and -1 from the class sizes.
 
-    mult0 = pad0 and multm1 = padm1 + inside of :func:`trivial_forecast`.
+    Every vertex beyond the first in a coclique class is a duplicate and every
+    extra clique-class vertex a coduplicate: they force sum(m_i - 1) +
+    isolated zeros and sum(n_i - 1) copies of -1, none of which the quotient
+    sees.  When m_h = 1 the lone top coclique vertex closes up with V_h to
+    give one more -1, which the quotient carries.
     """
-    pad0, padm1, inside = trivial_forecast(form.m, form.n, form.isolated)
-    return TrivialMults(pad0, padm1 + inside)
+    h = form.h
+    inside = h > 0 and form.m[-1] == 1
+    return TrivialMults(sum(form.m) - h + form.isolated, sum(form.n) - h + inside)
 
 
 def assemble_spectrum(form: NsgForm) -> np.ndarray:
     """The full adjacency spectrum, descending: quotient eigenvalues plus the
     forced 0 / -1 padding.
 
-    The padding is :func:`trivial_forecast`'s pad0 zeros and padm1 copies of -1;
-    the extra -1 of the m_h = 1 case arises inside the quotient.  An edgeless
-    form has an empty quotient and only the padding.
+    The padding is :func:`trivial_multiplicities`' mult0 zeros and the
+    sum(n_i - 1) copies of -1 forced outside the quotient; the extra -1 of the
+    m_h = 1 case arises inside the quotient.  An edgeless form has an empty
+    quotient and only the padding.
     """
-    pad0, padm1, _ = trivial_forecast(form.m, form.n, form.isolated)
     quotient = quotient_stack(np.array([form.m]), np.array([form.n]))[0]
-    values = np.concatenate([np.linalg.eigvalsh(quotient), np.zeros(pad0),
-                             np.full(padm1, -1.0)])
+    values = np.concatenate([np.linalg.eigvalsh(quotient),
+                             np.zeros(trivial_multiplicities(form).mult0),
+                             np.full(sum(form.n) - form.h, -1.0)])
     return np.sort(values)[::-1]
 
 

@@ -381,7 +381,7 @@ def _scan_h(index: np.ndarray) -> np.ndarray:
 
 
 def _scan_forecast(order: int, top: int, lows) -> Iterator[np.ndarray]:
-    """The trivial forecast pad0 + padm1 + inside of :func:`trivial_forecast`
+    """The trivial forecast mult0 + multm1 of :func:`trivial_multiplicities`
     of the connected sequences of each sweep unit, one int8 array per
     ``low`` of ``lows``, leaf j for index j*2^top + low as in
     :func:`count_eigs_leq_sweep`.

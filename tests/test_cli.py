@@ -170,25 +170,17 @@ def test_to_json_prints_what_json_dumps_prints(value):
 
 
 def test_to_csv_renders_columns():
-    # arrays take one formatter per column: "%.12g" must print what sig12
-    # prints, NaN (absent) is empty and inf stays inf; lists go value by value
-    floats = np.array([0.1, -1.4811943040920156, 3.0, -0.0, 1e-300, 2.5e17, 123456789012.5,
-                       np.inf, -np.inf, np.nan, 5e-324, 0.20710678118654757])
-    text = to_csv(("x", "s", "n", "u"), [floats, np.array([b"01"] * 12),
-                                         np.arange(12) - 3, np.full(12, "ab")])
-    lines = text.splitlines()
-    assert lines[0] == "x,s,n,u" and len(lines) == 13 and text.endswith("\n")
-    assert [line.split(",")[0] for line in lines[1:]] == [
-        "" if math.isnan(x) else sig12(x) for x in floats.tolist()]
-    assert lines[8:11] == ["inf,01,4,ab", "-inf,01,5,ab", ",01,6,ab"]
-    rng = np.random.default_rng(5)
-    sample = np.concatenate([rng.standard_normal(500) * 10.0 ** rng.integers(-20, 20, 500),
-                             rng.integers(-9, 9, 100).astype(float)])
-    assert to_csv(None, [sample]).splitlines() == [sig12(x) for x in sample.tolist()]
+    # lists go value by value; scan_csv's "%.12g" template must print what
+    # sig12 prints, over a random sample and the edge cases
     assert to_csv(("a", "b", "c", "d", "e"), [[None, 1.5], [True, False], [NsgForm([1], [1])] * 2,
                                               [[0, 1], []], [(0, 1), 2]]) == (
         'a,b,c,d,e\n,True,"nsg(1;1)",0 1,0-1\n1.5,False,"nsg(1;1)",,2\n')
     assert to_csv(("a",), [[]]) == "a\n"
+    rng = np.random.default_rng(5)
+    sample = np.concatenate([rng.standard_normal(500) * 10.0 ** rng.integers(-20, 20, 500),
+                             rng.integers(-9, 9, 100).astype(float)]).tolist()
+    sample += [0.1, -0.0, 1e-300, 2.5e17, 123456789012.5, math.inf, -math.inf, math.nan, 5e-324]
+    assert ["%.12g" % x for x in sample] == [sig12(x) for x in sample]
 
 
 def test_sig12():
@@ -334,21 +326,23 @@ def test_scan_gap_csv_rows(capsys):
 
 def test_scan_csv_equals_to_csv_over_the_columns(monkeypatch):
     # the row template prints what formats.to_csv prints over the scan's
-    # columns, an absent eta as NaN: order 2 has no eta-, nor has K_n at any
-    # order; blocks of 7 rows also check where blocks join
+    # columns as lists, an absent eta as None: order 2 has no eta-, nor has
+    # K_n at any order; blocks of 7 rows also check where blocks join
     for rows_per_text in (cli._SCAN_CSV_ROWS, 7):
         monkeypatch.setattr(cli, "_SCAN_CSV_ROWS", rows_per_text)
         for scan in (verify.scan_gap, verify.scan_conjecture):
             for order in range(2, 13):
                 report = scan(order, keep_rows=True)
                 rows = report.rows
-                columns = [rows.sequence, np.full(len(rows.sequence), order),
-                           *(np.where(np.isinf(eta), np.nan, eta)
+                columns = [[seq.decode() for seq in rows.sequence.tolist()],
+                           [order] * len(rows.sequence),
+                           *([None if math.isinf(x) else x for x in eta.tolist()]
                              for eta in (rows.eta_plus, rows.eta_minus))]
                 if report.kind == "gap":
-                    count, expected = rows.count_in_interval, rows.expected_trivial
-                    columns += [count, expected, rows.min_nontrivial_distance,
-                                np.where(count == expected, "pass", "fail")]
+                    count = rows.count_in_interval.tolist()
+                    expected = rows.expected_trivial.tolist()
+                    columns += [count, expected, rows.min_nontrivial_distance.tolist(),
+                                ["pass" if c == e else "fail" for c, e in zip(count, expected)]]
                 assert np.isinf(rows.eta_minus).any()
                 assert "".join(cli.scan_csv(report)) == to_csv(
                     cli.SCAN_CSV_KEYS[:len(columns)], columns), (rows_per_text, order)
@@ -709,6 +703,14 @@ def test_scripts_run(tmp_path, capsys):
         done = script(tmp_path, "antiregular_bounds.py", "--max-order", "12", "--step", step)
         assert (done.returncode, done.stdout, done.stderr) == (
             1, "", f"error: --step must be at least 1, got {step}\n"), step
+    # refused before any order is solved: above the cap A_n's quotient outgrows
+    # memory, and a missing --csv directory would be found only at the end
+    for argv, message in ((("--min-order", "2001", "--max-order", "2001"),
+                           f"--max-order 2001 is above the cap {EDGE_ORDER_CAP}"),
+                          (("--max-order", "12", "--csv", "missing/b.csv"),
+                           "--csv directory 'missing' does not exist")):
+        done = script(tmp_path, "antiregular_bounds.py", *argv)
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {message}\n"), argv
     src = str(pathlib.Path(thresholdlab.__file__).parents[1])
     lines = run_script(tmp_path, "bench_scan_csv.py", "--src", src, "--commit", "x",
                        "--orders", "5", "6", "--repeats", "1", "--out", "tmp/bench.json")

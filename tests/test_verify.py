@@ -25,7 +25,7 @@ from thresholdlab.graphs import (
 )
 from thresholdlab import verify
 from thresholdlab.cli import scan_csv
-from thresholdlab.spectra import assemble_spectrum, eta_extremes, trivial_forecast
+from thresholdlab.spectra import assemble_spectrum, eta_extremes, trivial_multiplicities
 from thresholdlab.verify import (
     DEFAULT_ORDER_CAP,
     GAP_LOWER,
@@ -558,11 +558,11 @@ def test_scan_reports_do_not_depend_on_block_size(monkeypatch):
                     coarse, entries, scan.__name__, order, keep_rows)
 
 
-def test_scan_forecast_equals_trivial_forecast_over_class_sizes():
+def test_scan_forecast_equals_trivial_multiplicities_over_class_sizes():
     # the closed-form forecast n - 2h + [m_h = 1] of every connected
     # sequence, unit by unit for units that fix 0, 3 or all index bits,
-    # against trivial_forecast over the class sizes read off its symbols and
-    # against the forms of check_gap
+    # against mult0 + multm1 of trivial_multiplicities over the class sizes
+    # read off its symbols and against the forms of check_gap
     for order in range(2, 17):
         index = np.arange(2 ** (order - 2), dtype=np.int64)
         symbols = verify._block_symbols(order, index)
@@ -573,7 +573,8 @@ def test_scan_forecast_equals_trivial_forecast_over_class_sizes():
         for h in np.unique(h_of).tolist():
             rows = np.flatnonzero(h_of == h)
             m, n = verify._class_sizes(changes[rows], order, h)
-            expected[rows] = sum(trivial_forecast(m.T, n.T))
+            mults = map(trivial_multiplicities, map(NsgForm, m.tolist(), n.tolist()))
+            expected[rows] = [mult.mult0 + mult.multm1 for mult in mults]
         for top in sorted({0, min(3, order - 2), order - 2}):
             forecasts = verify._scan_forecast(order, top, range(2 ** top))
             for low, forecast in enumerate(forecasts):

@@ -6,10 +6,10 @@ Each run is one ``thresholdlab scan-gap|scan-conjecture --order N --order-cap N
 python with one BLAS thread, writing its output to the null device.  A CSV
 scan keeps every row; a JSON or plain one keeps none, which is the path that
 sets the verification frontier.  A point is keyed by commit, kind, order,
-workers and format and
-holds the median wall and CPU seconds of its runs (CPU of the scan process
-and of the workers it forks), graphs per wall second and per CPU second, and
-the largest peak RSS of the scan process (VmHWM) and of a forked worker.  The
+workers and format and holds the median wall and CPU seconds of its runs
+(CPU of the scan process and of the workers it forks), each to 4
+significant digits, graphs per wall second and per CPU second, and the
+largest peak RSS of the scan process (VmHWM) and of a forked worker.  The
 benchmark's yardstick (perfbench/yardstick.py) runs in this process before
 and after each run, and ``cpu_s_norm`` is the median CPU time scaled to a
 host that runs the yardstick in ``yardstick.NOMINAL_S``, so that points
@@ -106,7 +106,7 @@ def main() -> int:
             point = {
                 "commit": args.commit, "kind": kind, "order": order,
                 "workers": args.workers, "format": args.format, "runs": args.repeats,
-                "wall_s": round(wall, 3), "cpu_s": round(cpu, 3),
+                "wall_s": float(f"{wall:.4g}"), "cpu_s": float(f"{cpu:.4g}"),
                 "cpu_s_norm": float(f"{statistics.median(r[4] for r in runs):.4g}"),
                 "minflt": round(statistics.median(r[5] for r in runs)),
                 "graphs_per_s": round(graphs / wall), "graphs_per_cpu_s": round(graphs / cpu),

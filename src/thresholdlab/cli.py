@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import functools
 import math
+import os
 import sys
 from typing import Iterable, Iterator
 
@@ -379,6 +380,8 @@ def main(argv=None) -> int:
             return 0
         return code if isinstance(code, int) else 1
     try:
+        if not os.path.isdir(os.path.dirname(getattr(args, "out", None) or "") or "."):
+            raise ValueError(f"--out directory {os.path.dirname(args.out)!r} does not exist")
         return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,21 +12,22 @@ checks each graph's interval count against its forecast (see
 eigenproblem of every graph; a scan without rows solves only the graphs its
 report needs, the ones that miss their forecast and the few whose inertia
 counts find an eigenvalue in (0, eta+(A_n)] or [eta-(A_n), -1) up to a
-small margin, since only those can hold an eta extreme.  With k workers
-the scan forks k - 1 children, each of which sweeps a fixed stride of the
-units in one kernel workspace and pipes one result back, its solved rows,
-and sweeps the first stride itself (``_map``; POSIX only, as it needs
-``os.fork``).  A worker groups the graphs it solves by h, read off each
-index by a popcount, and solves each group in stacks of at most
-SCAN_BLOCK_ENTRIES quotient entries, rows * (2h)^2.  One sort puts the
-solved rows of all workers in index order, so ties go to the lowest index
-and failures come in index order, and neither the unit split nor the worker
-count can change a report.  The reduction
-machinery walks the same vertex-deletion chain the inductive argument walks:
-every non-anti-regular graph has a vertex whose removal drops exactly one
-trivial eigenvalue, and iterating lands on an anti-regular graph whose
-extreme nontrivial eigenvalues clear the interval strictly, by a margin that
-shrinks like ~1/n^2 (the endpoints are their large-n limits).
+small margin, since only those can hold an eta extreme.  A_n is solved
+once, before any fork, and copied by a worker that picks it
+(``_prune_thresholds``).  With k workers the scan forks k - 1 children,
+each of which sweeps a fixed stride of the units in one kernel workspace
+and pipes one result back, its solved rows, and sweeps the first stride
+itself (``_map``; POSIX only, as it needs ``os.fork``).  A worker groups
+the graphs it solves by h, read off each index by a popcount, and solves
+each group in stacks of at most SCAN_BLOCK_ENTRIES quotient entries, rows *
+(2h)^2.  One sort puts the solved rows of all workers in index order, so
+ties go to the lowest index and failures come in index order, and neither
+the unit split nor the worker count can change a report.  The reduction
+machinery walks the same vertex-deletion chain the inductive argument
+walks: every non-anti-regular graph has a vertex whose removal drops
+exactly one trivial eigenvalue, and iterating lands on an anti-regular
+graph whose extreme nontrivial eigenvalues clear the interval strictly, by
+a margin that shrinks like ~1/n^2 (the endpoints are their large-n limits).
 """
 
 from __future__ import annotations
@@ -403,16 +404,20 @@ def _scan_forecast(order: int, top: int, lows) -> Iterator[np.ndarray]:
         yield tables[(low >> (top - 1)) & 1 if top else 1] + (order - 1 - changes)
 
 
-def _prune_thresholds(order: int) -> tuple[float, float]:
-    """eta+ and eta- of A_n, the bounds the order's eta extremes cannot miss.
+def _prune_thresholds(order: int) -> tuple[float, float, int, list[np.ndarray]]:
+    """eta+ and eta- of A_n, the bounds the order's eta extremes cannot miss,
+    then A_n's index and its gap-scan :func:`_solve` columns, from one solve.
 
     The smallest eta+ of the order is at most eta+(A_n) and the largest eta-
     at least eta-(A_n), so no row whose eigenvalues stay off (0, t+] and
-    [t-, -1) can hold an extreme.  A_2 has no eta-, which then bounds
-    nothing: every eigenvalue of the order lies in (-order, order).
+    [t-, -1) can hold an extreme.  t- = max(eta-, -order) bounds nothing at
+    order 2, where A_2 has no eta-: every eigenvalue lies in (-order, order).
     """
-    bounds = check_antiregular_bounds(order)
-    return bounds.eta_plus, -order if bounds.eta_minus is None else bounds.eta_minus
+    form = anti_regular(order)
+    text = str(nsg_to_creation(form))  # its index: symbols 0..n-2 in binary
+    eigs = np.linalg.eigvalsh(quotient_stack(np.array([form.m]), np.array([form.n])))
+    columns = [np.array([text], f"S{order}"), *eta_extremes(eigs), _clearance(eigs)]
+    return float(columns[1][0]), max(float(columns[2][0]), -order), int(text[:-1], 2), columns
 
 
 def _class_sizes(changes: np.ndarray, order: int, h: int) -> tuple[np.ndarray, np.ndarray]:
@@ -425,7 +430,7 @@ def _class_sizes(changes: np.ndarray, order: int, h: int) -> tuple[np.ndarray, n
     return runs[:, -2::-2], runs[:, :0:-2]
 
 
-def _solve(order: int, index: np.ndarray, gap: bool) -> list[np.ndarray]:
+def _solve(order: int, index: np.ndarray, gap: bool, known=(-1, ())) -> list[np.ndarray]:
     """Text, eta+ and eta-, and for a gap scan the clearance, of the
     connected sequences at ``index`` of one order.
 
@@ -434,14 +439,19 @@ def _solve(order: int, index: np.ndarray, gap: bool) -> list[np.ndarray]:
     worker solves.  Each group is solved in (k, 2h, 2h) stacks of
     k * (2h)^2 <= SCAN_BLOCK_ENTRIES entries (k = 1 at least), one
     ``eigvalsh`` call per stack; symbols and class sizes are built per
-    stack, and its values written straight into the columns.
+    stack, and its values written straight into the columns.  The row at
+    ``known[0]`` (A_n's) is copied from ``known[1]``, its h set to 0.
     """
     columns = [np.empty(len(index), f"S{order}")]
     columns += [np.empty(len(index)) for _ in range(3 if gap else 2)]
+    copied = index == known[0]
+    for column, value in zip(columns, known[1]):
+        column[copied] = value
     run = 1 << _SWEEP_UNIT_BITS
     for first in range(0, len(index), run):
         h_of = _scan_h(index[first:first + run])
-        for h in np.flatnonzero(np.bincount(h_of)).tolist():
+        h_of[copied[first:first + run]] = 0
+        for h in (np.flatnonzero(np.bincount(h_of)[1:]) + 1).tolist():  # h = 0: copied
             group = np.flatnonzero(h_of == h) + first
             size = max(1, SCAN_BLOCK_ENTRIES // (2 * h) ** 2)  # rows per stack
             for start in range(0, len(group), size):
@@ -456,15 +466,16 @@ def _solve(order: int, index: np.ndarray, gap: bool) -> list[np.ndarray]:
     return columns
 
 
-def _scan_stride(gap: bool, order: int, top: int, lows, thresholds: tuple[float, float],
+def _scan_stride(gap: bool, order: int, top: int, lows, antiregular: tuple,
                  keep_rows: bool) -> tuple[np.ndarray, list]:
     """(index, columns) of the rows that one worker's sweep units solve, the
     columns in :class:`ScanRows` order, the clearance for a gap scan only:
     the rows :func:`_pick_rows` picks, solved together by :func:`_solve`
-    once the sweep's workspace is freed.
+    once the sweep's workspace is freed, A_n's row from ``antiregular``,
+    what :func:`_prune_thresholds` returns.
     """
-    index, counted = _pick_rows(order, top, lows, thresholds, keep_rows)
-    text, eta_plus, eta_minus, *clearance = _solve(order, index, gap)
+    index, counted = _pick_rows(order, top, lows, antiregular[:2], keep_rows)
+    text, eta_plus, eta_minus, *clearance = _solve(order, index, gap, antiregular[2:])
     return index, [text, eta_plus, eta_minus, *counted, *clearance]
 
 
@@ -485,7 +496,8 @@ def _pick_rows(order: int, top: int, lows, thresholds: tuple[float, float],
     the trivial ones, and no other row can hold an eta extreme or a
     failure, whether or not the theorem holds.  A scan without rows keeps
     each unit's counts and forecast in int8 and only the rows it solves as
-    int64; a unit that solves nothing adds nothing.
+    int64; a unit that solves nothing adds nothing.  A_n is counted and
+    picked as any row is.
     """
     t_plus, t_minus = thresholds
     sweep = count_eigs_leq_sweep(order, (GAP_LOWER, GAP_UPPER, t_plus + PRUNE_MARGIN,
@@ -577,8 +589,8 @@ def _run_scan(kind: str, order: int, workers: int, order_cap: int, keep_rows: bo
         raise ValueError("more than one worker needs os.fork, which this platform lacks")
     # at least one unit per worker, and at most 2^_SWEEP_UNIT_BITS leaves in one
     top = min(order - 2, max(order - 2 - _SWEEP_UNIT_BITS, (workers - 1).bit_length()))
-    thresholds = _prune_thresholds(order)
-    results = _map(lambda lows: _scan_stride(kind == "gap", order, top, lows, thresholds,
+    antiregular = _prune_thresholds(order)  # A_n's one solve, before any fork
+    results = _map(lambda lows: _scan_stride(kind == "gap", order, top, lows, antiregular,
                                              keep_rows),
                    range(1 << top), workers)
     # one sort puts the rows of all workers in index order, so the first
@@ -605,7 +617,7 @@ def _run_scan(kind: str, order: int, workers: int, order_cap: int, keep_rows: bo
                                    float(clearance[i]), False)
                          for i in np.flatnonzero(count != expected).tolist())
     else:
-        antiregular_sequence = str(nsg_to_creation(anti_regular(order)))
+        antiregular_sequence = antiregular[3][0][0].decode()
         plus_ok = best_plus is not None and best_plus[1] == antiregular_sequence
         minus_ok = best_minus is None or best_minus[1] == antiregular_sequence
         conjecture_holds = plus_ok and minus_ok

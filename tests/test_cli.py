@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import thresholdlab
-from thresholdlab import cli, verify
+from thresholdlab import cli, graphs, verify
 from thresholdlab.formats import (
     EDGE_ORDER_CAP,
     format_edge_list,
@@ -588,7 +588,7 @@ def test_workers_above_cap_exit_1(capsys, monkeypatch):
 # a scan whose forked children end by os._exit(3) before sending any result
 WORKER_DEATH = """\
 import os, sys
-from thresholdlab import cli, verify
+from thresholdlab import cli, graphs, verify
 parent, stride = os.getpid(), verify._scan_stride
 verify._scan_stride = lambda *args: stride(*args) if os.getpid() == parent else os._exit(3)
 code = cli.main(sys.argv[1:])
@@ -669,6 +669,25 @@ def test_out_writes_file_not_stdout(tmp_path, capsys):
     assert json.loads(target.read_text())["verdict"] == "pass"
 
 
+def test_out_in_a_missing_directory_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    # the directory is checked before dispatch, for every command: no scan
+    # stride runs and no batch is enumerated only to fail at the last step
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started for an --out that cannot be written")
+
+    monkeypatch.setattr(verify, "_scan_stride", refuse)
+    monkeypatch.setattr(graphs, "enumerate_threshold", refuse)
+    missing = tmp_path / "missing"
+    for argv in (("scan-gap", "--order", "22", "--format", "csv"),
+                 ("scan-conjecture", "--order", "12", "--workers", "2"),
+                 ("gen", "--order", "14"), ("check-gap", "--seq", "0011"),
+                 ("check-antiregular", "--order", "5")):
+        code, out, err = run(capsys, *argv, "--out", str(missing / "x.csv"))
+        assert (code, out, err) == (1, "", f"error: --out directory {str(missing)!r} "
+                                           "does not exist\n"), argv
+    assert not missing.exists()
+
+
 # ---------------------------------------------------------------- scripts
 
 
@@ -720,6 +739,11 @@ def test_scripts_run(tmp_path, capsys):
         ("gap", 5, 1), ("gap", 6, 1), ("conjecture", 5, 1), ("conjecture", 6, 1)]
     assert all(p["graphs_per_cpu_s"] > 0 and p["peak_rss_mb"] > 0 and p["cpu_s_norm"] > 0
                and p["minflt"] >= 0 for p in points)
+    # times keep 4 significant digits, however short: these scans take a
+    # few ms, which 3 decimals would cut to one digit
+    times = [p[key] for p in points for key in ("wall_s", "cpu_s", "cpu_s_norm")]
+    assert all(0 < t == float(f"{t:.4g}") for t in times)
+    assert any(t != round(t, 3) for t in times)
     # refused before any scan runs: no point printed, no file written
     for argv, message in ((("--repeats", "0", "--out", "tmp/none.json"),
                            "--repeats must be at least 1, got 0"),

@@ -258,7 +258,7 @@ def test_count_eigs_leq_sweep_equals_scalar_kernel():
     # index j * 2^top + low, and all units of one call share one workspace
     for order in range(2, 15):
         seqs = list(enumerate_threshold(order, connected_only=True))
-        t_plus, t_minus = _prune_thresholds(order)
+        t_plus, t_minus, *_ = _prune_thresholds(order)
         points = (GAP_LOWER, GAP_UPPER, CLASSIFY_EPS / 2, t_plus + PRUNE_MARGIN,
                   t_minus - PRUNE_MARGIN, -1.0 - CLASSIFY_EPS / 2, 0.0, -1.0)
         scalar = [[count_eigs_leq(seq, x) for seq in seqs] for x in points]

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import pathlib
@@ -473,7 +474,7 @@ def test_scans_sweep_their_own_points(monkeypatch):
 
     monkeypatch.setattr(verify, "count_eigs_leq_sweep", recording)
     for order in (2, 9, 14):
-        t_plus, t_minus = verify._prune_thresholds(order)
+        t_plus, t_minus, *_ = verify._prune_thresholds(order)
         points = [(GAP_LOWER, GAP_UPPER, t_plus + PRUNE_MARGIN, t_minus - PRUNE_MARGIN)]
         for scan in (scan_gap, scan_conjecture):
             for keep_rows in (False, True):
@@ -682,13 +683,15 @@ def test_scan_without_rows_solves_under_one_percent(monkeypatch):
         assert solved[0] < 4096 // 100, scan.__name__
         solved[0] = 0
         scan(14, keep_rows=True)
+        # A_n's one solve and the strides' 4095 other rows
         assert solved[0] == 4096, scan.__name__
 
 
 def test_scan_stacks_hold_one_h_within_the_entry_bound(monkeypatch):
-    # a kept-row scan solves every graph once, in stacks of forms that all
-    # have the stack's h nonempty classes, each stack k graphs of (2h)^2
-    # entries with k * (2h)^2 <= SCAN_BLOCK_ENTRIES, or a single graph
+    # a kept-row scan solves every graph once: A_n alone, before the
+    # strides, and the others in stacks of forms that all have the stack's
+    # h nonempty classes, each stack k graphs of (2h)^2 entries with
+    # k * (2h)^2 <= SCAN_BLOCK_ENTRIES, or a single graph
     stacks = []
     honest = verify.quotient_stack
 
@@ -703,7 +706,9 @@ def test_scan_stacks_hold_one_h_within_the_entry_bound(monkeypatch):
             for order in orders:
                 stacks.clear()
                 scan(order, keep_rows=True)
-                assert sum(len(m) for m, _ in stacks) == 2 ** (order - 2), (entries, order)
+                form = anti_regular(order)
+                assert [a.tolist() for a in stacks[0]] == [[list(form.m)], [list(form.n)]]
+                assert sum(len(m) for m, _ in stacks[1:]) == 2 ** (order - 2) - 1, (entries, order)
                 for m, n in stacks:
                     k, h = m.shape
                     assert m.min() >= 1 and n.min() >= 1, (entries, order, h)
@@ -742,13 +747,87 @@ def test_scan_pruning_each_side_alone_keeps_the_report(monkeypatch):
     # from order 3 on, A_n holds both extremes and has eigenvalues on both
     # sides, so either side's candidates alone must find it; here one bound
     # admits no eigenvalue at all ((eps/2, 1e-9] and (-1 - 1e-9, -1 - eps/2]
-    # are empty) and the other admits every one
+    # are empty) and the other admits every one.  Only the thresholds are
+    # patched: A_n's solved row reaches the report only where the one-sided
+    # pick selects it
     honest = {(scan, order): scan(order)
               for scan in (scan_gap, scan_conjecture) for order in range(3, 13)}
+    prune = verify._prune_thresholds
     for one_sided in (lambda order: (0.0, -float(order)), lambda order: (float(order), -1.0)):
-        monkeypatch.setattr(verify, "_prune_thresholds", one_sided)
+        monkeypatch.setattr(verify, "_prune_thresholds",
+                            lambda order, side=one_sided: (*side(order), *prune(order)[2:]))
         for (scan, order), report in honest.items():
             assert scan(order) == report, (scan.__name__, order)
+
+
+def test_antiregular_row_is_solved_once_bit_for_bit():
+    # the row that strides copy for A_n is, at every order a scan can reach,
+    # bit for bit what solving A_n's index gives, and the thresholds are its
+    # etas, as check_antiregular_bounds finds them on the whole spectrum
+    for order in range(2, ORDER_CEILING + 1):
+        t_plus, t_minus, index, columns = verify._prune_thresholds(order)
+        assert columns[0][0].decode() == str(nsg_to_creation(anti_regular(order)))
+        assert str(sequence_at(order, index, connected_only=True)) == columns[0][0].decode()
+        for gap in (True, False):
+            solved = verify._solve(order, np.array([index]), gap)
+            assert len(solved) == (4 if gap else 3)
+            assert [c.tobytes() for c in columns[:len(solved)]] == [c.tobytes() for c in solved]
+        bounds = check_antiregular_bounds(order)
+        assert (t_plus, t_minus) == (bounds.eta_plus, bounds.eta_minus or -order), order
+
+
+def test_scans_stack_antiregular_once_before_the_strides(monkeypatch, tmp_path):
+    # every scan, of either kind, with or without rows and with 1 or 3
+    # workers, stacks A_n's class sizes once, alone and in the scan process,
+    # before any stride runs; no stride, in the parent or in a forked
+    # worker, stacks A_n's index again.  Stacks are logged to a file, as
+    # forked workers share no memory with the test
+    log = tmp_path / "stacks"
+    honest = verify.quotient_stack
+
+    def recording(m, n):
+        with open(log, "a") as fh:
+            fh.write(json.dumps([os.getpid(), m.tolist(), n.tolist()]) + "\n")
+        return honest(m, n)
+
+    monkeypatch.setattr(verify, "quotient_stack", recording)
+    for order in range(2, 15):
+        form = anti_regular(order)
+        antiregular = (list(form.m), list(form.n))
+        for scan in (scan_gap, scan_conjecture):
+            for keep_rows in (False, True):
+                for workers in (1, 3):
+                    log.write_text("")
+                    scan(order, workers=workers, keep_rows=keep_rows)
+                    first, *strides = map(json.loads, log.read_text().splitlines())
+                    case = (scan.__name__, order, keep_rows, workers)
+                    assert first == [os.getpid(), [antiregular[0]], [antiregular[1]]], case
+                    assert all(antiregular not in zip(m, n) for _, m, n in strides), case
+                    if keep_rows:
+                        assert sum(len(m) for _, m, _ in strides) == 2 ** (order - 2) - 1, case
+                        if workers == 3 and order >= 4:  # the log reaches forked workers
+                            assert {pid for pid, _, _ in strides} - {os.getpid()}, case
+    assert_no_children()
+
+
+def test_scan_reports_antiregular_failure_with_its_swept_counts(monkeypatch):
+    # A_n's row is copied from its one solve, but its interval count and
+    # forecast come from the sweep, as every row's do: a forecast one too
+    # high makes A_n fail with check_gap's values and that forecast
+    honest = verify._scan_forecast
+    monkeypatch.setattr(verify, "_scan_forecast", lambda order, top, lows: (
+        forecast + 1 for forecast in honest(order, top, lows)))
+    for order in range(2, 11):
+        truth = check_gap(anti_regular(order))
+        expected = dataclasses.replace(truth, expected_trivial=truth.expected_trivial + 1,
+                                       passed=False)
+        for keep_rows in (False, True):
+            for workers in (1, 3):
+                report = scan_gap(order, workers=workers, keep_rows=keep_rows)
+                assert len(report.failures) == report.graphs_checked
+                assert [f for f in report.failures if f.sequence == truth.sequence] == [
+                    expected], (order, keep_rows, workers)
+    assert_no_children()
 
 
 def test_scan_rows_collection():

@@ -380,7 +380,7 @@ def main(argv=None) -> int:
             return 0
         return code if isinstance(code, int) else 1
     try:
-        if not os.path.isdir(os.path.dirname(getattr(args, "out", None) or "") or "."):
+        if not os.path.isdir(os.path.dirname(args.out or "") or "."):
             raise ValueError(f"--out directory {os.path.dirname(args.out)!r} does not exist")
         return args.handler(args)
     except (ValueError, OSError) as exc:

@@ -471,8 +471,8 @@ def _scan_stride(gap: bool, order: int, top: int, lows, antiregular: tuple,
     """(index, columns) of the rows that one worker's sweep units solve, the
     columns in :class:`ScanRows` order, the clearance for a gap scan only:
     the rows :func:`_pick_rows` picks, solved together by :func:`_solve`
-    once the sweep's workspace is freed, A_n's row from ``antiregular``,
-    what :func:`_prune_thresholds` returns.
+    once the sweep's workspace is freed; A_n's row is copied from
+    ``antiregular``, what :func:`_prune_thresholds` returns.
     """
     index, counted = _pick_rows(order, top, lows, antiregular[:2], keep_rows)
     text, eta_plus, eta_minus, *clearance = _solve(order, index, gap, antiregular[2:])

@@ -18,9 +18,12 @@ Exhaustive scans work on many graphs at a time.  They count by
 :func:`count_eigs_leq_sweep`, which runs the congruence over the suffix tree
 of the creation sequences: sequences that end alike share their states, so a
 whole order costs about two steps per graph instead of n.  It sweeps a
-worker's whole stride of units in one workspace, allocated once, and counts
-a state when d <= pivmin, clamping only at the rare level where a state lies
-within pivmin of zero.  Every scan, of either kind, counts each graph with
+worker's whole stride of units in one workspace, allocated once.  Each unit
+is stepped first, a divide and a subtract per level, and tested once: one
+comparison per block of states counts a state when d <= pivmin, one add per
+level sums the counts along each path, and a guard sends the unit back to
+be clamped and stepped again only where a state lies within pivmin of
+zero.  Every scan, of either kind, counts each graph with
 it at the same four points, the gap endpoints and just beyond the
 anti-regular graph's extremes, which pick the few graphs a scan without
 rows solves (see ``verify._pick_rows``).
@@ -156,53 +159,86 @@ def count_eigs_leq_sweep(order: int, xs, top: int, lows) -> Iterator[np.ndarray]
     makes the new bit the most significant of the leaf number.  The state
     before the first symbol is tested but never stepped.
 
-    A state counts when d <= pivmin, which is exactly d < 0 after the scalar
-    kernel's clamp.  The clamp runs only at a level where some state lies
-    within pivmin of zero, seen as fewer states below -pivmin than at or
-    below pivmin, and then clamps as the scalar kernel does.  Each
-    sequence's path runs through the same float operations in the same
-    order as the scalar kernel, so the counts are equal to its counts
-    exactly.
+    Each unit is stepped first and tested once.  Level i, the states after
+    i steps, is one (points, width) array: the path's states s_0 = -x, ...,
+    s_top, then free level k with 2^k states, the last of them the leaves.
+    Every step, one divide and one subtract, writes the next level by the
+    same float operations in the same order as the scalar kernel.  Then one
+    ``less_equal`` flags each leaf with d <= pivmin, which is exactly d < 0
+    after the scalar kernel's clamp, another flags the states that are
+    stepped from at or below the largest pivmin of the points, and one add
+    per step sums the flags along each path into the leaves' counts: three
+    numpy calls per free level.  A guard counts the states that are
+    stepped from and lie below minus that pivmin.  If none lies within it
+    of zero, their flags are exact too.  Otherwise, level by level, the
+    states within their own point's pivmin of zero are clamped to minus
+    it, as the scalar kernel clamps them, only the levels below a clamp are
+    stepped again and the unit is tested again, and once no state needs a
+    clamp the flags of the states stepped from are d <= 0.  Leaves are
+    never stepped from, so they need no clamp, and the counts equal the
+    scalar kernel's exactly.  Until it is clamped, a state at 0 divides by
+    0, so the steps ignore floating-point errors, and only they do.
 
-    All units share one workspace: the states, a scratch array, the flags
-    and the counts are allocated once, and every yielded array is the same
-    counts buffer, which holds a unit's counts only until the next unit is
-    swept.
+    All units share one workspace, allocated once: the two blocks of
+    states, their flags and the guard's mask.  Every yielded array is the
+    same counts buffer, which holds a unit's counts only until the next
+    unit is swept.
     """
     xs = [float(x) for x in xs]
     pivmin = np.array([_SAFMIN * (order + abs(x) + 1.0) ** 2 for x in xs])[:, None]
-    clamped = -pivmin
+    clamped, limit = -pivmin, float(pivmin.max(initial=0.0))
     x = np.array(xs)[:, None, None]
     a = np.concatenate([x, x + 1.0], axis=1)  # x + 0.0 is x: symbol 0 and symbol 1
     square, twice = a * a, -2.0 * a  # (points, 2, 1)
-    points, leaves = len(xs), 1 << (order - 2 - top)
-    d, scratch = np.empty((points, leaves)), np.empty((points, leaves))
-    flags, strict = np.empty((points, leaves), dtype=np.int8), np.empty((points, leaves), dtype=bool)
-    counts = np.empty((points, leaves), dtype=np.int8)
-
-    def test(width: int) -> None:  # count d <= pivmin; clamp if any |d| <= pivmin
-        states, below = d[:, :width], flags[:, :width]
-        counts[:, :width] += np.less_equal(states, pivmin, out=below)
-        if np.count_nonzero(np.less(states, clamped, out=strict[:, :width])) < np.count_nonzero(below):
-            np.less_equal(np.abs(states, out=scratch[:, :width]), pivmin, out=strict[:, :width])
-            np.copyto(states, clamped, where=strict[:, :width])
+    symbol = [(square[:, :1], twice[:, :1]), (square[:, 1:], twice[:, 1:])]
+    points, free = len(xs), order - 2 - top
+    # Each level is a contiguous run of its block, so no call reads a
+    # strided view that it writes, which numpy would copy first.
+    widths = [1] * (top + 2) + [2 << k for k in range(free)]
+    cut = points * sum(widths[:-1])  # states of the levels that are stepped from
+    inner, leaves = np.empty(cut), np.empty((points, 1 << free))
+    flags = np.empty(cut + leaves.size, dtype=np.int8)
+    below, strict = flags.view(bool), np.empty(cut, dtype=bool)
+    levels, end = [], 0
+    for width in widths[:-1]:
+        levels.append((inner[end:end + points * width], flags[end:end + points * width]))
+        end += points * width
+    levels.append((leaves, flags[cut:]))
+    steps = []  # (parent, child) views of the states, then of the flags
+    for (parent, parent_flags), (child, child_flags), width, wider in zip(
+            levels, levels[1:], widths, widths[1:]):
+        shape, both = (points, 1, width), (points, wider // width, width)
+        steps.append((parent.reshape(shape), child.reshape(both),
+                      parent_flags.reshape(shape), child_flags.reshape(both)))
+    counts, leaf_flags = flags[cut:].reshape(leaves.shape), below[cut:].reshape(leaves.shape)
 
     for low in lows:
-        d[:, :1], counts[:, :1] = -x[:, 0], 0
-        width = 1
-        for bit in range(-1, order - 2):  # -1: the final symbol 1
-            test(width)
-            if bit < top:
-                symbol = 1 if bit < 0 else (low >> bit) & 1
-                d[:, :1] = twice[:, symbol] - square[:, symbol] / d[:, :1]
-            else:  # -2a - a^2/d for both symbols, into [f_0(d), f_1(d)]
-                both = (points, 2, width)
-                quotient = np.divide(square, d[:, None, :width],
-                                     out=scratch[:, :2 * width].reshape(both))
-                np.subtract(twice, quotient, out=d[:, :2 * width].reshape(both))
-                counts[:, width:2 * width] = counts[:, :width]
-                width *= 2
-        test(width)
+        tables = [symbol[1]] + [symbol[(low >> bit) & 1] for bit in range(top)]
+        tables += [(square, twice)] * free
+        inner[:points] = -x[:, 0, 0]
+        first = 0  # the first step to take
+        while True:
+            with np.errstate(all="ignore"):
+                for (numerator, minuend), (parent, child, _, _) in zip(tables[first:],
+                                                                       steps[first:]):
+                    np.divide(numerator, parent, out=child)
+                    np.subtract(minuend, child, out=child)
+            np.less_equal(leaves, pivmin, out=leaf_flags)
+            np.less_equal(inner, limit, out=below[:cut])
+            if np.count_nonzero(np.less(inner, -limit, out=strict)) \
+                    == np.count_nonzero(below[:cut]):
+                break
+            for first in range(first, len(steps)):
+                states = levels[first][0].reshape(points, widths[first])
+                near = (states <= pivmin) & (states > clamped)  # -pivmin needs no clamp
+                if near.any():
+                    np.copyto(states, clamped, where=near)
+                    break  # and step the levels below again
+            else:
+                np.less_equal(inner, 0.0, out=below[:cut])
+                break
+        for _, _, parent, child in steps:
+            np.add(child, parent, out=child)
         yield counts
 
 

@@ -86,9 +86,10 @@ PRUNE_MARGIN = 1e-9
 # stack.
 SCAN_BLOCK_ENTRIES = 1 << 15
 # Scans sweep units of at most 2^_SWEEP_UNIT_BITS sequences; a worker's
-# kernel workspace, allocated once for all its units, is then about 5 MB at
-# four points.  The split does not matter either: every count is the same
-# in any unit, and _run_scan sorts the rows by index.
+# kernel workspace, allocated once for all its units, then holds its states
+# in two blocks of about 2 MB each at four points.  The split does not
+# matter either: every count is the same in any unit, and _run_scan sorts
+# the rows by index.
 _SWEEP_UNIT_BITS = 16
 # Scans refuse more workers than this, since a scan forks all of its workers
 # (one fewer, as the parent is one) before any unit runs.  A constant, not the

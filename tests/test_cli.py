@@ -1,7 +1,9 @@
+import importlib.util
 import json
 import math
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 import warnings
@@ -704,7 +706,7 @@ def run_script(tmp_path, name, *argv):
     return done.stdout.splitlines()
 
 
-def test_scripts_run(tmp_path, capsys):
+def test_scripts_run(tmp_path, capsys, monkeypatch):
     lines = run_script(tmp_path, "run_gap_scan.py", "--max-order", "7", "--csv-dir", "tmp")
     assert [line[:9] for line in lines] == [f"order {o:2d}:" for o in range(2, 8)] + ["total: 63"]
     assert all(" 0 failures" in line for line in lines[:-1])
@@ -730,9 +732,19 @@ def test_scripts_run(tmp_path, capsys):
                            "--csv directory 'missing' does not exist")):
         done = script(tmp_path, "antiregular_bounds.py", *argv)
         assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {message}\n"), argv
-    src = str(pathlib.Path(thresholdlab.__file__).parents[1])
+    # a copy of the package with no __pycache__, run by pythons that write
+    # none: the script compiles the tree itself before it times a scan,
+    # since a scan process that compiles its modules on import peaks higher
+    package = tmp_path / "src" / "thresholdlab"
+    shutil.copytree(pathlib.Path(thresholdlab.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    src = str(package.parent)
     lines = run_script(tmp_path, "bench_scan_csv.py", "--src", src, "--commit", "x",
                        "--orders", "5", "6", "--repeats", "1", "--out", "tmp/bench.json")
+    modules = sorted(package.glob("*.py"))
+    assert modules and all(pathlib.Path(importlib.util.cache_from_source(str(module))).exists()
+                           for module in modules)
     points = json.loads((tmp_path / "tmp" / "bench.json").read_text())
     assert [json.loads(line) for line in lines] == points
     assert [(p["kind"], p["order"], p["workers"]) for p in points] == [

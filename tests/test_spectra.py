@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from thresholdlab.graphs import (
     NsgForm,
+    anti_regular,
     build_adjacency,
     creation_to_nsg,
     enumerate_threshold,
@@ -252,27 +254,49 @@ def test_count_eigs_leq_sweep_equals_scalar_kernel():
     # the suffix-tree sweep against the scalar kernel on every connected
     # graph up to order 14, at the points scans without rows count (both
     # interval endpoints, the pruning bounds around A_n's eta and the
-    # conjecture scan's CLASSIFY_EPS points) and at the trivial eigenvalues:
-    # at x = 0 the first pivot is exactly 0, so the clamp runs there.  Units
-    # that fix 0, 2 or all order-2 index bits put leaf j of unit ``low`` at
-    # index j * 2^top + low, and all units of one call share one workspace
+    # conjecture scan's CLASSIFY_EPS points) and at four integers where
+    # pivots are exactly 0, so the clamp runs: at x = 0 and x = -1 the
+    # first one is at depth 0 or 1, at x = -2 and x = 5 (order 12: depths
+    # 8 and 11, and 5) deep in the tree, below states already stepped.
+    # Units that fix 0, 2 or all order-2 index bits put leaf j of unit
+    # ``low`` at index j * 2^top + low, and all units of one call share one
+    # workspace.  The unclamped steps divide by 0, which must neither warn
+    # nor leave the floating-point error state changed at any yield
+    errors = np.geterr()
     for order in range(2, 15):
         seqs = list(enumerate_threshold(order, connected_only=True))
         t_plus, t_minus, *_ = _prune_thresholds(order)
         points = (GAP_LOWER, GAP_UPPER, CLASSIFY_EPS / 2, t_plus + PRUNE_MARGIN,
-                  t_minus - PRUNE_MARGIN, -1.0 - CLASSIFY_EPS / 2, 0.0, -1.0)
+                  t_minus - PRUNE_MARGIN, -1.0 - CLASSIFY_EPS / 2, 0.0, -1.0, -2.0, 5.0)
         scalar = [[count_eigs_leq(seq, x) for seq in seqs] for x in points]
         for top in sorted({0, min(2, order - 2), order - 2}):
             swept = np.zeros((len(points), len(seqs)), dtype=np.int64)
             first = None
-            for low, counts in enumerate(count_eigs_leq_sweep(order, points, top,
-                                                              range(2 ** top))):
-                assert counts.shape == (len(points), 2 ** (order - 2 - top))
-                first = counts if first is None else first
-                assert np.shares_memory(counts, first), (order, top, low)
-                swept[:, low::2 ** top] = counts
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                for low, counts in enumerate(count_eigs_leq_sweep(order, points, top,
+                                                                  range(2 ** top))):
+                    assert np.geterr() == errors, (order, top, low)
+                    assert counts.shape == (len(points), 2 ** (order - 2 - top))
+                    first = counts if first is None else first
+                    assert np.shares_memory(counts, first), (order, top, low)
+                    swept[:, low::2 ** top] = counts
             assert swept.tolist() == scalar, (order, top)
     assert next(count_eigs_leq_sweep(5, (), 1, [0])).shape == (0, 4)
+
+
+def test_count_eigs_leq_sweep_counts_each_point_by_its_own_pivmin():
+    # pivmin grows with |x|: at x = 1e150 it is about 1e-8, far above the
+    # other points' pivmin.  Just off an eigenvalue of A_8, the other points'
+    # last pivots are about 1e-10 or 1e-12, above their own pivmin but below
+    # the largest one, so a sweep that tested every point at the largest
+    # pivmin would count some of them wrongly
+    order = 8
+    seqs = list(enumerate_threshold(order, connected_only=True))
+    for eigenvalue in assemble_spectrum(anti_regular(order)):
+        points = (1e150,) + tuple(eigenvalue + off for off in (1e-10, -1e-10, 1e-12, -1e-12))
+        counts = next(count_eigs_leq_sweep(order, points, 0, [0]))
+        assert counts.tolist() == [[count_eigs_leq(seq, x) for seq in seqs] for x in points]
 
 
 @given(sequences, st.floats(min_value=-13.0, max_value=13.0))

@@ -19,14 +19,13 @@ Exhaustive scans work on many graphs at a time.  They count by
 of the creation sequences: sequences that end alike share their states, so a
 whole order costs about two steps per graph instead of n.  It sweeps a
 worker's whole stride of units in one workspace, allocated once.  Each unit
-is stepped first, a divide and a subtract per level, and tested once: one
-comparison per block of states counts a state when d <= pivmin, one add per
-level sums the counts along each path, and a guard sends the unit back to
-be clamped and stepped again only where a state lies within pivmin of
-zero.  Every scan, of either kind, counts each graph with
-it at the same four points, the gap endpoints and just beyond the
-anti-regular graph's extremes, which pick the few graphs a scan without
-rows solves (see ``verify._pick_rows``).
+is stepped first, a divide and a subtract per level, and tested once: two
+comparisons flag the states that count, one add per level sums the flags
+along each path, and a guard sends the unit back to be clamped and stepped
+again only where a state lies within pivmin of zero.  Every scan, of either
+kind, counts each graph with it at the same four points, the gap endpoints
+and just beyond the anti-regular graph's extremes, which pick the few
+graphs a scan without rows solves (see ``verify._pick_rows``).
 The quotients of the solved forms that share h are built in place into one
 (k, 2h, 2h) stack of symmetrized matrices (:func:`quotient_stack`, which
 returns no raw divisor matrix) and solved by one stacked ``eigvalsh`` call,

@@ -169,14 +169,15 @@ def count_eigs_leq_sweep(order: int, xs, top: int, lows) -> Iterator[np.ndarray]
     per step sums the flags along each path into the leaves' counts: three
     numpy calls per free level.  A guard counts the states that are
     stepped from and lie below minus that pivmin.  If none lies within it
-    of zero, their flags are exact too.  Otherwise, level by level, the
-    states within their own point's pivmin of zero are clamped to minus
-    it, as the scalar kernel clamps them, only the levels below a clamp are
-    stepped again and the unit is tested again, and once no state needs a
-    clamp the flags of the states stepped from are d <= 0.  Leaves are
-    never stepped from, so they need no clamp, and the counts equal the
+    of zero, their flags are exact too.  Otherwise one more pass goes down
+    the levels: the states within their own point's pivmin of zero are
+    clamped to minus it, as the scalar kernel clamps them, and from the
+    first level that needed a clamp on, each level is stepped again into
+    the next before that one is looked at; then no state is within pivmin
+    of zero, and the flags of the states stepped from are d <= 0.  Leaves
+    are never stepped from, so they need no clamp, and the counts equal the
     scalar kernel's exactly.  Until it is clamped, a state at 0 divides by
-    0, so the steps ignore floating-point errors, and only they do.
+    0, so the first steps ignore floating-point errors, and only they do.
 
     All units share one workspace, allocated once: the two blocks of
     states, their flags and the guard's mask.  Every yielded array is the
@@ -215,27 +216,24 @@ def count_eigs_leq_sweep(order: int, xs, top: int, lows) -> Iterator[np.ndarray]
         tables = [symbol[1]] + [symbol[(low >> bit) & 1] for bit in range(top)]
         tables += [(square, twice)] * free
         inner[:points] = -x[:, 0, 0]
-        first = 0  # the first step to take
-        while True:
-            with np.errstate(all="ignore"):
-                for (numerator, minuend), (parent, child, _, _) in zip(tables[first:],
-                                                                       steps[first:]):
-                    np.divide(numerator, parent, out=child)
-                    np.subtract(minuend, child, out=child)
-            np.less_equal(leaves, pivmin, out=leaf_flags)
-            np.less_equal(inner, limit, out=below[:cut])
-            if np.count_nonzero(np.less(inner, -limit, out=strict)) \
-                    == np.count_nonzero(below[:cut]):
-                break
-            for first in range(first, len(steps)):
-                states = levels[first][0].reshape(points, widths[first])
+        with np.errstate(all="ignore"):
+            for (numerator, minuend), (parent, child, _, _) in zip(tables, steps):
+                np.divide(numerator, parent, out=child)
+                np.subtract(minuend, child, out=child)
+        np.less_equal(inner, limit, out=below[:cut])
+        if np.count_nonzero(np.less(inner, -limit, out=strict)) < np.count_nonzero(below[:cut]):
+            clamped_above = False
+            for (numerator, minuend), (parent, child, _, _) in zip(tables, steps):
+                states = parent[:, 0]  # (points, width)
                 near = (states <= pivmin) & (states > clamped)  # -pivmin needs no clamp
                 if near.any():
                     np.copyto(states, clamped, where=near)
-                    break  # and step the levels below again
-            else:
-                np.less_equal(inner, 0.0, out=below[:cut])
-                break
+                    clamped_above = True
+                if clamped_above:
+                    np.divide(numerator, parent, out=child)
+                    np.subtract(minuend, child, out=child)
+            np.less_equal(inner, 0.0, out=below[:cut])
+        np.less_equal(leaves, pivmin, out=leaf_flags)
         for _, _, parent, child in steps:
             np.add(child, parent, out=child)
         yield counts

@@ -17,8 +17,10 @@ taken at different times, when the host runs at different speeds, can be
 compared.  ``minflt`` is the median count of minor page faults of the scan
 (``ru_minflt`` of the scan process during the scan, plus that of the
 workers it forks and reaps).  Points already in the file under the same key
-are replaced.  A ``--repeats`` below 1 or an ``--out`` whose directory does
-not exist is refused with exit 1 before any scan runs.  The ``--src`` tree
+are replaced.  A ``--repeats`` below 1, an ``--out`` whose directory does
+not exist, an order outside 2..``verify.ORDER_CEILING`` or a ``--workers``
+outside 1..``verify.MAX_WORKERS`` of the ``--src`` tree is refused with exit 1
+before any scan runs, so that a long run does not stop at its last order.  The ``--src`` tree
 is compiled (``compileall``) before the first run, so that no scan process
 compiles a module on import, which raises its peak RSS by about 1 MB.
 
@@ -96,8 +98,17 @@ def main() -> int:
     if not out.parent.is_dir():
         print(f"error: --out directory {str(out.parent)!r} does not exist", file=sys.stderr)
         return 1
-
     src = str(pathlib.Path(args.src).resolve())
+    sys.path.insert(0, src)
+    from thresholdlab import verify  # the limits of the tree that is timed
+    for name, values, low, high in (("--orders", args.orders, 2, verify.ORDER_CEILING),
+                                    ("--workers", [args.workers], 1, verify.MAX_WORKERS)):
+        for value in values:
+            if not low <= value <= high:
+                print(f"error: {name} must lie within {low}..{high}, got {value}",
+                      file=sys.stderr)
+                return 1
+
     compileall.compile_dir(src, quiet=1)
     points = json.loads(out.read_text()) if out.exists() else []
     for kind in ("gap", "conjecture"):

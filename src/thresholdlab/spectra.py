@@ -18,7 +18,8 @@ Exhaustive scans work on many graphs at a time.  They count by
 :func:`count_eigs_leq_sweep`, which runs the congruence over the suffix tree
 of the creation sequences: sequences that end alike share their states, so a
 whole order costs about two steps per graph instead of n.  It sweeps a
-worker's whole stride of units in one workspace, allocated once.  Each unit
+worker's whole stride of units in one workspace, allocated once with the
+views of every level that the steps read and write.  Each unit
 is stepped first, a divide and a subtract per level, and tested once: two
 comparisons flag the states that count, one add per level sums the flags
 along each path, and a guard sends the unit back to be clamped and stepped
@@ -180,14 +181,21 @@ def count_eigs_leq_sweep(order: int, xs, top: int, lows) -> Iterator[np.ndarray]
     0, so the first steps ignore floating-point errors, and only they do.
 
     All units share one workspace, allocated once: the two blocks of
-    states, their flags and the guard's mask.  Every yielded array is the
-    same counts buffer, which holds a unit's counts only until the next
-    unit is swept.
+    states, their flags and the guard's mask.  Each step reads a (points,
+    1, width) view of its level and writes a (points, 2, width) view of the
+    next, in the states and again in the flags, and numpy builds a view of
+    a given shape and offset only by a slice or a reshape, so the call
+    builds these four views of every level once, with the start states -x
+    and the views of the flags that are tested; a unit then makes no numpy
+    call beyond its steps, its tests and its adds.
+    Every yielded array is the same counts buffer, which holds a unit's
+    counts only until the next unit is swept.
     """
     xs = [float(x) for x in xs]
-    pivmin = np.array([_SAFMIN * (order + abs(x) + 1.0) ** 2 for x in xs])[:, None]
-    clamped, limit = -pivmin, float(pivmin.max(initial=0.0))
+    pivmin = [_SAFMIN * (order + abs(x) + 1.0) ** 2 for x in xs]
+    limit, pivmin = max(pivmin, default=0.0), np.array(pivmin)[:, None]
     x = np.array(xs)[:, None, None]
+    start = -x[:, 0, 0]
     a = np.concatenate([x, x + 1.0], axis=1)  # x + 0.0 is x: symbol 0 and symbol 1
     square, twice = a * a, -2.0 * a  # (points, 2, 1)
     symbol = [(square[:, :1], twice[:, :1]), (square[:, 1:], twice[:, 1:])]
@@ -199,6 +207,7 @@ def count_eigs_leq_sweep(order: int, xs, top: int, lows) -> Iterator[np.ndarray]
     inner, leaves = np.empty(cut), np.empty((points, 1 << free))
     flags = np.empty(cut + leaves.size, dtype=np.int8)
     below, strict = flags.view(bool), np.empty(cut, dtype=bool)
+    stepped_from = below[:cut]
     levels, end = [], 0
     for width in widths[:-1]:
         levels.append((inner[end:end + points * width], flags[end:end + points * width]))
@@ -215,14 +224,14 @@ def count_eigs_leq_sweep(order: int, xs, top: int, lows) -> Iterator[np.ndarray]
     for low in lows:
         tables = [symbol[1]] + [symbol[(low >> bit) & 1] for bit in range(top)]
         tables += [(square, twice)] * free
-        inner[:points] = -x[:, 0, 0]
+        inner[:points] = start
         with np.errstate(all="ignore"):
             for (numerator, minuend), (parent, child, _, _) in zip(tables, steps):
                 np.divide(numerator, parent, out=child)
                 np.subtract(minuend, child, out=child)
-        np.less_equal(inner, limit, out=below[:cut])
-        if np.count_nonzero(np.less(inner, -limit, out=strict)) < np.count_nonzero(below[:cut]):
-            clamped_above = False
+        np.less_equal(inner, limit, out=stepped_from)
+        if np.count_nonzero(np.less(inner, -limit, out=strict)) < np.count_nonzero(stepped_from):
+            clamped, clamped_above = -pivmin, False
             for (numerator, minuend), (parent, child, _, _) in zip(tables, steps):
                 states = parent[:, 0]  # (points, width)
                 near = (states <= pivmin) & (states > clamped)  # -pivmin needs no clamp
@@ -232,7 +241,7 @@ def count_eigs_leq_sweep(order: int, xs, top: int, lows) -> Iterator[np.ndarray]
                 if clamped_above:
                     np.divide(numerator, parent, out=child)
                     np.subtract(minuend, child, out=child)
-            np.less_equal(inner, 0.0, out=below[:cut])
+            np.less_equal(inner, 0.0, out=stepped_from)
         np.less_equal(leaves, pivmin, out=leaf_flags)
         for _, _, parent, child in steps:
             np.add(child, parent, out=child)

@@ -393,16 +393,19 @@ def _scan_forecast(order: int, top: int, lows) -> Iterator[np.ndarray]:
     :func:`_scan_h`); m_h = 1 exactly when symbol 1, bit n - 2 of v, is 1.
     The changes below bit ``top`` depend on ``low`` alone, and those from it
     up are the changes of (j << 1) | b against j, b being bit top - 1 of
-    ``low`` (1 when top = 0), so two tables over j, built once, serve every
-    unit.
+    ``low`` (1 when top = 0), so one table over j per value of b serves
+    every unit; each is built when a unit first needs it.
     """
     free = order - 2 - top
-    j = np.arange(1 << free, dtype=np.int64)
-    tables = [((v >> free) - np.bitwise_count(v ^ j)).astype(np.int8)
-              for v in (j << 1, (j << 1) | 1)]
+    j = np.arange(1 << free, dtype=np.int32)  # free <= _SWEEP_UNIT_BITS, so v fits
+    tables = {}
     for low in lows:
+        b = (low >> (top - 1)) & 1 if top else 1
+        if b not in tables:
+            v = (j << 1) | b
+            tables[b] = ((v >> free) - np.bitwise_count(v ^ j)).astype(np.int8)
         changes = ((((low << 1) | 1) ^ low) & ((1 << top) - 1)).bit_count()
-        yield tables[(low >> (top - 1)) & 1 if top else 1] + (order - 1 - changes)
+        yield tables[b] + (order - 1 - changes)
 
 
 def _prune_thresholds(order: int) -> tuple[float, float, int, list[np.ndarray]]:
@@ -416,9 +419,17 @@ def _prune_thresholds(order: int) -> tuple[float, float, int, list[np.ndarray]]:
     """
     form = anti_regular(order)
     text = str(nsg_to_creation(form))  # its index: symbols 0..n-2 in binary
-    eigs = np.linalg.eigvalsh(quotient_stack(np.array([form.m]), np.array([form.n])))
-    columns = [np.array([text], f"S{order}"), *eta_extremes(eigs), _clearance(eigs)]
-    return float(columns[1][0]), max(float(columns[2][0]), -order), int(text[:-1], 2), columns
+    m, n = np.array([[form.m], [form.n]])
+    values = np.linalg.eigvalsh(quotient_stack(m, n))[0].tolist()
+    # eta_extremes and _clearance of this one row in Python floats: the same
+    # comparisons and roundings, without their masks and reductions
+    plus = min([v for v in values if v > CLASSIFY_EPS], default=math.inf)
+    minus = max([v for v in values if v < -1.0 - CLASSIFY_EPS], default=-math.inf)
+    clearance = min([max(v - GAP_UPPER, GAP_LOWER - v, 0.0) for v in values
+                     if abs(v) > CLASSIFY_EPS and abs(v + 1.0) > CLASSIFY_EPS], default=math.inf)
+    columns = [np.array([text], f"S{order}"), np.array([plus]), np.array([minus]),
+               np.array([clearance])]
+    return plus, max(minus, -order), int(text[:-1], 2), columns
 
 
 def _class_sizes(changes: np.ndarray, order: int, h: int) -> tuple[np.ndarray, np.ndarray]:
@@ -448,6 +459,8 @@ def _solve(order: int, index: np.ndarray, gap: bool, known=(-1, ())) -> list[np.
     copied = index == known[0]
     for column, value in zip(columns, known[1]):
         column[copied] = value
+    if copied.all():  # no row left to solve
+        return columns
     run = 1 << _SWEEP_UNIT_BITS
     for first in range(0, len(index), run):
         h_of = _scan_h(index[first:first + run])
@@ -504,10 +517,10 @@ def _pick_rows(order: int, top: int, lows, thresholds: tuple[float, float],
     sweep = count_eigs_leq_sweep(order, (GAP_LOWER, GAP_UPPER, t_plus + PRUNE_MARGIN,
                                          t_minus - PRUNE_MARGIN), top, lows)
     parts = [[np.empty(0, np.int64), np.empty(0, np.int8), np.empty(0, np.int8)]]
-    for low, counts, forecast in zip(lows, sweep, _scan_forecast(order, top, lows)):
-        interval = counts[1] - counts[0]
-        rows = np.flatnonzero(keep_rows | (counts[2] > counts[1]) | (counts[0] > counts[3])
-                              | (interval != forecast))
+    for low, (lower, upper, plus, minus), forecast in zip(lows, sweep,
+                                                           _scan_forecast(order, top, lows)):
+        interval = upper - lower
+        rows = (keep_rows | (plus > upper) | (lower > minus) | (interval != forecast)).nonzero()[0]
         if len(rows):
             parts.append([(rows << top) | low, interval[rows], forecast[rows]])
     index, *counted = [np.concatenate(column) for column in zip(*parts)]
@@ -607,7 +620,7 @@ def _run_scan(kind: str, order: int, workers: int, order_cap: int, keep_rows: bo
     text, eta_plus, eta_minus = columns[:3]
     best_plus = best_minus = None
     if len(text):
-        i, j = int(np.argmin(eta_plus)), int(np.argmax(eta_minus))
+        i, j = int(eta_plus.argmin()), int(eta_minus.argmax())
         best_plus = (float(eta_plus[i]), text[i].decode()) if eta_plus[i] < np.inf else None
         best_minus = (float(eta_minus[j]), text[j].decode()) if eta_minus[j] > -np.inf else None
     failures = ()
@@ -616,7 +629,7 @@ def _run_scan(kind: str, order: int, workers: int, order_cap: int, keep_rows: bo
         count, expected, clearance = columns[3:]
         failures = tuple(GapReport(text[i].decode(), order, int(count[i]), int(expected[i]),
                                    float(clearance[i]), False)
-                         for i in np.flatnonzero(count != expected).tolist())
+                         for i in (count != expected).nonzero()[0].tolist())
     else:
         antiregular_sequence = antiregular[3][0][0].decode()
         plus_ok = best_plus is not None and best_plus[1] == antiregular_sequence

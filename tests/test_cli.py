@@ -756,14 +756,25 @@ def test_scripts_run(tmp_path, capsys, monkeypatch):
     times = [p[key] for p in points for key in ("wall_s", "cpu_s", "cpu_s_norm")]
     assert all(0 < t == float(f"{t:.4g}") for t in times)
     assert any(t != round(t, 3) for t in times)
-    # refused before any scan runs: no point printed, no file written
-    for argv, message in ((("--repeats", "0", "--out", "tmp/none.json"),
+    # refused before any scan runs: no point printed, no file written; an
+    # order or a worker count the scan would refuse is found before the
+    # orders ahead of it are timed
+    ceiling, cap = verify.ORDER_CEILING, verify.MAX_WORKERS
+    for argv, message in ((("--orders", "5", "--repeats", "0", "--out", "tmp/none.json"),
                            "--repeats must be at least 1, got 0"),
-                          (("--out", "missing/bench.json"),
-                           "--out directory 'missing' does not exist")):
-        done = script(tmp_path, "bench_scan_csv.py", "--src", src, "--commit", "x",
-                      "--orders", "5", *argv)
-        assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {message}\n")
+                          (("--orders", "5", "--out", "missing/bench.json"),
+                           "--out directory 'missing' does not exist"),
+                          (("--orders", "3", str(ceiling + 1), "--format", "json",
+                            "--out", "tmp/none.json"),
+                           f"--orders must lie within 2..{ceiling}, got {ceiling + 1}"),
+                          (("--orders", "1", "5", "--out", "tmp/none.json"),
+                           f"--orders must lie within 2..{ceiling}, got 1"),
+                          (("--orders", "5", "--workers", "0", "--out", "tmp/none.json"),
+                           f"--workers must lie within 1..{cap}, got 0"),
+                          (("--orders", "5", "--workers", str(cap + 1), "--out", "tmp/none.json"),
+                           f"--workers must lie within 1..{cap}, got {cap + 1}")):
+        done = script(tmp_path, "bench_scan_csv.py", "--src", src, "--commit", "x", *argv)
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {message}\n"), argv
     assert not (tmp_path / "tmp" / "none.json").exists()
     # usage errors exit 1, as the CLI's do (2 claims a counterexample), and
     # integer options follow the CLI's integer rule

@@ -563,7 +563,10 @@ def test_scan_forecast_equals_trivial_multiplicities_over_class_sizes():
     # the closed-form forecast n - 2h + [m_h = 1] of every connected
     # sequence, unit by unit for units that fix 0, 3 or all index bits,
     # against mult0 + multm1 of trivial_multiplicities over the class sizes
-    # read off its symbols and against the forms of check_gap
+    # read off its symbols and against the forms of check_gap.  The units
+    # come as _map hands them to k workers, range(i, 2^top, k): the first
+    # unit of a stride may have either value of bit top - 1, which picks
+    # the table the forecast builds first
     for order in range(2, 17):
         index = np.arange(2 ** (order - 2), dtype=np.int64)
         symbols = verify._block_symbols(order, index)
@@ -577,10 +580,13 @@ def test_scan_forecast_equals_trivial_multiplicities_over_class_sizes():
             mults = map(trivial_multiplicities, map(NsgForm, m.tolist(), n.tolist()))
             expected[rows] = [mult.mult0 + mult.multm1 for mult in mults]
         for top in sorted({0, min(3, order - 2), order - 2}):
-            forecasts = verify._scan_forecast(order, top, range(2 ** top))
-            for low, forecast in enumerate(forecasts):
-                assert forecast.dtype == np.int8
-                assert forecast.tolist() == expected[low::2 ** top].tolist(), (order, top, low)
+            for k in (1, 2, 3):
+                for i in range(min(k, 2 ** top)):
+                    lows = range(i, 2 ** top, k)
+                    for low, forecast in zip(lows, verify._scan_forecast(order, top, lows)):
+                        assert forecast.dtype == np.int8
+                        assert forecast.tolist() == expected[low::2 ** top].tolist(), (
+                            order, top, k, low)
         if order <= 10:
             assert expected.tolist() == [check_gap(form).expected_trivial
                                          for form in connected(order)], order

@@ -19,10 +19,11 @@ compared.  ``minflt`` is the median count of minor page faults of the scan
 workers it forks and reaps).  Points already in the file under the same key
 are replaced.  A ``--repeats`` below 1, an ``--out`` whose directory does
 not exist, an order outside 2..``verify.ORDER_CEILING`` or a ``--workers``
-outside 1..``verify.MAX_WORKERS`` of the ``--src`` tree is refused with exit 1
-before any scan runs, so that a long run does not stop at its last order.  The ``--src`` tree
-is compiled (``compileall``) before the first run, so that no scan process
-compiles a module on import, which raises its peak RSS by about 1 MB.
+outside 1..``verify.MAX_WORKERS`` of the ``--src`` tree is refused with exit
+1 before any scan runs, so that a long run cannot stop at an order the scan
+refuses and lose the points it has timed.  The ``--src`` tree is compiled
+(``compileall``) before the first run, so that no scan process compiles a
+module on import, which raises its peak RSS by about 1 MB.
 
 Example:
     python3 scripts/bench_scan_csv.py --src src --commit "$(git rev-parse --short HEAD)" \\

@@ -187,9 +187,9 @@ def count_eigs_leq_sweep(order: int, xs, top: int, lows) -> Iterator[np.ndarray]
     a given shape and offset only by a slice or a reshape, so the call
     builds these four views of every level once, with the start states -x
     and the views of the flags that are tested; a unit then makes no numpy
-    call beyond its steps, its tests and its adds.
-    Every yielded array is the same counts buffer, which holds a unit's
-    counts only until the next unit is swept.
+    call beyond its steps, its tests and its adds.  Every yielded array is
+    the same counts buffer, which holds a unit's counts only until the next
+    unit is swept.
     """
     xs = [float(x) for x in xs]
     pivmin = [_SAFMIN * (order + abs(x) + 1.0) ** 2 for x in xs]

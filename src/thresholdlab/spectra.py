@@ -31,8 +31,10 @@ The quotients of the solved forms that share h are built in place into one
 (k, 2h, 2h) stack of symmetrized matrices (:func:`quotient_stack`, which
 returns no raw divisor matrix) and solved by one stacked ``eigvalsh`` call,
 which reads one triangle of each; :func:`eta_extremes` takes such stacks
-too.  Every per-graph value is the same float as on the single-graph route,
-and the two kernels give the same counts.
+too, and reads the etas of every row a scan solves, the anti-regular
+graph's (1, 2h) stack included, whatever the scan's kind.  Every per-graph
+value is the same float as on the single-graph route, and the two kernels
+give the same counts.
 """
 
 from __future__ import annotations

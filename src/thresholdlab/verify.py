@@ -14,10 +14,13 @@ report needs, the ones that miss their forecast and the few whose inertia
 counts find an eigenvalue in (0, eta+(A_n)] or [eta-(A_n), -1) up to a
 small margin, since only those can hold an eta extreme.  A_n is solved
 once, before any fork, and copied by a worker that picks it
-(``_prune_thresholds``).  With k workers the scan forks k - 1 children,
-each of which sweeps a fixed stride of the units in one kernel workspace
-and pipes one result back, its solved rows, and sweeps the first stride
-itself (``_map``; POSIX only, as it needs ``os.fork``).  A worker groups
+(``_prune_thresholds``).  Every row, A_n's included, takes its etas from
+``eta_extremes`` and its clearance from ``_clearance``, whatever the kind:
+the kind only shapes the report (``_run_scan``).  With k workers the scan
+forks k - 1 children, each of which sweeps a fixed stride of the units in
+one kernel workspace and pipes one result back, its solved rows, and
+sweeps the first stride itself (``_map``; POSIX only, as it needs
+``os.fork``).  A worker groups
 the graphs it solves by h, read off each index by a popcount, and solves
 each group in stacks of at most SCAN_BLOCK_ENTRIES quotient entries, rows *
 (2h)^2.  One sort puts the solved rows of all workers in index order, so
@@ -410,7 +413,9 @@ def _scan_forecast(order: int, top: int, lows) -> Iterator[np.ndarray]:
 
 def _prune_thresholds(order: int) -> tuple[float, float, int, list[np.ndarray]]:
     """eta+ and eta- of A_n, the bounds the order's eta extremes cannot miss,
-    then A_n's index and its gap-scan :func:`_solve` columns, from one solve.
+    then A_n's index and its :func:`_solve` columns, from one solve: its
+    (1, 2h) ``eigvalsh`` stack, read by :func:`eta_extremes` and
+    :func:`_clearance` as :func:`_solve` reads every other row.
 
     The smallest eta+ of the order is at most eta+(A_n) and the largest eta-
     at least eta-(A_n), so no row whose eigenvalues stay off (0, t+] and
@@ -419,17 +424,9 @@ def _prune_thresholds(order: int) -> tuple[float, float, int, list[np.ndarray]]:
     """
     form = anti_regular(order)
     text = str(nsg_to_creation(form))  # its index: symbols 0..n-2 in binary
-    m, n = np.array([[form.m], [form.n]])
-    values = np.linalg.eigvalsh(quotient_stack(m, n))[0].tolist()
-    # eta_extremes and _clearance of this one row in Python floats: the same
-    # comparisons and roundings, without their masks and reductions
-    plus = min([v for v in values if v > CLASSIFY_EPS], default=math.inf)
-    minus = max([v for v in values if v < -1.0 - CLASSIFY_EPS], default=-math.inf)
-    clearance = min([max(v - GAP_UPPER, GAP_LOWER - v, 0.0) for v in values
-                     if abs(v) > CLASSIFY_EPS and abs(v + 1.0) > CLASSIFY_EPS], default=math.inf)
-    columns = [np.array([text], f"S{order}"), np.array([plus]), np.array([minus]),
-               np.array([clearance])]
-    return plus, max(minus, -order), int(text[:-1], 2), columns
+    eigs = np.linalg.eigvalsh(quotient_stack(np.array([form.m]), np.array([form.n])))
+    columns = [np.array([text], f"S{order}"), *eta_extremes(eigs), _clearance(eigs)]
+    return float(columns[1][0]), max(float(columns[2][0]), -order), int(text[:-1], 2), columns
 
 
 def _class_sizes(changes: np.ndarray, order: int, h: int) -> tuple[np.ndarray, np.ndarray]:
@@ -442,9 +439,10 @@ def _class_sizes(changes: np.ndarray, order: int, h: int) -> tuple[np.ndarray, n
     return runs[:, -2::-2], runs[:, :0:-2]
 
 
-def _solve(order: int, index: np.ndarray, gap: bool, known=(-1, ())) -> list[np.ndarray]:
-    """Text, eta+ and eta-, and for a gap scan the clearance, of the
-    connected sequences at ``index`` of one order.
+def _solve(order: int, index: np.ndarray, known=(-1, ())) -> list[np.ndarray]:
+    """Text, eta+, eta- and clearance of the connected sequences at
+    ``index`` of one order, the etas by :func:`eta_extremes` and the
+    clearance by :func:`_clearance`, whatever the scan's kind.
 
     The rows are grouped by h within runs of 2^_SWEEP_UNIT_BITS, so that the
     grouping's index arrays stay the size of one unit's however many rows a
@@ -454,8 +452,7 @@ def _solve(order: int, index: np.ndarray, gap: bool, known=(-1, ())) -> list[np.
     stack, and its values written straight into the columns.  The row at
     ``known[0]`` (A_n's) is copied from ``known[1]``, its h set to 0.
     """
-    columns = [np.empty(len(index), f"S{order}")]
-    columns += [np.empty(len(index)) for _ in range(3 if gap else 2)]
+    columns = [np.empty(len(index), f"S{order}")] + [np.empty(len(index)) for _ in range(3)]
     copied = index == known[0]
     for column, value in zip(columns, known[1]):
         column[copied] = value
@@ -475,22 +472,21 @@ def _solve(order: int, index: np.ndarray, gap: bool, known=(-1, ())) -> list[np.
                 eigs = np.linalg.eigvalsh(quotient_stack(m, n))
                 columns[0][rows] = (symbols + ord("0")).view(f"S{order}").ravel()
                 columns[1][rows], columns[2][rows] = eta_extremes(eigs)
-                if gap:
-                    columns[3][rows] = _clearance(eigs)
+                columns[3][rows] = _clearance(eigs)
     return columns
 
 
-def _scan_stride(gap: bool, order: int, top: int, lows, antiregular: tuple,
+def _scan_stride(order: int, top: int, lows, antiregular: tuple,
                  keep_rows: bool) -> tuple[np.ndarray, list]:
-    """(index, columns) of the rows that one worker's sweep units solve, the
-    columns in :class:`ScanRows` order, the clearance for a gap scan only:
-    the rows :func:`_pick_rows` picks, solved together by :func:`_solve`
-    once the sweep's workspace is freed; A_n's row is copied from
+    """(index, columns) of the rows that one worker's sweep units solve, all
+    six columns in :class:`ScanRows` order for a scan of either kind: the
+    rows :func:`_pick_rows` picks, solved together by :func:`_solve` once
+    the sweep's workspace is freed; A_n's row is copied from
     ``antiregular``, what :func:`_prune_thresholds` returns.
     """
     index, counted = _pick_rows(order, top, lows, antiregular[:2], keep_rows)
-    text, eta_plus, eta_minus, *clearance = _solve(order, index, gap, antiregular[2:])
-    return index, [text, eta_plus, eta_minus, *counted, *clearance]
+    text, eta_plus, eta_minus, clearance = _solve(order, index, antiregular[2:])
+    return index, [text, eta_plus, eta_minus, *counted, clearance]
 
 
 def _pick_rows(order: int, top: int, lows, thresholds: tuple[float, float],
@@ -604,15 +600,14 @@ def _run_scan(kind: str, order: int, workers: int, order_cap: int, keep_rows: bo
     # at least one unit per worker, and at most 2^_SWEEP_UNIT_BITS leaves in one
     top = min(order - 2, max(order - 2 - _SWEEP_UNIT_BITS, (workers - 1).bit_length()))
     antiregular = _prune_thresholds(order)  # A_n's one solve, before any fork
-    results = _map(lambda lows: _scan_stride(kind == "gap", order, top, lows, antiregular,
-                                             keep_rows),
+    results = _map(lambda lows: _scan_stride(order, top, lows, antiregular, keep_rows),
                    range(1 << top), workers)
     # one sort puts the rows of all workers in index order, so the first
     # extreme is the lowest index and failures come in index order
     index_order = np.argsort(np.concatenate([index for index, _ in results]))
     # one column at a time, each worker's part dropped once gathered, so kept
-    # rows are held about once; the indices, and the two counts that a
-    # conjecture report does not keep, are dropped first
+    # rows are held about once; the indices, and the counts and clearance
+    # that a conjecture report does not keep, are dropped first
     parts = [columns if kind == "gap" else columns[:3] for _, columns in results]
     del results
     columns = [np.concatenate([part.pop(0) for part in parts])[index_order]

@@ -24,7 +24,7 @@ from thresholdlab.graphs import (
     parse_creation_sequence,
     sequence_at,
 )
-from thresholdlab import verify
+from thresholdlab import cli, verify
 from thresholdlab.cli import scan_csv
 from thresholdlab.spectra import assemble_spectrum, eta_extremes, trivial_multiplicities
 from thresholdlab.verify import (
@@ -768,18 +768,51 @@ def test_scan_pruning_each_side_alone_keeps_the_report(monkeypatch):
 
 def test_antiregular_row_is_solved_once_bit_for_bit():
     # the row that strides copy for A_n is, at every order a scan can reach,
-    # bit for bit what solving A_n's index gives, and the thresholds are its
-    # etas, as check_antiregular_bounds finds them on the whole spectrum
+    # bit for bit what solving A_n's index gives, in all four columns, and
+    # the thresholds are its etas, as check_antiregular_bounds finds them on
+    # the whole spectrum
     for order in range(2, ORDER_CEILING + 1):
         t_plus, t_minus, index, columns = verify._prune_thresholds(order)
         assert columns[0][0].decode() == str(nsg_to_creation(anti_regular(order)))
         assert str(sequence_at(order, index, connected_only=True)) == columns[0][0].decode()
-        for gap in (True, False):
-            solved = verify._solve(order, np.array([index]), gap)
-            assert len(solved) == (4 if gap else 3)
-            assert [c.tobytes() for c in columns[:len(solved)]] == [c.tobytes() for c in solved]
+        solved = verify._solve(order, np.array([index]))
+        assert len(columns) == len(solved) == 4
+        assert [c.tobytes() for c in columns] == [c.tobytes() for c in solved]
         bounds = check_antiregular_bounds(order)
         assert (t_plus, t_minus) == (bounds.eta_plus, bounds.eta_minus or -order), order
+
+
+def test_scans_take_every_row_from_eta_extremes_and_clearance(monkeypatch, capsys):
+    # a wrong eta+ or clearance, injected where every solved row is read
+    # (A_n's row of _prune_thresholds included), reaches every report: both
+    # kinds' eta+ extreme, with and without rows and with 1 or 2 workers,
+    # and every row's eta+ and, in a gap scan, its clearance.  Without
+    # rows, A_n is the only row solved up to order 24, so a value that
+    # bypasses these two functions would leave the reports unchanged
+    shift = 1e-6
+    honest_eta, honest_clearance = verify.eta_extremes, verify._clearance
+    cases = [(scan, order, keep_rows, workers) for scan in (scan_gap, scan_conjecture)
+             for order in range(2, 17) for keep_rows in (False, True) for workers in (1, 2)]
+    honest = {case: case[0](case[1], workers=case[3], keep_rows=case[2]) for case in cases}
+    cli.main(["scan-gap", "--order", "13", "--format", "json"])
+    honest_out = capsys.readouterr().out
+    monkeypatch.setattr(verify, "eta_extremes",
+                        lambda values: (honest_eta(values)[0] + shift, honest_eta(values)[1]))
+    monkeypatch.setattr(verify, "_clearance", lambda values: honest_clearance(values) + shift)
+    for case, report in honest.items():
+        scan, order, keep_rows, workers = case
+        shifted = scan(order, workers=workers, keep_rows=keep_rows)
+        assert shifted.extremal_eta_plus[0] == report.extremal_eta_plus[0] + shift, case
+        assert shifted.extremal_eta_minus == report.extremal_eta_minus, case
+        if keep_rows:
+            assert np.array_equal(shifted.rows.eta_plus, report.rows.eta_plus + shift), case
+            assert np.array_equal(shifted.rows.eta_minus, report.rows.eta_minus), case
+            if scan is scan_gap:
+                assert np.array_equal(shifted.rows.min_nontrivial_distance,
+                                      report.rows.min_nontrivial_distance + shift), case
+    assert_no_children()
+    cli.main(["scan-gap", "--order", "13", "--format", "json"])
+    assert capsys.readouterr().out != honest_out
 
 
 def test_scans_stack_antiregular_once_before_the_strides(monkeypatch, tmp_path):

@@ -796,8 +796,12 @@ def test_scans_take_every_row_from_eta_extremes_and_clearance(monkeypatch, capsy
     honest = {case: case[0](case[1], workers=case[3], keep_rows=case[2]) for case in cases}
     cli.main(["scan-gap", "--order", "13", "--format", "json"])
     honest_out = capsys.readouterr().out
-    monkeypatch.setattr(verify, "eta_extremes",
-                        lambda values: (honest_eta(values)[0] + shift, honest_eta(values)[1]))
+
+    def wrong_eta(values):
+        plus, minus = honest_eta(values)
+        return plus + shift, minus
+
+    monkeypatch.setattr(verify, "eta_extremes", wrong_eta)
     monkeypatch.setattr(verify, "_clearance", lambda values: honest_clearance(values) + shift)
     for case, report in honest.items():
         scan, order, keep_rows, workers = case

@@ -5,9 +5,11 @@ Formats:
   * NSG text: ``nsg(m1,...,mh;n1,...,nh[;+k])``, ``+k`` = isolated count,
     e.g. ``nsg(3;2)``, ``nsg(1,2;1,1)``, ``nsg(;;+3)`` for 3K_1;
   * edge lists: first line ``n m`` with 1 <= n <= EDGE_ORDER_CAP, then m lines
-    ``u v`` (0-based); lines starting with ``#`` are comments.
+    ``u v`` (0-based); lines starting with ``#`` are comments, and lines and
+    blanks are those of ``str.splitlines`` and ``str.split``.
     ``parse_edge_list`` returns ``(n, edges)`` with ``edges`` an ``(m, 2)``
-    int64 array, read in one numpy call.
+    int64 array.  It makes no string per line: numpy passes over the bytes
+    count lines and words, and one ``np.fromstring`` reads every integer.
 
 Command output is rendered from records: ordered dicts of numbers, strings,
 ``NsgForm``s, lists, arrays and (u, v) edge tuples.  ``to_plain`` and
@@ -15,10 +17,10 @@ Command output is rendered from records: ordered dicts of numbers, strings,
 them as columns, a list per key.  Floats print at 12 significant digits
 (``sig12``) in plain and CSV.  ``to_json`` prints exactly what
 ``json.dumps(indent=2)`` would, but by its own small recursive emitter: the
-json module's C string encoder, ``repr`` for numbers, and one join per list
-of ints or one ``%d`` template per row of an int table.  With an indent,
-``json.dumps`` runs its pure-Python encoder (on 3.10 to 3.12 always), which
-takes a generator step per number.
+json module's C string encoder, ``repr`` for numbers, one join per list of
+ints, and one ``%`` over a repeated ``%d`` row template per int table.  With
+an indent, ``json.dumps`` runs its pure-Python encoder (on 3.10 to 3.12
+always), which takes a generator step per number.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable
 
@@ -36,13 +39,32 @@ from .graphs import NsgForm
 # An edge file may not ask for more vertices than this, nor fewer than one.
 # Recognition takes O(m log m + n log n), but check-gap then solves a
 # quotient of up to n x n: at the cap, A_2000 (about a million edges) took
-# 1.3 s of CPU and peaked at 145 MB, recognize alone 0.3 s (one BLAS thread,
-# 2-core Xeon).  The command line holds every other single-graph input to it.
+# 1.25 s of CPU and peaked at 112 MB, recognize alone 0.23 s and 97 MB (one
+# BLAS thread, 2-core Xeon).  The command line holds every other
+# single-graph input to it.
 EDGE_ORDER_CAP = 2000
 # Integers in any input (edge-list tokens, NSG class sizes, integer options)
 # follow the rule numpy applies to the edge lines: an optional sign, then
 # ASCII digits (int() would also take "1_0" and "２").
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+_INT64_MAX = np.iinfo(np.int64).max
+# The patterns of the edge-list parse are strings, compiled by re on first
+# use and cached there: every command imports this module, and compiling
+# them (the non-ASCII classes above all) took 1.7 ms on a 2-core Xeon.
+# The line breaks of str.splitlines and the other blanks of str.split, as
+# regex class bodies, the ASCII ones and the others.
+_ASCII_BREAKS, _OTHER_BREAKS = "\n\r\v\f\x1c-\x1e", "\x85\u2028\u2029"
+_ASCII_BLANKS, _OTHER_BLANKS = " \t\x1f", "\xa0\u1680\u2000-\u200a\u202f\u205f\u3000"
+# The first line that is neither blank nor a comment.  The blank run before
+# it stays on one line: \s* would rescan every blank line from each break.
+_HEADER = (f"(?:^|[{_ASCII_BREAKS}{_OTHER_BREAKS}])[{_ASCII_BLANKS}{_OTHER_BLANKS}]*"
+           f"([^\\s#][^{_ASCII_BREAKS}{_OTHER_BREAKS}]*)")
+_SPACES_AND_NEWLINES = bytes.maketrans(b"\t\x1f\r\v\f\x1c\x1d\x1e", b"  \n\n\n\n\n\n")
+# In edge-line bytes, whose blanks are b" " and line breaks b"\n":
+_COMMENT = rb"\n *#[^\n]*"
+_LONE_SIGN = rb"[+-](?![^ \n])"
+# every word but an integer of at most 18 digits, leading zeros aside
+_UNUSUAL_WORD = rb"(?<![^ \n])(?![+-]?0*[0-9]{1,18}(?![^ \n]))[^ \n]+"
 
 
 def sig12(x: float) -> str:
@@ -95,36 +117,90 @@ def format_edge_list(order: int, edges: Iterable[tuple[int, int]]) -> str:
 
 def parse_edge_list(text: str) -> tuple[int, np.ndarray]:
     """``(order, edges)`` of an edge-list text, ``edges`` an ``(m, 2)`` int64
-    array in file order.  The header is checked before any edge line is read."""
-    lines = list(filter(None, map(str.strip, text.splitlines())))
-    if "#" in text:  # without one, no line can be a comment: skip the scan
-        lines = [ln for ln in lines if ln[0] != "#"]
-    if not lines:
+    array in file order.  Lines and blanks are those of ``str.splitlines``
+    and ``str.split``.  The header is checked before any edge line is read,
+    and the edge lines never become strings: their bytes get a few numpy
+    passes, which count the lines and the words on each, and one
+    ``np.fromstring`` reads every integer."""
+    head = re.search(_HEADER, text)
+    if head is None:
         raise ValueError("empty edge-list input")
-    head = lines[0].split()
-    if len(head) != 2 or not all(map(_INTEGER.fullmatch, head)):
-        raise ValueError(f"first line must be 'n m' integers, got {lines[0]!r}")
-    order, count = int(head[0]), int(head[1])
+    line = head[1].strip()
+    fields = line.split()
+    if len(fields) != 2 or not all(map(_INTEGER.fullmatch, fields)):
+        raise ValueError(f"first line must be 'n m' integers, got {line!r}")
+    order, count = int(fields[0]), int(fields[1])
     if order < 1:
         raise ValueError(f"edge-list order must be at least 1, got {order}")
     if order > EDGE_ORDER_CAP:
         raise ValueError(f"edge-list order {order} is above the cap {EDGE_ORDER_CAP}")
-    if len(lines) - 1 != count:
-        raise ValueError(f"header promises {count} edges, found {len(lines) - 1}")
+    # From the header on, as bytes in which every blank is b" " and every
+    # line break b"\n"; no copy of a text that starts with its header.
+    lines = text[head.start(1):]
+    if not lines.isascii():
+        lines = re.sub(f"[{_OTHER_BLANKS}]", " ", re.sub(f"[{_OTHER_BREAKS}]", "\n", lines))
+    data = lines.encode(errors="surrogatepass").translate(_SPACES_AND_NEWLINES)
+    del lines
+    if b"#" in data:
+        data = re.sub(_COMMENT, b"", data)
+    breaks = _breaks_and_words(data)
+    # a line's first word follows a break; the header is the first line
+    found = np.count_nonzero(breaks[:-1] > breaks[1:]) - 1
+    if found != count:
+        raise ValueError(f"header promises {count} edges, found {found}")
     if not count:
         return order, np.empty((0, 2), dtype=np.int64)
+    # two words a line: 2m + 2 words in all, and no word alone between breaks
+    if (breaks.size - np.count_nonzero(breaks) != 2 * count + 2
+            or (breaks[:-2] & ~breaks[1:-1] & breaks[2:]).any()):
+        words = np.diff(np.flatnonzero(breaks)) - 1
+        words = words[words > 0][1:]
+        row = np.flatnonzero(words != 2)[0]
+        raise ValueError(f"edge lines must be 'u v' integer pairs: edge line {row + 1} "
+                         f"has word count {words[row]}")
     try:
         with warnings.catch_warnings():
-            # Some numpy versions read a float token such as 1.5 as the int 1
-            # and only warn; as an error it is refused like any non-integer.
+            # Some numpy versions stop at a word that is not an integer with
+            # only a warning; as an error it is refused like any other.
             warnings.simplefilter("error", DeprecationWarning)
-            edges = np.loadtxt(lines[1:], dtype=np.int64, comments=None, ndmin=2)
-    except (ValueError, DeprecationWarning) as exc:  # a non-integer token, or ragged lines
-        reason = str(exc).split(";")[0]  # drop numpy's hint about usecols
-        raise ValueError(f"edge lines must be 'u v' integer pairs: {reason}") from None
-    if edges.shape[1] != 2:
-        raise ValueError(f"edge line must be 'u v', got {lines[1]!r}")
-    return order, edges
+            values = np.fromstring(data, dtype=np.int64, sep=" ")
+    except (ValueError, DeprecationWarning):
+        values = None
+    # fromstring reads a lone sign as 0 or as the sign of the next word, and
+    # an integer beyond int64 as the largest int64: only then, or when it
+    # stops early, can a word be one to refuse
+    if (values is None or values.size != 2 * count + 2 or values.max() == _INT64_MAX
+            or ((b"-" in data or b"+" in data) and re.search(_LONE_SIGN, data))):
+        word = _refused_word(data)
+        if word is not None or values is None or values.size != 2 * count + 2:
+            raise ValueError(f"edge lines must be 'u v' integer pairs: {word!r} is not "
+                             "an int64 integer")
+    return order, values[2:].reshape(count, 2)  # after the header's n and m
+
+
+def _breaks_and_words(data: bytes) -> np.ndarray:
+    """True for each line break and False for each word of ``data``, bytes
+    whose blanks are b" " and line breaks b"\\n", in text order, with a
+    break put before and after."""
+    buf = np.frombuffer(data, np.uint8)
+    newline = buf == 10
+    word = buf != 32
+    word ^= newline
+    event = np.empty_like(word)  # a break, or a word byte after a non-word byte
+    event[:1] = word[:1]
+    np.greater(word[1:], word[:-1], out=event[1:])
+    event |= newline
+    return np.concatenate(([True], newline[np.flatnonzero(event)], [True]))
+
+
+def _refused_word(data: bytes) -> str | None:
+    """The first word of ``data`` that is not an int64 integer, or None."""
+    for match in re.finditer(_UNUSUAL_WORD, data):
+        word = match[0]
+        if (not re.fullmatch(rb"[+-]?[0-9]+", word) or len(word.lstrip(b"+-0")) > 19
+                or not -_INT64_MAX - 1 <= int(word) <= _INT64_MAX):
+            return word.decode(errors="surrogatepass")
+    return None
 
 
 def read_edge_list(path) -> tuple[int, np.ndarray]:
@@ -135,8 +211,9 @@ def read_edge_list(path) -> tuple[int, np.ndarray]:
 def _json(obj, nl: str) -> str:
     """``obj`` as ``json.dumps(obj, indent=2)`` prints it, at the indent ``nl``
     (a newline and two spaces per level).  Lists of ints, and lists of
-    equal-length int rows such as edge lists, take one join or one ``%d``
-    template per row instead of a call per number; bools are not ints here."""
+    equal-length int rows such as edge lists, take one join or one ``%``
+    over a repeated row template instead of a call per number; bools are
+    not ints here."""
     if isinstance(obj, str):
         return _quote(obj)
     if obj is None or obj is True or obj is False:
@@ -156,14 +233,15 @@ def _json(obj, nl: str) -> str:
     if isinstance(obj, dict):
         body = sep.join(f"{_quote(key)}: {_json(value, inner)}" for key, value in obj.items())
         return "{" + inner + body + nl + "}"
-    width = len(obj[0]) if type(obj[0]) in (list, tuple) else 0
-    if all(type(item) is int for item in obj):
+    types = {*map(type, obj)}
+    cells = (tuple(chain.from_iterable(obj))
+             if types <= {list, tuple} and len({*map(len, obj)}) == 1 else ())
+    if types == {int}:
         body = sep.join(map(int.__repr__, obj))
-    elif (width and all(type(row) in (list, tuple) and len(row) == width for row in obj)
-          and all(type(item) is int for row in obj for item in row)):
+    elif cells and {*map(type, cells)} == {int}:
         cell = "," + inner + "  "
-        row = "[" + cell[1:] + cell.join(["%d"] * width) + inner + "]"
-        body = sep.join(map(row.__mod__, map(tuple, obj)))
+        row = "[" + cell[1:] + cell.join(["%d"] * (len(cells) // len(obj))) + inner + "]"
+        body = sep.join([row] * len(obj)) % cells
     else:
         body = sep.join(_json(item, inner) for item in obj)
     return f"[{inner}{body}{nl}]"  # one copy of a long body, not one per +

@@ -556,13 +556,15 @@ def _map(fn, items, workers: int) -> list:
         while children:
             pid, reader = children[0]
             with reader:
-                data = reader.read()
+                try:  # from the pipe as a stream, so no copy of the whole pickle is held
+                    ok, value = pickle.load(reader)
+                except (EOFError, pickle.UnpicklingError) as exc:  # cut short by the child's end
+                    ok, value = False, exc
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             children.pop(0)
             if code != 0:
                 raise ChildProcessError(f"a scan worker ended with status {code} before "
                                         "sending its result")
-            ok, value = pickle.loads(data)
             if not ok:
                 raise value
             results.append(value)

@@ -9,8 +9,12 @@ certifies.
 """
 
 import itertools
+import re
+import warnings
 
 import numpy as np
+
+from thresholdlab.formats import EDGE_ORDER_CAP
 
 # (induced edge count, sorted degree multiset) signatures on 4 vertices
 _P4 = (3, (1, 1, 2, 2))
@@ -89,6 +93,37 @@ def adjacency_from_edges(order, edges):
         assert u != v and not a[u, v], f"edge ({u}, {v}) is a loop or a repeat"
         a[u, v] = a[v, u] = 1
     return a
+
+
+def parse_edge_list_reference(text: str):
+    """``(order, edges)`` of an edge-list text by one string per line and
+    ``np.loadtxt``; a ValueError wherever ``formats.parse_edge_list`` must
+    raise one.  Lines and blanks are those of ``str.splitlines`` and
+    ``str.split``; a line whose first non-blank is ``#`` is a comment."""
+    lines = list(filter(None, map(str.strip, text.splitlines())))
+    lines = [ln for ln in lines if ln[0] != "#"]
+    if not lines:
+        raise ValueError("empty edge-list input")
+    head = lines[0].split()
+    if len(head) != 2 or not all(re.fullmatch(r"[+-]?[0-9]+", word) for word in head):
+        raise ValueError(f"first line must be 'n m' integers, got {lines[0]!r}")
+    order, count = int(head[0]), int(head[1])
+    if not 1 <= order <= EDGE_ORDER_CAP:
+        raise ValueError(f"edge-list order {order} is out of range")
+    if len(lines) - 1 != count:
+        raise ValueError(f"header promises {count} edges, found {len(lines) - 1}")
+    if not count:
+        return order, np.empty((0, 2), dtype=np.int64)
+    with warnings.catch_warnings():
+        # numpy reads a float token such as 1.5 as an int with only a warning
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            edges = np.loadtxt(lines[1:], dtype=np.int64, comments=None, ndmin=2)
+        except DeprecationWarning as exc:
+            raise ValueError(str(exc)) from None
+    if edges.shape[1] != 2:
+        raise ValueError(f"edge line must be 'u v', got {lines[1]!r}")
+    return order, edges
 
 
 def dense_edges(adjacency):

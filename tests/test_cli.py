@@ -10,6 +10,7 @@ import warnings
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,6 +82,8 @@ def test_edge_list_rejects_malformed(tmp_path, capsys):
     for text in ("", "4\n", "4 2\n0 1\n", "2 1\n0 1 2\n", f"{EDGE_ORDER_CAP + 1} 0\n",
                  "3 2\n0 1\n0 1 2\n", "3 2\n0 1\n1\n", "2 1\n1\n", "2 1\nx 1\n",
                  "3 1\n1.5 2\n", "2 1\n0 1 # note\n", f"2 1\n0 {2 ** 63}\n",
+                 f"2 1\n0 {10 ** 20}\n", f"2 1\n{-2 ** 63 - 1} 0\n", "3 2\n0\n1 2 0\n",
+                 "3 1\n0 -\n", "3 2\n0 -\n1 2\n", f"{EDGE_ORDER_CAP} 1\n\u01fe 0\n",
                  "1_0 0\n", "\uff12 1\n0 1\n", "x y\n"):
         with pytest.raises(ValueError):
             parse_edge_list(text)
@@ -99,15 +102,87 @@ def test_edge_list_header_takes_the_edge_line_integer_rule():
 
 
 def test_edge_list_refuses_float_tokens_read_as_ints(monkeypatch):
-    # numpy's loadtxt once read "1.5" as the int 1 with only a DeprecationWarning
-    def lenient_loadtxt(lines, **kwargs):
-        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+    # numpy's text readers have read "1.5" as the int 1 with only a
+    # DeprecationWarning; the parser must refuse the word all the same
+    def lenient_fromstring(data, dtype, sep):
+        warnings.warn("string or file could not be read to its end due to unmatched data",
                       DeprecationWarning, stacklevel=2)
-        return np.array([[1, 2]], dtype=np.int64)
+        return np.array([3, 1, 1, 2], dtype=np.int64)
 
-    monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
+    monkeypatch.setattr(np, "fromstring", lenient_fromstring)
     with pytest.raises(ValueError, match="integer pairs"):
         parse_edge_list("3 1\n1.5 2\n")
+
+
+def test_edge_list_keeps_int64_extremes_and_names_the_refused_word():
+    text = f"2 2\n{2 ** 63 - 1} {-2 ** 63}\n+01 -0\n"
+    assert parse_edge_list(text)[1].tolist() == [[2 ** 63 - 1, -2 ** 63], [1, 0]]
+    for text, reason in ((f"2 1\n0 {2 ** 63}\n", f"'{2 ** 63}' is not an int64 integer"),
+                         ("2 1\n0 1.5\n", "'1.5' is not an int64 integer"),
+                         (f"2 1\n0 {'9' * 5000}\n", f"'{'9' * 5000}' is not an int64 integer"),
+                         ("2 1\n- 1\n", "'-' is not an int64 integer"),
+                         ("3 2\n0 1\n\n0 1 2\n", "edge line 2 has word count 3")):
+        with pytest.raises(ValueError) as raised:
+            parse_edge_list(text)
+        assert str(raised.value) == f"edge lines must be 'u v' integer pairs: {reason}"
+
+
+# Parts of edge-list texts: the words, blanks and line breaks that str.split
+# and str.splitlines know.  The words stay ASCII apart from a full-width
+# digit: np.loadtxt, which the reference parser calls, reads some other
+# non-ASCII letters as numbers (U+01FE as 462).
+_EDGE_WORDS = st.sampled_from(["0", "1", "2", "3", "+1", "-1", "007", "-0", "1.5", "1_0",
+                               "\uff10", "1-2", str(2 ** 63 - 1), str(2 ** 63), str(10 ** 20),
+                               "x", "+", "#"])
+_EDGE_BLANKS = st.sampled_from([" ", "\t", "\x1f", "\xa0", "  "])
+_EDGE_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e",
+                                "\x85", "\u2028"])
+
+
+@st.composite
+def _edge_texts(draw):
+    def line(words):
+        indent = draw(st.sampled_from(["", "", " ", "\t", "\xa0"]))
+        return indent + "".join(word + draw(_EDGE_BLANKS) for word in words).rstrip(" ")
+
+    small = st.sampled_from(["0", "1", "2", "3", "4"])
+    rows = draw(st.lists(st.one_of(st.tuples(small, small), st.tuples(small, small),
+                                   st.lists(st.one_of(small, _EDGE_WORDS), max_size=3)),
+                         max_size=6))
+    count = sum(map(bool, rows)) + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+    lines = draw(st.lists(st.sampled_from(["", " ", "# note", "  # 0 1"]), max_size=2))
+    lines.append(line([draw(st.sampled_from(["5", "5", "+5", "05", "0", "x"])), str(count)]))
+    for words in rows:
+        lines.append(line(words))
+        lines += draw(st.lists(st.sampled_from(["", "\t", "# 0 1", " #x"]), max_size=1))
+    return "".join(text + draw(_EDGE_BREAKS) for text in lines)[:draw(st.sampled_from([None, -1]))]
+
+
+def _assert_parses_like_the_reference(text):
+    """parse_edge_list gives the reference's (order, edges), or raises where it raises."""
+    try:
+        order, edges = oracles.parse_edge_list_reference(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            parse_edge_list(text)
+        return
+    got_order, got = parse_edge_list(text)
+    assert (got_order, got.dtype, got.shape, got.tolist()) == (
+        order, np.dtype(np.int64), edges.shape, edges.tolist()), repr(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_edge_texts())
+def test_edge_list_parse_matches_the_line_by_line_reference(text):
+    _assert_parses_like_the_reference(text)
+
+
+def test_edge_list_blanks_and_line_breaks_are_those_of_str():
+    blanks = [c for c in map(chr, range(0x110000)) if c.isspace()]
+    assert len(blanks) == 29
+    for blank in blanks:
+        for text in (f"3 1{blank}0 1", f"3 1\n0{blank}2\n", f"{blank}3 1\n# x{blank}0 1\n2 1"):
+            _assert_parses_like_the_reference(text)
 
 
 def test_edge_list_skips_comment_lines(tmp_path, capsys):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import pickle
 import pathlib
 import subprocess
 import sys
@@ -399,6 +400,21 @@ def test_scan_reraises_a_child_unit_error(monkeypatch):
 def test_scan_child_without_result_raises(monkeypatch):
     patch_units(monkeypatch, lambda: os._exit(3))
     with pytest.raises(ChildProcessError, match="status 3 before sending its result"):
+        scan_conjecture(8, workers=3, keep_rows=True)
+    assert_no_children()
+
+
+def test_scan_child_cut_off_while_sending_raises(monkeypatch):
+    # the parent unpickles each result from its pipe as a stream; a pickle
+    # cut short by the child's end is reported by the child's status
+    def half_dump(message, pipe, protocol):
+        data = pickle.dumps(message, protocol)
+        pipe.write(data[:len(data) // 2])
+        pipe.flush()
+        os._exit(4)
+
+    monkeypatch.setattr(verify.pickle, "dump", half_dump)
+    with pytest.raises(ChildProcessError, match="status 4 before sending its result"):
         scan_conjecture(8, workers=3, keep_rows=True)
     assert_no_children()
 

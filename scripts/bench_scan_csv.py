@@ -82,6 +82,16 @@ def run(src: str, kind: str, order: int, workers: int,
     return wall, cpu, peak, worker_peak, cpu * yardstick.NOMINAL_S / yard, int(faults)
 
 
+def refusal(name: str, count: int, out: pathlib.Path | None) -> str | None:
+    """Why a run count ``name`` below 1 or an ``out`` file in a directory that
+    does not exist is refused, or None."""
+    if count < 1:
+        return f"{name} must be at least 1, got {count}"
+    if out is not None and not out.parent.is_dir():
+        return f"--out directory {str(out.parent)!r} does not exist"
+    return None
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, help="the checkout's src directory")
@@ -93,11 +103,9 @@ def main() -> int:
     parser.add_argument("--out", required=True, help="BENCH JSON file to update")
     args = parser.parse_args()
     out = pathlib.Path(args.out)
-    if args.repeats < 1:
-        print(f"error: --repeats must be at least 1, got {args.repeats}", file=sys.stderr)
-        return 1
-    if not out.parent.is_dir():
-        print(f"error: --out directory {str(out.parent)!r} does not exist", file=sys.stderr)
+    message = refusal("--repeats", args.repeats, out)
+    if message:
+        print(f"error: {message}", file=sys.stderr)
         return 1
     src = str(pathlib.Path(args.src).resolve())
     sys.path.insert(0, src)

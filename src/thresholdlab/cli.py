@@ -1,17 +1,18 @@
 """Command-line front end.
 
 Subcommands: gen, spectrum, check-gap, scan-gap, scan-conjecture,
-check-antiregular, reduce, recognize.  Each handler builds records (ordered
-dicts) and renders them with ``formats.to_plain``, ``to_csv`` or
-``to_json``; a scan's CSV rows go from their columns to the output 1024
-rows at a time, one ``%`` template per row (``scan_csv``).  Exit codes: 0
-success/pass, 2 verification failure, 1 usage or input error.
+check-antiregular, reduce, recognize.  ``main`` hands a command's words to
+its own parser; the full parser runs only to print its usage and error, when
+the first word is not a command or words are left over.  Each handler builds
+records (ordered dicts) and renders them with ``formats.to_plain``,
+``to_csv`` or ``to_json``; a scan's CSV rows go from their columns to the
+output 1024 rows at a time, one ``%`` template per row (``scan_csv``).  Exit
+codes: 0 success/pass, 2 verification failure, 1 usage or input error.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import os
@@ -128,7 +129,7 @@ def _render(args, records, batch: bool = False, csv_keys=None) -> None:
 
 def _report_record(report) -> dict:
     """A report's fields, with ``passed`` turned into a closing ``verdict``."""
-    record = dataclasses.asdict(report)
+    record = dict(vars(report))  # its fields, in order: a flat report needs no deep copy
     record["verdict"] = _verdict(record.pop("passed"))
     return record
 
@@ -323,10 +324,12 @@ def _cmd_recognize(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of all eight commands, built on the first call and then
-    reused: parsing leaves no state in it."""
+    reused: parsing leaves no state in it.  ``commands`` maps each command
+    to its own parser, the one the full parser would hand it to."""
     parser = _Parser(prog="thresholdlab",
                      description="Threshold graph construction, spectra, and gap verification.")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("gen", help="build a graph; print sequence, NSG form, edges, weights")
     _add_graph_input(p, with_order=True)
@@ -372,15 +375,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command is not None:  # as the full parser hands it the words after it
+            args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if command is None or rest:  # -h, no command, or words left over
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         if code is None:
             return 0
         return code if isinstance(code, int) else 1
     try:
-        if not os.path.isdir(os.path.dirname(args.out or "") or "."):
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
             raise ValueError(f"--out directory {os.path.dirname(args.out)!r} does not exist")
         return args.handler(args)
     except (ValueError, OSError) as exc:

@@ -173,7 +173,7 @@ def parse_edge_list(text: str) -> tuple[int, np.ndarray]:
             or ((b"-" in data or b"+" in data) and re.search(_LONE_SIGN, data))):
         word = _refused_word(data)
         if word is not None or values is None or values.size != 2 * count + 2:
-            raise ValueError(f"edge lines must be 'u v' integer pairs: {word!r} is not "
+            raise ValueError(f"edge lines must be 'u v' integer pairs: {word} is not "
                              "an int64 integer")
     return order, values[2:].reshape(count, 2)  # after the header's n and m
 
@@ -194,12 +194,14 @@ def _breaks_and_words(data: bytes) -> np.ndarray:
 
 
 def _refused_word(data: bytes) -> str | None:
-    """The first word of ``data`` that is not an int64 integer, or None."""
+    """The first word of ``data`` that is not an int64 integer, quoted (its
+    first 40 characters and its length if longer), or None."""
     for match in re.finditer(_UNUSUAL_WORD, data):
-        word = match[0]
-        if (not re.fullmatch(rb"[+-]?[0-9]+", word) or len(word.lstrip(b"+-0")) > 19
-                or not -_INT64_MAX - 1 <= int(word) <= _INT64_MAX):
-            return word.decode(errors="surrogatepass")
+        word, digits = match[0], match[0].lstrip(b"+-0")  # int() takes 4300 digits at most
+        if (not re.fullmatch(rb"[+-]?[0-9]+", word) or len(digits) > 19
+                or int(digits or 0) > _INT64_MAX + word.startswith(b"-")):
+            word = word.decode(errors="surrogatepass")
+            return f"{word[:40]!r}" + (f"\u2026 ({len(word)} characters)" if len(word) > 40 else "")
     return None
 
 

@@ -15,13 +15,14 @@ all the disconnectedness a threshold graph can have.
 
 from __future__ import annotations
 
-import itertools
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 ISOLATED = "0"
 DOMINATING = "1"
+_RUNS = re.compile("0+|1+")  # the maximal runs of a creation sequence
 
 
 class EmptyInputError(ValueError):
@@ -58,9 +59,9 @@ class CreationSequence:
     def __post_init__(self):
         if not self.symbols:
             raise EmptyInputError("creation sequence must be nonempty")
-        for i, c in enumerate(self.symbols):
-            if c not in (ISOLATED, DOMINATING):
-                raise InvalidCharacterError(i, c)
+        if self.symbols.strip(ISOLATED + DOMINATING):  # a bad symbol: name the first
+            i = next(i for i, c in enumerate(self.symbols) if c not in (ISOLATED, DOMINATING))
+            raise InvalidCharacterError(i, self.symbols[i])
         if self.symbols[0] != ISOLATED:
             raise ValueError("canonical creation sequence starts with '0'; use parse_creation_sequence")
 
@@ -91,12 +92,12 @@ class NsgForm:
     isolated: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "m", tuple(int(x) for x in self.m))
-        object.__setattr__(self, "n", tuple(int(x) for x in self.n))
+        object.__setattr__(self, "m", tuple(map(int, self.m)))
+        object.__setattr__(self, "n", tuple(map(int, self.n)))
         object.__setattr__(self, "isolated", int(self.isolated))
         if len(self.m) != len(self.n):
             raise ValueError("m and n must have the same length")
-        if any(x < 1 for x in self.m) or any(x < 1 for x in self.n):
+        if min(self.m, default=1) < 1 or min(self.n, default=1) < 1:
             raise ValueError("class sizes must be positive")
         if self.isolated < 0:
             raise ValueError("isolated count must be nonnegative")
@@ -159,10 +160,6 @@ def parse_creation_sequence(text: str) -> CreationSequence:
     return CreationSequence(ISOLATED + text[1:])  # which checks the other symbols
 
 
-def _runs(symbols: str) -> list[tuple[str, int]]:
-    return [(c, sum(1 for _ in grp)) for c, grp in itertools.groupby(symbols)]
-
-
 def creation_to_nsg(seq: CreationSequence) -> NsgForm:
     """Read off the nested-split-graph class sizes from a creation sequence.
 
@@ -171,9 +168,8 @@ def creation_to_nsg(seq: CreationSequence) -> NsgForm:
     the earliest isolated run is adjacent to every later dominating run, so
     it is the top coclique class U_h, and the last dominating run is V_1.
     """
-    runs = _runs(seq.symbols)
-    zero_sizes = [size for c, size in runs if c == ISOLATED]
-    one_sizes = [size for c, size in runs if c == DOMINATING]
+    runs = list(map(len, _RUNS.findall(seq.symbols)))  # the first is a run of 0s
+    zero_sizes, one_sizes = runs[::2], runs[1::2]
     h = len(one_sizes)
     trailing = zero_sizes[h] if len(zero_sizes) > h else 0
     m = tuple(reversed(zero_sizes[:h]))

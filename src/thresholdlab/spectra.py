@@ -44,7 +44,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .graphs import DOMINATING, CreationSequence, NsgForm
+from .graphs import DOMINATING, ISOLATED, CreationSequence, NsgForm
 
 CLASSIFY_EPS = 1e-8  # matching tolerance for the trivial eigenvalues 0 and -1
 
@@ -101,6 +101,11 @@ def trivial_multiplicities(form: NsgForm) -> TrivialMults:
     return TrivialMults(sum(form.m) - h + form.isolated, sum(form.n) - h + inside)
 
 
+def quotient_eigenvalues(form: NsgForm) -> np.ndarray:
+    """The quotient's eigenvalues, ascending: all of the form's but the padding."""
+    return np.linalg.eigvalsh(quotient_stack(np.array([form.m]), np.array([form.n]))[0])
+
+
 def assemble_spectrum(form: NsgForm) -> np.ndarray:
     """The full adjacency spectrum, descending: quotient eigenvalues plus the
     forced 0 / -1 padding.
@@ -110,8 +115,7 @@ def assemble_spectrum(form: NsgForm) -> np.ndarray:
     m_h = 1 case arises inside the quotient.  An edgeless form has an empty
     quotient and only the padding.
     """
-    quotient = quotient_stack(np.array([form.m]), np.array([form.n]))[0]
-    values = np.concatenate([np.linalg.eigvalsh(quotient),
+    values = np.concatenate([quotient_eigenvalues(form),
                              np.zeros(trivial_multiplicities(form).mult0),
                              np.full(sum(form.n) - form.h, -1.0)])
     return np.sort(values)[::-1]
@@ -129,11 +133,14 @@ def count_eigs_leq(seq: CreationSequence, x: float) -> int:
     j-th creation symbol b_j, so after each step the block that is left has
     one shared diagonal d and off-diagonal entries d + x + b_j: the scalar d
     is the whole state, and eliminating a vertex with symbol b maps it to
-    -2a - a^2/d with a = x + b.  Pivots within pivmin of zero are clamped
-    negative, which keeps the next step finite.
+    -2a - a^2/d with a = x + b, by each symbol's pair (-2a, a^2).  Pivots
+    within pivmin of zero are clamped negative, which keeps the next step
+    finite.
     """
     x = float(x)
     pivmin = _SAFMIN * (seq.order + abs(x) + 1.0) ** 2
+    a = x + 1.0
+    steps = {ISOLATED: (-2.0 * x, x * x), DOMINATING: (-2.0 * a, a * a)}
     count = 0
     d = -x
     for symbol in reversed(seq.symbols):
@@ -141,8 +148,8 @@ def count_eigs_leq(seq: CreationSequence, x: float) -> int:
             d = -pivmin
         if d < 0.0:
             count += 1
-        a = x + 1.0 if symbol == DOMINATING else x
-        d = -2.0 * a - a * a / d
+        twice, square = steps[symbol]
+        d = twice - square / d
     return count
 
 

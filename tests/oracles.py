@@ -9,12 +9,15 @@ certifies.
 """
 
 import itertools
+import os
 import re
+import sys
 import warnings
 
 import numpy as np
 
 from thresholdlab.formats import EDGE_ORDER_CAP
+from thresholdlab.graphs import NsgForm
 
 # (induced edge count, sorted degree multiset) signatures on 4 vertices
 _P4 = (3, (1, 1, 2, 2))
@@ -203,3 +206,54 @@ def peel_dense(adjacency):
         alive.remove((isolated or dominating)[0])
         symbols.append("0" if isolated else "1")
     return "0" + "".join(reversed(symbols))
+
+
+def creation_to_nsg_reference(symbols: str) -> NsgForm:
+    """NSG form of a canonical creation-sequence string from its runs, each
+    counted by ``itertools.groupby``: the 0-runs are U_h, ..., U_1 and the
+    1-runs V_h, ..., V_1, and a 0-run after the last 1-run is isolated."""
+    runs = [(c, sum(1 for _ in group)) for c, group in itertools.groupby(symbols)]
+    zero_sizes = [size for c, size in runs if c == "0"]
+    one_sizes = [size for c, size in runs if c == "1"]
+    h = len(one_sizes)
+    trailing = zero_sizes[h] if len(zero_sizes) > h else 0
+    return NsgForm(tuple(reversed(zero_sizes[:h])), tuple(reversed(one_sizes)), trailing)
+
+
+def count_eigs_leq_reference(symbols: str, x: float) -> int:
+    """The inertia count at x by the congruence, with a = x + b recomputed at
+    every step: d -> -2a - a^2/d from the last symbol, pivots within pivmin
+    of zero clamped negative."""
+    x = float(x)
+    pivmin = float(np.finfo(np.float64).tiny) * (len(symbols) + abs(x) + 1.0) ** 2
+    count = 0
+    d = -x
+    for symbol in reversed(symbols):
+        if abs(d) <= pivmin:
+            d = -pivmin
+        if d < 0.0:
+            count += 1
+        a = x + 1.0 if symbol == "1" else x
+        d = -2.0 * a - a * a / d
+    return count
+
+
+def cli_main_reference(argv=None) -> int:
+    """``cli.main`` as it reads when the full parser parses every request:
+    the same handlers, usage errors and exit codes."""
+    from thresholdlab import cli
+
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        code = exc.code
+        if code is None:
+            return 0
+        return code if isinstance(code, int) else 1
+    try:
+        if not os.path.isdir(os.path.dirname(args.out or "") or "."):
+            raise ValueError(f"--out directory {os.path.dirname(args.out)!r} does not exist")
+        return args.handler(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1

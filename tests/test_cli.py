@@ -115,11 +115,19 @@ def test_edge_list_refuses_float_tokens_read_as_ints(monkeypatch):
 
 
 def test_edge_list_keeps_int64_extremes_and_names_the_refused_word():
-    text = f"2 2\n{2 ** 63 - 1} {-2 ** 63}\n+01 -0\n"
-    assert parse_edge_list(text)[1].tolist() == [[2 ** 63 - 1, -2 ** 63], [1, 0]]
+    text = f"2 3\n{2 ** 63 - 1} {-2 ** 63}\n+01 -0\n-{'0' * 5000}{2 ** 63} +{'0' * 5000}9\n"
+    assert parse_edge_list(text)[1].tolist() == [[2 ** 63 - 1, -2 ** 63], [1, 0], [-2 ** 63, 9]]
     for text, reason in ((f"2 1\n0 {2 ** 63}\n", f"'{2 ** 63}' is not an int64 integer"),
                          ("2 1\n0 1.5\n", "'1.5' is not an int64 integer"),
-                         (f"2 1\n0 {'9' * 5000}\n", f"'{'9' * 5000}' is not an int64 integer"),
+                         (f"2 1\n0 {'9' * 40}\n", f"'{'9' * 40}' is not an int64 integer"),
+                         # a longer word is quoted by its first 40 characters
+                         (f"2 1\n0 {'9' * 5000}\n",
+                          f"'{'9' * 40}'\u2026 (5000 characters) is not an int64 integer"),
+                         (f"2 1\n0 {'1' * 100_000}\n",
+                          f"'{'1' * 40}'\u2026 (100000 characters) is not an int64 integer"),
+                         # int() refuses a word of more than 4300 digits, leading 0s too
+                         (f"2 1\n0 -{'0' * 5000}9223372036854775809\n",
+                          f"'-{'0' * 39}'\u2026 (5020 characters) is not an int64 integer"),
                          ("2 1\n- 1\n", "'-' is not an int64 integer"),
                          ("3 2\n0 1\n\n0 1 2\n", "edge line 2 has word count 3")):
         with pytest.raises(ValueError) as raised:
@@ -627,6 +635,57 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "recognize", "--edges", "/no/such/file")[0] == 1
 
 
+def test_main_parses_as_the_full_parser_does(tmp_path, capsys, monkeypatch):
+    # main hands a command's words to that command's parser; every reply,
+    # usage errors and help included, must be the full parser's, and the
+    # full parser must not run for a request that parses
+    edges = tmp_path / "g.txt"
+    edges.write_text(format_edge_list(5, sequence_edges(nsg_to_creation(NsgForm([2], [3])))))
+    valid = [["gen", "--seq", "0011", "--format", "json"],
+             ["gen", "--order", "4", "--connected-only", "--format", "csv"],
+             ["spectrum", "--nsg", "nsg(3;2)"],
+             ["check-gap", "--edges", str(edges), "--format", "json"],
+             ["check-gap", "--seq", "01", "--out", str(tmp_path / "out.txt")],
+             ["scan-gap", "--order", "6", "--format", "json"],
+             ["scan-conjecture", "--order", "6", "--workers", "2", "--format", "csv"],
+             ["check-antiregular", "--order", "7"],
+             ["reduce", "--seq", "0100111", "--format", "csv"],
+             ["recognize", "--edges", str(edges)],
+             ["scan-gap", "--ord", "4"],  # an abbreviated option
+             ["check-gap", "--seq", "01", "--out", ""],
+             ["check-gap", "--seq", "01", "--out", str(tmp_path / "missing" / "x")]]
+    # the rest: usage errors, help, and a first word that is not a command
+    # (which the full parser reads as "--" and then a command)
+    rest = [["scan-gap", "--order", "4", "--bogus"], ["check-gap", "--seq", "01", "extra"],
+            ["scan-gap", "--order", "5", "scan-gap"], ["scan-gap"],
+            ["scan-gap", "--order", "5", "--workers", "\uff102"], ["scan-gap", "-h"],
+            ["check-gap", "--help"], [], ["no-such-command"], ["--help"], ["-h", "gen"],
+            ["check-gap", "--", "--seq", "01"], ["check-gap", "--seq", "01", "--he"],
+            ["--", "scan-gap", "--order", "5"], ["--", "scan-conjecture", "--order", "5"]]
+    parser = cli.build_parser()
+    parses = []
+    full_parse = parser.parse_known_args
+    monkeypatch.setattr(parser, "parse_known_args",
+                        lambda *args, **kwargs: parses.append(args) or full_parse(*args, **kwargs))
+    for argv in valid:
+        reply = run(capsys, *argv)
+        assert not parses, argv
+        assert reply == (oracles.cli_main_reference(argv), *capsys.readouterr())
+        parses.clear()
+    for argv in rest:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (oracles.cli_main_reference(argv), *capsys.readouterr())
+        assert code in (0, 1) and (out if code == 0 else err), argv
+    assert run(capsys, "scan-gap", "--order", "4", "--bogus")[2].startswith("usage: thresholdlab [")
+    # argv=None reads sys.argv
+    for argv in (["check-gap", "--seq", "0011"], ["check-gap", "--seq"]):
+        monkeypatch.setattr(sys, "argv", ["thresholdlab", *argv])
+        code = cli.main()
+        assert (code, *capsys.readouterr()) == (oracles.cli_main_reference(),
+                                                *capsys.readouterr())
+        assert code == (0 if len(argv) == 3 else 1)
+
+
 def test_scan_cap_exit_1(capsys):
     code, _, err = run(capsys, "scan-gap", "--order", "30")
     assert code == 1
@@ -851,6 +910,24 @@ def test_scripts_run(tmp_path, capsys, monkeypatch):
         done = script(tmp_path, "bench_scan_csv.py", "--src", src, "--commit", "x", *argv)
         assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {message}\n"), argv
     assert not (tmp_path / "tmp" / "none.json").exists()
+    # request_split.py times one request in one python per tree, by stage,
+    # and refuses what bench_scan_csv.py refuses before anything runs
+    lines = run_script(tmp_path, "request_split.py", "--src", src, "--src", src, "--rounds", "2",
+                       "--calls", "2", "--out", "tmp/split.json", "--",
+                       "scan-gap", "--order", "6", "--format", "json")
+    split = json.loads("\n".join(lines))
+    assert split == json.loads((tmp_path / "tmp" / "split.json").read_text())
+    assert split["same_output"] and [tree["exit_code"] for tree in split["trees"]] == [0, 0]
+    assert all(tree[stage] > 0 for tree in split["trees"]
+               for stage in ("main", "parse", "handler", "run_scan", "prune", "sweep"))
+    for argv, message in ((("--src", src, "--rounds", "0"), "--rounds must be at least 1, got 0"),
+                          (("--src", src, "--calls", "0"), "--calls must be at least 1, got 0"),
+                          (("--src", src, "--out", "missing/split.json"),
+                           "--out directory 'missing' does not exist"),
+                          (("--src", src, "--src", str(tmp_path / "tmp")),
+                           f"--src {str(tmp_path / 'tmp')!r} holds no thresholdlab package")):
+        done = script(tmp_path, "request_split.py", *argv, "--", "check-gap", "--seq", "01")
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {message}\n"), argv
     # usage errors exit 1, as the CLI's do (2 claims a counterexample), and
     # integer options follow the CLI's integer rule
     for name in ("run_gap_scan.py", "run_conjecture_scan.py", "antiregular_bounds.py"):

@@ -104,6 +104,42 @@ def test_nsg_form_validation():
         NsgForm([], [], 0)
 
 
+def test_validation_names_the_first_fault():
+    # each input's exception type and message, in the order of the checks:
+    # characters before the leading symbol, lengths before sizes before the
+    # isolated count, and conversions first of all
+    bad = "invalid character 'x' at position {}, expected '0' or '1'"
+    for make, kind, message in (
+            (lambda: CreationSequence(""), EmptyInputError, "creation sequence must be nonempty"),
+            (lambda: CreationSequence("x01"), InvalidCharacterError, bad.format(0)),
+            (lambda: CreationSequence("0x1"), InvalidCharacterError, bad.format(1)),
+            (lambda: CreationSequence("01x"), InvalidCharacterError, bad.format(2)),
+            (lambda: CreationSequence("0xy"), InvalidCharacterError, bad.format(1)),
+            (lambda: CreationSequence("1x"), InvalidCharacterError, bad.format(1)),
+            (lambda: CreationSequence("10"), ValueError,
+             "canonical creation sequence starts with '0'; use parse_creation_sequence"),
+            (lambda: NsgForm([1, 2], [1]), ValueError, "m and n must have the same length"),
+            (lambda: NsgForm([0], [1, 1]), ValueError, "m and n must have the same length"),
+            (lambda: NsgForm([1, 0], [1, 1]), ValueError, "class sizes must be positive"),
+            (lambda: NsgForm([1], [0]), ValueError, "class sizes must be positive"),
+            (lambda: NsgForm([0], [1], -1), ValueError, "class sizes must be positive"),
+            (lambda: NsgForm([1], [1], -1), ValueError, "isolated count must be nonnegative"),
+            (lambda: NsgForm([], []), ValueError, "graph must have at least one vertex"),
+            (lambda: NsgForm(["x"], [0]), ValueError, "invalid literal for int() with base 10: 'x'"),
+            (lambda: NsgForm([1], [1], "a"), ValueError,
+             "invalid literal for int() with base 10: 'a'"),
+            (lambda: NsgForm(None, [1]), TypeError, "'NoneType' object is not iterable")):
+        with pytest.raises((ValueError, TypeError)) as raised:
+            make()
+        assert (type(raised.value), str(raised.value)) == (kind, message)
+    assert NsgForm(np.array([2, 1]), (1.0, 3), np.int64(2)) == NsgForm((2, 1), (1, 3), 2)
+
+
+def test_creation_to_nsg_matches_the_groupby_reference():
+    for seq in all_sequences(14):
+        assert creation_to_nsg(seq) == oracles.creation_to_nsg_reference(seq.symbols), seq
+
+
 def test_nsg_form_properties():
     form = NsgForm([1, 2], [1, 1])
     assert form.h == 2

@@ -230,6 +230,17 @@ def test_count_eigs_leq_examples():
     assert count_eigs_leq(seq, gershgorin) == 5
 
 
+def test_count_eigs_leq_equals_the_step_by_step_reference():
+    # each symbol's (-2a, a^2) pair, computed once, gives the counts of the
+    # congruence that computes a = x + b at every step, on every sequence
+    # to order 12, at the gap endpoints, on eigenvalues and off them
+    points = (GAP_LOWER, GAP_UPPER, 0.0, -1.0, -2.0, 5.0)
+    for order in range(1, 13):
+        for seq in enumerate_threshold(order):
+            assert [count_eigs_leq(seq, x) for x in points] == [
+                oracles.count_eigs_leq_reference(seq.symbols, x) for x in points], seq
+
+
 def test_count_eigs_leq_at_exact_eigenvalue_is_bracketed():
     # x = 0 sits on a double eigenvalue; the count may fall anywhere between
     # the strict and the inclusive answer, never outside

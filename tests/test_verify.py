@@ -129,6 +129,15 @@ def test_check_gap_builds_no_dense_matrix(monkeypatch):
     assert check_interlacing(NsgForm([2000, 1], [1, 1]), ("U", 1)).passed
 
 
+def test_check_gap_clearance_is_that_of_the_whole_spectrum():
+    # read off the quotient's eigenvalues, the clearance is bit for bit what
+    # the assembled spectrum gives: its padding is trivial
+    forms = [creation_to_nsg(s) for order in range(1, 13) for s in enumerate_threshold(order)]
+    for form in forms + [NsgForm([], [], 3), NsgForm([1], [1])]:
+        whole = float(verify._clearance(assemble_spectrum(form)))
+        assert check_gap(form).min_nontrivial_distance.hex() == whole.hex(), form
+
+
 def test_check_gap_order_9_exhaustive():
     for form in connected(9):
         assert check_gap(form).passed

@@ -29,7 +29,7 @@ def main() -> int:
     args = parser.parse_args()
     if args.step < 1:
         raise ValueError(f"--step must be at least 1, got {args.step}")
-    if args.max_order > EDGE_ORDER_CAP:  # A_n's quotient is n x n
+    if args.max_order > EDGE_ORDER_CAP:  # check-antiregular's own cap on --order
         raise ValueError(f"--max-order {args.max_order} is above the cap {EDGE_ORDER_CAP}")
     if args.csv and not (folder := pathlib.Path(args.csv).parent).is_dir():
         raise ValueError(f"--csv directory {str(folder)!r} does not exist")

@@ -12,7 +12,11 @@ Interval membership questions are never answered by comparing computed
 eigenvalues against endpoints; :func:`count_eigs_leq` counts eigenvalues by
 the signs of the pivots of a congruence that runs on the creation sequence in
 O(n) with no matrix at all, which returns exact integers even for clustered
-spectra.
+spectra.  The same pass also sums p'/p for p(x) = det(A - xI), as the
+pivots multiply to p (:func:`_inertia`), so :func:`locate_eigenvalue` finds
+one eigenvalue within one ulp, with no eigensolve: safeguarded Newton steps
+inside a bracket that every pass's count narrows, and a last Newton step in
+fixed-point integers.
 
 Exhaustive scans work on many graphs at a time.  They count by
 :func:`count_eigs_leq_sweep`, which runs the congruence over the suffix tree
@@ -39,6 +43,7 @@ give the same counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -49,6 +54,9 @@ from .graphs import DOMINATING, ISOLATED, CreationSequence, NsgForm
 CLASSIFY_EPS = 1e-8  # matching tolerance for the trivial eigenvalues 0 and -1
 
 _SAFMIN = float(np.finfo(np.float64).tiny)
+# A Newton step this many ulps long or shorter leaves only float noise for
+# the fixed-point step to correct (see locate_eigenvalue)
+_SETTLED_ULPS = 64
 
 
 @dataclass(frozen=True)
@@ -127,30 +135,132 @@ def count_eigs_leq(seq: CreationSequence, x: float) -> int:
     Exact integer whenever x is not within rounding distance of an
     eigenvalue, no matter how clustered the spectrum is; at an exact
     eigenvalue the answer is between the strict and the inclusive count.
+    It is the count of :func:`_inertia`'s pass.
+    """
+    return _inertia(seq, x)[0]
+
+
+def _inertia(seq: CreationSequence, x: float) -> tuple[int, float]:
+    """(count, p'(x) / p(x)) at x, p(x) = det(A - xI), from one pass.
 
     Counts the negative pivots of a congruence on A - xI that eliminates the
     vertices from the last to the first.  For i < j the entry A_ij is the
     j-th creation symbol b_j, so after each step the block that is left has
     one shared diagonal d and off-diagonal entries d + x + b_j: the scalar d
     is the whole state, and eliminating a vertex with symbol b maps it to
-    -2a - a^2/d with a = x + b, by each symbol's pair (-2a, a^2).  Pivots
+    -2a - a^2/d with a = x + b, by each symbol's (a, -2a, a^2).  Pivots
     within pivmin of zero are clamped negative, which keeps the next step
-    finite.
+    finite.  The tested pivots d_0 = -x, d_1, ... multiply to p(x), so the
+    same pass sums d'_k / d_k into p'/p, with d'_0 = -1 and d'_(k+1) = -2 -
+    2q + q^2 d'_k, q = a / d_k.
     """
     x = float(x)
     pivmin = _SAFMIN * (seq.order + abs(x) + 1.0) ** 2
     a = x + 1.0
-    steps = {ISOLATED: (-2.0 * x, x * x), DOMINATING: (-2.0 * a, a * a)}
-    count = 0
-    d = -x
+    steps = {ISOLATED: (x, -2.0 * x, x * x), DOMINATING: (a, -2.0 * a, a * a)}
+    count, ratio, d, slope = 0, 0.0, -x, -1.0
     for symbol in reversed(seq.symbols):
         if abs(d) <= pivmin:
             d = -pivmin
         if d < 0.0:
             count += 1
-        twice, square = steps[symbol]
+        ratio += slope / d
+        a, twice, square = steps[symbol]
+        q = a / d
+        slope = -2.0 - 2.0 * q + q * q * slope
         d = twice - square / d
-    return count
+    return count, ratio
+
+
+def locate_eigenvalue(seq: CreationSequence, k: int, lo: float, hi: float,
+                      counts: tuple[int, int], x: float) -> float:
+    """The k-th smallest eigenvalue of the graph's adjacency, within one ulp.
+
+    (lo, hi] must hold it, as :func:`count_eigs_leq` certifies: ``counts``
+    are the counts at lo and hi, count(lo) < k <= count(hi), and the end
+    away from x may be infinite.  Each pass of :func:`_inertia` at x, the
+    given x first, moves the end on its side of the eigenvalue to x.  Once
+    the bracket holds eigenvalue k alone, the next x is Newton's point x -
+    p/p' on det(A - xI), from x or else from the other end, kept one ulp
+    inside the bracket, if it moves x at most half as far as the move before
+    the last.  Otherwise x moves from its end toward the other one, twice as
+    far as its last move but no further than the midpoint, as it does to
+    reach an infinite end.  It stops once that Newton point lies within
+    _SETTLED_ULPS ulps of x, or when lo and hi are adjacent doubles, and
+    then takes one Newton step in fixed point (:func:`_fixed_point_newton`)
+    from that point, or from the end nearer the last Newton point.
+    """
+    below, above = counts
+    if not below < k <= above:
+        raise ValueError(f"counts {counts} at ({lo}, {hi}] do not bracket eigenvalue {k}")
+    if not lo < x < hi or math.isinf(lo) and math.isinf(hi):
+        raise ValueError(f"{x} is not inside ({lo}, {hi}], or neither end is finite")
+    moves = [math.inf, x - lo if math.isfinite(lo) else hi - x]
+    newton = [math.nan, math.nan]  # from lo, from hi
+    while math.nextafter(lo, hi) != hi:
+        count, ratio = _inertia(seq, x)
+        held = above - below  # eigenvalues in the bracket when the last move was chosen
+        side = count >= k
+        if side:
+            hi, above = x, count
+        else:
+            lo, below = x, count
+        newton[side] = x - 1.0 / ratio if ratio else math.nan
+        if above - below == 1 and lo <= newton[side] <= hi and \
+                abs(newton[side] - x) <= _SETTLED_ULPS * math.ulp(x):
+            x = newton[side]
+            break
+        reach = min((hi - lo) / 2.0, 2.0 * moves[1])
+        target = hi - reach if side else lo + reach
+        for point in newton[side], newton[not side]:
+            if above - below == 1 and lo <= point <= hi:
+                point = min(max(point, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+                if 2.0 * abs(point - x) <= moves[0]:
+                    target = point
+                break
+        moves = [moves[1] if held == 1 else math.inf, abs(target - x)]
+        x = target
+    else:
+        x = lo if abs(newton[side] - lo) < abs(newton[side] - hi) else hi
+    return _fixed_point_newton(seq, x)
+
+
+def _fixed_point_newton(seq: CreationSequence, x: float) -> float:
+    """Newton's point x - p(x)/p'(x) of :func:`_inertia`, rounded once.
+
+    The pivots run on integers scaled by 2^K, with K 64 bits below the last
+    bit of x, so a = x + b is exact and each step is off by one unit at
+    most; the sum p'/p runs in floats on them.  Near an eigenvalue the float
+    pivots lose the digits that place it within the last few ulps of a
+    double.  Here, from x within a few ulps, the Newton step needs p'/p to
+    few digits only, and the Newton point is that eigenvalue to far below
+    one ulp.  A pivot that is zero or infinite as a double, or a step that
+    is not finite, leaves x as it is.
+    """
+    numerator, denominator = float(x).as_integer_ratio()
+    bits = denominator.bit_length() + 63
+    one = 1 << bits
+    point = numerator << (bits - denominator.bit_length() + 1)
+    steps = {symbol: (a, a << bits, -2 * a, float(b) + x)
+             for symbol, a, b in ((ISOLATED, point, 0), (DOMINATING, point + one, 1))}
+    ratio, d, slope = 0.0, -point, -1.0
+    for symbol in reversed(seq.symbols):
+        try:
+            pivot = d / one
+        except OverflowError:  # too large for a double
+            return x
+        if not pivot:  # zero, or too small for a double
+            return x
+        ratio += slope / pivot
+        a, shifted, twice, rounded = steps[symbol]
+        q = rounded / pivot
+        slope = -2.0 - 2.0 * q + q * q * slope
+        d = twice - (a * (shifted // d) >> bits)
+    step = 1.0 / ratio if ratio else math.inf
+    if not math.isfinite(step):
+        return x
+    numerator, denominator = step.as_integer_ratio()
+    return (point - numerator * one // denominator) / one
 
 
 def count_eigs_leq_sweep(order: int, xs, top: int, lows) -> Iterator[np.ndarray]:
@@ -261,7 +371,8 @@ def eta_extremes(values: np.ndarray) -> tuple:
     """(smallest eigenvalue > 0, largest eigenvalue < -1) over the last axis.
 
     ``values`` is one spectrum, or a (..., w) array of them, or any part of
-    each that holds every nontrivial eigenvalue.  Eigenvalues within
+    each that holds every nontrivial eigenvalue, or a set of located
+    eigenvalues that holds the two extremes.  Eigenvalues within
     CLASSIFY_EPS of 0 or -1 are trivial and count for neither slot; an empty
     slot reads +inf and -inf.
     """

@@ -3,7 +3,9 @@
 The headline claim: apart from the trivial eigenvalues -1 and 0, no threshold
 graph has an eigenvalue in ((-1-sqrt(2))/2, (-1+sqrt(2))/2), open or closed
 alike (see ``check_gap``).  ``check_gap`` decides this for one graph by
-inertia counting on the creation sequence (an exact integer test).  The scan
+inertia counting on the creation sequence (an exact integer test), and
+``check_antiregular_bounds`` decides it for A_n by the same counts and
+locates eta+(A_n) and eta-(A_n) from them, with no eigensolve.  The scan
 functions sweep entire orders exhaustively, in units that fix the low index
 bits of the suffix tree.  Every scan, of either kind, counts at the same
 four points, the gap endpoints and the margins beyond A_n's extremes, and
@@ -60,6 +62,7 @@ from .spectra import (
     count_eigs_leq,
     count_eigs_leq_sweep,
     eta_extremes,
+    locate_eigenvalue,
     quotient_eigenvalues,
     quotient_stack,
     trivial_multiplicities,
@@ -76,6 +79,10 @@ DEFAULT_ORDER_CAP = 22
 # a 2h x 2h quotient of norm <= order, about 2h * eps * order <= 1e-12, is
 # still far below PRUNE_MARGIN.
 ORDER_CEILING = 64
+# n^2 times the clearance of eta+-(A_n) over the interval tends to pi^2/(4
+# sqrt(2)) = 1.7447 (2 <= n <= 500: within [1.58, 10.9]), so the search for
+# each eta starts that far beyond its endpoint
+_CLEARANCE_LAW = math.pi ** 2 / (4.0 * math.sqrt(2.0))
 # A scan run without rows solves a row that meets its forecast only when the
 # kernel finds an eigenvalue within this margin beyond A_n's eta (see
 # _pick_rows).  It must exceed eigvalsh's absolute error on the row's
@@ -340,17 +347,30 @@ def check_antiregular_bounds(order: int) -> BoundsReport:
     """Extreme nontrivial eigenvalues of the anti-regular graph clear the interval.
 
     Requires eta_plus > GAP_UPPER and eta_minus < GAP_LOWER; the eta_minus
-    side is vacuous when no eigenvalue lies below -1 (order 2).
+    side is vacuous when no eigenvalue lies below -1 (order 2).  The verdict
+    is read off counts: none in (CLASSIFY_EPS, GAP_UPPER] and none in
+    (GAP_LOWER, -1 - CLASSIFY_EPS], at four doubles that are not algebraic
+    integers, so not eigenvalues.  eta+ is the eigenvalue just above
+    count(CLASSIFY_EPS) and eta- the one at count(-1 - CLASSIFY_EPS), each
+    located within one ulp by :func:`locate_eigenvalue`, O(n) per pass and
+    with no eigensolve, from a first point beyond its endpoint by the
+    clearance law; :func:`eta_extremes` reads the two located values.
     """
-    plus, minus = eta_extremes(assemble_spectrum(anti_regular(order)))
+    seq = nsg_to_creation(anti_regular(order))
+    zero, upper = count_eigs_leq(seq, CLASSIFY_EPS), count_eigs_leq(seq, GAP_UPPER)
+    minus_one, lower = count_eigs_leq(seq, -1.0 - CLASSIFY_EPS), count_eigs_leq(seq, GAP_LOWER)
+    width = _CLEARANCE_LAW / order ** 2
+    lo, below = (GAP_UPPER, upper) if upper == zero else (CLASSIFY_EPS, zero)
+    located = [locate_eigenvalue(seq, zero + 1, lo, math.inf, (below, order), GAP_UPPER + width)]
+    if minus_one:
+        hi, above = (GAP_LOWER, lower) if lower == minus_one else (-1.0 - CLASSIFY_EPS, minus_one)
+        located.append(locate_eigenvalue(seq, minus_one, -math.inf, hi, (0, above),
+                                         GAP_LOWER - width))
+    plus, minus = eta_extremes(np.array(located))
     eta_plus = float(plus) if plus < math.inf else None
     eta_minus = float(minus) if minus > -math.inf else None
-    passed = (
-        eta_plus is not None
-        and eta_plus > GAP_UPPER
-        and (eta_minus is None or eta_minus < GAP_LOWER)
-    )
-    return BoundsReport(order=order, eta_plus=eta_plus, eta_minus=eta_minus, passed=passed)
+    return BoundsReport(order=order, eta_plus=eta_plus, eta_minus=eta_minus,
+                        passed=upper == zero and lower == minus_one)
 
 
 def _check_scan_order(order: int, order_cap: int) -> None:

@@ -223,7 +223,8 @@ def creation_to_nsg_reference(symbols: str) -> NsgForm:
 def count_eigs_leq_reference(symbols: str, x: float) -> int:
     """The inertia count at x by the congruence, with a = x + b recomputed at
     every step: d -> -2a - a^2/d from the last symbol, pivots within pivmin
-    of zero clamped negative."""
+    of zero clamped negative.  It is the count-only recurrence, the same
+    float operations as the kernel's count."""
     x = float(x)
     pivmin = float(np.finfo(np.float64).tiny) * (len(symbols) + abs(x) + 1.0) ** 2
     count = 0
@@ -235,6 +236,24 @@ def count_eigs_leq_reference(symbols: str, x: float) -> int:
             count += 1
         a = x + 1.0 if symbol == "1" else x
         d = -2.0 * a - a * a / d
+    return count
+
+
+def count_eigs_leq_exact(symbols: str, x: float) -> int:
+    """The inertia count at the double x in exact arithmetic: the same
+    recurrence on integer pairs (u, w) with d = u/w, x = X/D a dyadic
+    rational and a = (X + bD)/D, so d -> -2a - a^2/d is
+    (u, w) -> (-2(X + bD)Du - (X + bD)^2 w, D^2 u).  No gcd is taken.  No
+    tested pivot may be exactly zero: that would make x an eigenvalue,
+    where the count says nothing about which side it lies on."""
+    numerator, denominator = float(x).as_integer_ratio()
+    u, w = -numerator, denominator
+    count = 0
+    for step, symbol in enumerate(reversed(symbols)):
+        assert u != 0, f"pivot {step} is exactly zero at {x!r}"
+        count += (u < 0) != (w < 0)
+        a = numerator + denominator * (symbol == "1")
+        u, w = -2 * a * denominator * u - a * a * w, denominator * denominator * u
     return count
 
 

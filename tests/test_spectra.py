@@ -20,16 +20,26 @@ from thresholdlab.graphs import (
 from thresholdlab.spectra import (
     CLASSIFY_EPS,
     TrivialMults,
+    _fixed_point_newton,
+    _inertia,
     assemble_spectrum,
     count_eigs_leq,
     count_eigs_leq_sweep,
     eta_extremes,
+    locate_eigenvalue,
     quotient_stack,
     trivial_multiplicities,
 )
-from thresholdlab.verify import GAP_LOWER, GAP_UPPER, PRUNE_MARGIN, _prune_thresholds
+from thresholdlab.verify import (
+    GAP_LOWER,
+    GAP_UPPER,
+    PRUNE_MARGIN,
+    _prune_thresholds,
+    check_antiregular_bounds,
+)
 
 sequences = st.text(alphabet="01", min_size=1, max_size=12).map(parse_creation_sequence)
+long_sequences = st.text(alphabet="01", min_size=1, max_size=40).map(parse_creation_sequence)
 
 # dense-solver reference values for the paw graph (A_4, sequence 0101)
 PAW_SPECTRUM = [2.170086486626034, 0.3111078174659816, -1.0, -1.4811943040920156]
@@ -239,6 +249,67 @@ def test_count_eigs_leq_equals_the_step_by_step_reference():
         for seq in enumerate_threshold(order):
             assert [count_eigs_leq(seq, x) for x in points] == [
                 oracles.count_eigs_leq_reference(seq.symbols, x) for x in points], seq
+
+
+@given(long_sequences, st.sampled_from([GAP_LOWER, GAP_UPPER, 0.0, -1.0, 1.0, -2.0, 2.0, 3.0,
+                                        -3.0, 0.5, -0.5]) | st.floats(-41.0, 41.0))
+@settings(max_examples=300)
+def test_inertia_counts_as_the_count_only_recurrence(seq, x):
+    # the pass that also sums p'/p counts with the same clamp and the same
+    # floats as the count-only recurrence, at the gap endpoints and at 0,
+    # -1 and small integers and halves, where pivots are exactly 0 and the
+    # clamp fires, and anywhere else in the spectrum's range
+    assert _inertia(seq, x)[0] == count_eigs_leq(seq, x) == \
+        oracles.count_eigs_leq_reference(seq.symbols, x)
+
+
+def test_inertia_ratio_is_the_log_derivative_of_the_characteristic_polynomial():
+    # p'(x)/p(x) for p(x) = det(A - xI) is the sum of 1/(x - lambda) over
+    # the dense spectrum, at points off every eigenvalue
+    for seq in map(parse_creation_sequence, ("0", "01", "0101", "0011", "00101101", "0" * 5 + "1")):
+        values = oracles.dense_spectrum(build_adjacency(seq))
+        for x in (GAP_LOWER, GAP_UPPER, 0.3, -1.7, 4.5):
+            assert _inertia(seq, x)[1] == pytest.approx(float(np.sum(1.0 / (x - values))),
+                                                        rel=1e-9), (str(seq), x)
+
+
+def test_locate_eigenvalue_finds_every_nontrivial_eigenvalue():
+    # from brackets with an infinite end on either side, and from a finite
+    # one, each nontrivial eigenvalue of every connected graph to order 9 is
+    # found within 1e-12 of the dense solve.  A bracket whose counts do not
+    # hold eigenvalue k, or a first point outside it or with both ends
+    # infinite, is refused
+    for order in range(2, 10):
+        for seq in enumerate_threshold(order, connected_only=True):
+            values = np.sort(oracles.dense_spectrum(build_adjacency(seq)))
+            for k, value in enumerate(values.tolist(), start=1):
+                if min(abs(value), abs(value + 1.0)) < 1e-9:
+                    continue
+                for lo, hi, x in ((-math.inf, order, 0.5), (-order, math.inf, -0.5),
+                                  (-order, order, 0.25)):
+                    assert locate_eigenvalue(seq, k, lo, hi, (0, order), x) == \
+                        pytest.approx(value, abs=1e-12), (str(seq), k, lo, hi)
+    seq = parse_creation_sequence("01")  # eigenvalues -1 and 1
+    for lo, hi, counts, x in ((-2.0, 0.5, (0, 1), 0.0), (-math.inf, math.inf, (0, 2), 0.0),
+                              (-2.0, 2.0, (0, 2), 3.0)):
+        with pytest.raises(ValueError):
+            locate_eigenvalue(seq, 2, lo, hi, counts, x)
+
+
+def test_fixed_point_newton_step_lands_on_the_eigenvalue():
+    # one Newton step in fixed point from 1e-11 beside eta+-(A_n), on
+    # either side, lands on the double that the located value is, as its
+    # error is about 1e-22 * n^2; an exact eigenvalue 1 is left as it is,
+    # and points whose pivots leave the doubles return a double
+    for order in (5, 9, 13, 40):
+        seq = nsg_to_creation(anti_regular(order))
+        report = check_antiregular_bounds(order)
+        for eta in report.eta_plus, report.eta_minus:
+            for offset in (-1e-11, 1e-11):
+                assert _fixed_point_newton(seq, eta + offset) == eta, (order, eta, offset)
+    assert _fixed_point_newton(parse_creation_sequence("01"), 1.0) == 1.0
+    for x in (5e-324, -5e-324, 1e-310, 1e300):
+        assert isinstance(_fixed_point_newton(parse_creation_sequence("0011"), x), float)
 
 
 def test_count_eigs_leq_at_exact_eigenvalue_is_bracketed():

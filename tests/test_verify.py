@@ -27,7 +27,13 @@ from thresholdlab.graphs import (
 )
 from thresholdlab import cli, verify
 from thresholdlab.cli import scan_csv
-from thresholdlab.spectra import assemble_spectrum, eta_extremes, trivial_multiplicities
+from thresholdlab.spectra import (
+    CLASSIFY_EPS,
+    assemble_spectrum,
+    eta_extremes,
+    quotient_eigenvalues,
+    trivial_multiplicities,
+)
 from thresholdlab.verify import (
     DEFAULT_ORDER_CAP,
     GAP_LOWER,
@@ -311,6 +317,52 @@ def test_antiregular_bounds_order_2_vacuous_minus_side():
 def test_antiregular_bounds_rejects_order_1():
     with pytest.raises(OrderTooSmallError):
         check_antiregular_bounds(1)
+
+
+@pytest.mark.parametrize("endpoint, value", [("GAP_UPPER", 0.25), ("GAP_LOWER", -1.25)])
+def test_antiregular_bounds_fail_when_an_endpoint_moves_past_the_eta(monkeypatch, endpoint,
+                                                                     value):
+    # moved past eta+ or eta- of A_n, an endpoint's count finds the eta
+    # inside the interval and the verdict fails; the etas, located from the
+    # other end of their brackets, stay the same doubles
+    honest = {order: check_antiregular_bounds(order) for order in (10, 41, 200)}
+    monkeypatch.setattr(verify, endpoint, value)
+    for order, report in honest.items():
+        moved = check_antiregular_bounds(order)
+        assert not moved.passed, order
+        assert (moved.eta_plus, moved.eta_minus) == (report.eta_plus, report.eta_minus), order
+
+
+def _within_one_ulp(symbols: str, value: float, k: int) -> bool:
+    # eigenvalue k, counted from the smallest, lies strictly between the
+    # doubles beside value, by exact counts there
+    return [oracles.count_eigs_leq_exact(symbols, math.nextafter(value, side))
+            for side in (-math.inf, math.inf)] == [k - 1, k]
+
+
+def test_antiregular_etas_lie_within_one_ulp_of_the_exact_eigenvalues():
+    # eta+ is eigenvalue count(CLASSIFY_EPS) + 1 and eta- is eigenvalue
+    # count(-1 - CLASSIFY_EPS), by exact counts, and each located value lies
+    # within one ulp of it.  eigvalsh's values on A_n's quotient, which
+    # check_antiregular_bounds reported before, fail the same check: order
+    # 13's eta+ is 39 ulps off and order 40's 53.  So does a located value
+    # moved by two ulps
+    for order in [*range(2, 65), 100, 150, 200]:
+        symbols = str(nsg_to_creation(anti_regular(order)))
+        report = check_antiregular_bounds(order)
+        plus = oracles.count_eigs_leq_exact(symbols, CLASSIFY_EPS) + 1
+        minus = oracles.count_eigs_leq_exact(symbols, -1.0 - CLASSIFY_EPS)
+        assert _within_one_ulp(symbols, report.eta_plus, plus), order
+        assert (report.eta_minus is None) == (minus == 0), order
+        if minus:
+            assert _within_one_ulp(symbols, report.eta_minus, minus), order
+        moved = math.nextafter(math.nextafter(report.eta_plus, math.inf), math.inf)
+        assert not _within_one_ulp(symbols, moved, plus), order
+    for order in (13, 40):
+        symbols = str(nsg_to_creation(anti_regular(order)))
+        plus = oracles.count_eigs_leq_exact(symbols, CLASSIFY_EPS) + 1
+        old_plus, _ = eta_extremes(quotient_eigenvalues(anti_regular(order)))
+        assert not _within_one_ulp(symbols, float(old_plus), plus), order
 
 
 # ---------------------------------------------------------------- scans
@@ -794,8 +846,10 @@ def test_scan_pruning_each_side_alone_keeps_the_report(monkeypatch):
 def test_antiregular_row_is_solved_once_bit_for_bit():
     # the row that strides copy for A_n is, at every order a scan can reach,
     # bit for bit what solving A_n's index gives, in all four columns, and
-    # the thresholds are its etas, as check_antiregular_bounds finds them on
-    # the whole spectrum
+    # the thresholds are its own etas bit for bit.  check_antiregular_bounds
+    # locates the etas on another route, so the thresholds only lie within
+    # PRUNE_MARGIN / 1000 of its values, far inside the margin the pick
+    # adds to them
     for order in range(2, ORDER_CEILING + 1):
         t_plus, t_minus, index, columns = verify._prune_thresholds(order)
         assert columns[0][0].decode() == str(nsg_to_creation(anti_regular(order)))
@@ -803,8 +857,10 @@ def test_antiregular_row_is_solved_once_bit_for_bit():
         solved = verify._solve(order, np.array([index]))
         assert len(columns) == len(solved) == 4
         assert [c.tobytes() for c in columns] == [c.tobytes() for c in solved]
+        assert (t_plus, t_minus) == (columns[1][0], max(columns[2][0], -order)), order
         bounds = check_antiregular_bounds(order)
-        assert (t_plus, t_minus) == (bounds.eta_plus, bounds.eta_minus or -order), order
+        assert abs(t_plus - bounds.eta_plus) < PRUNE_MARGIN / 1000, order
+        assert abs(t_minus - (bounds.eta_minus or -order)) < PRUNE_MARGIN / 1000, order
 
 
 def test_scans_take_every_row_from_eta_extremes_and_clearance(monkeypatch, capsys):

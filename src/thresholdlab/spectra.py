@@ -6,7 +6,10 @@ that is not forced by duplicate or coduplicate vertices.  The forced ones are
 0 (one per extra duplicate, i.e. sum(m_i - 1) plus isolated vertices) and -1
 (one per extra coduplicate, sum(n_i - 1)); gluing those onto the quotient
 spectrum reproduces the full adjacency spectrum, which is what
-:func:`assemble_spectrum` does.  No n x n matrix is ever built here.
+:func:`assemble_spectrum` does.  The class sizes also say which quotient
+eigenvalue is trivial: the one -1 when m_h = 1, which :func:`pin_trivial`
+sets exactly.  So every trivial eigenvalue is an exact 0.0 or -1.0, and
+:func:`eta_extremes` needs no tolerance.  No n x n matrix is ever built here.
 
 Interval membership questions are never answered by comparing computed
 eigenvalues against endpoints; :func:`count_eigs_leq` counts eigenvalues by
@@ -20,25 +23,17 @@ fixed-point integers.
 
 Exhaustive scans work on many graphs at a time.  They count by
 :func:`count_eigs_leq_sweep`, which runs the congruence over the suffix tree
-of the creation sequences: sequences that end alike share their states, so a
-whole order costs about two steps per graph instead of n.  It sweeps a
-worker's whole stride of units in one workspace, allocated once with the
-views of every level that the steps read and write.  Each unit
-is stepped first, a divide and a subtract per level, and tested once: two
-comparisons flag the states that count, one add per level sums the flags
-along each path, and a guard sends the unit back to be clamped and stepped
-again only where a state lies within pivmin of zero.  Every scan, of either
-kind, counts each graph with it at the same four points, the gap endpoints
-and just beyond the anti-regular graph's extremes, which pick the few
-graphs a scan without rows solves (see ``verify._pick_rows``).
-The quotients of the solved forms that share h are built in place into one
-(k, 2h, 2h) stack of symmetrized matrices (:func:`quotient_stack`, which
-returns no raw divisor matrix) and solved by one stacked ``eigvalsh`` call,
-which reads one triangle of each; :func:`eta_extremes` takes such stacks
-too, and reads the etas of every row a scan solves, the anti-regular
-graph's (1, 2h) stack included, whatever the scan's kind.  Every per-graph
-value is the same float as on the single-graph route, and the two kernels
-give the same counts.
+of the creation sequences in one workspace per worker: sequences that end
+alike share their states, so a whole order costs about two steps per graph
+instead of n.  Every scan, of either kind, counts each graph with it at the
+same four points, the gap endpoints and just beyond the anti-regular
+graph's extremes, which pick the few graphs a scan without rows solves (see
+``verify._pick_rows``).  The quotients of the solved forms that share h are
+built in place into one (k, 2h, 2h) stack (:func:`quotient_stack`) and
+solved by one stacked ``eigvalsh`` call; :func:`pin_trivial` and
+:func:`eta_extremes` take such stacks too, A_n's (1, 2h) stack included.
+Every per-graph value is the same float as on the single-graph route, and
+the two kernels give the same counts.
 """
 
 from __future__ import annotations
@@ -50,8 +45,6 @@ from typing import Iterator
 import numpy as np
 
 from .graphs import DOMINATING, ISOLATED, CreationSequence, NsgForm
-
-CLASSIFY_EPS = 1e-8  # matching tolerance for the trivial eigenvalues 0 and -1
 
 _SAFMIN = float(np.finfo(np.float64).tiny)
 # A Newton step this many ulps long or shorter leaves only float noise for
@@ -109,9 +102,21 @@ def trivial_multiplicities(form: NsgForm) -> TrivialMults:
     return TrivialMults(sum(form.m) - h + form.isolated, sum(form.n) - h + inside)
 
 
+def pin_trivial(eigs: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The (k, 2h) quotient eigenvalues of :func:`quotient_stack`'s class
+    sizes with, in each row whose m_h is 1, the one nearest -1 set to exactly
+    -1.0 in place: the quotient's one trivial eigenvalue, whose eigenvector
+    is the top coclique vertex minus a V_h vertex."""
+    rows = np.flatnonzero(m[:, -1:] == 1)
+    if len(rows):
+        eigs[rows, np.abs(eigs[rows] + 1.0).argmin(axis=1)] = -1.0
+    return eigs
+
+
 def quotient_eigenvalues(form: NsgForm) -> np.ndarray:
-    """The quotient's eigenvalues, ascending: all of the form's but the padding."""
-    return np.linalg.eigvalsh(quotient_stack(np.array([form.m]), np.array([form.n]))[0])
+    """The quotient's eigenvalues, ascending, pinned: all of the form's but the padding."""
+    m = np.array([form.m])
+    return pin_trivial(np.linalg.eigvalsh(quotient_stack(m, np.array([form.n]))), m)[0]
 
 
 def assemble_spectrum(form: NsgForm) -> np.ndarray:
@@ -120,7 +125,8 @@ def assemble_spectrum(form: NsgForm) -> np.ndarray:
 
     The padding is :func:`trivial_multiplicities`' mult0 zeros and the
     sum(n_i - 1) copies of -1 forced outside the quotient; the extra -1 of the
-    m_h = 1 case arises inside the quotient.  An edgeless form has an empty
+    m_h = 1 case arises inside the quotient, pinned.  So every trivial
+    eigenvalue is an exact 0.0 or -1.0.  An edgeless form has an empty
     quotient and only the padding.
     """
     values = np.concatenate([quotient_eigenvalues(form),
@@ -372,10 +378,11 @@ def eta_extremes(values: np.ndarray) -> tuple:
 
     ``values`` is one spectrum, or a (..., w) array of them, or any part of
     each that holds every nontrivial eigenvalue, or a set of located
-    eigenvalues that holds the two extremes.  Eigenvalues within
-    CLASSIFY_EPS of 0 or -1 are trivial and count for neither slot; an empty
-    slot reads +inf and -inf.
+    eigenvalues that holds the two extremes.  Its trivial eigenvalues must be
+    exact 0.0 and -1.0, as :func:`quotient_eigenvalues` and
+    :func:`assemble_spectrum` give them, so that they count for neither
+    slot; an empty slot reads +inf and -inf.
     """
-    plus = np.where(values > CLASSIFY_EPS, values, np.inf).min(axis=-1, initial=np.inf)
-    minus = np.where(values < -1.0 - CLASSIFY_EPS, values, -np.inf).max(axis=-1, initial=-np.inf)
+    plus = np.where(values > 0.0, values, np.inf).min(axis=-1, initial=np.inf)
+    minus = np.where(values < -1.0, values, -np.inf).max(axis=-1, initial=-np.inf)
     return plus, minus

@@ -1,38 +1,38 @@
 """Executable checks for the eigenvalue-free interval of threshold graphs.
 
-The headline claim: apart from the trivial eigenvalues -1 and 0, no threshold
-graph has an eigenvalue in ((-1-sqrt(2))/2, (-1+sqrt(2))/2), open or closed
-alike (see ``check_gap``).  ``check_gap`` decides this for one graph by
-inertia counting on the creation sequence (an exact integer test), and
-``check_antiregular_bounds`` decides it for A_n by the same counts and
-locates eta+(A_n) and eta-(A_n) from them, with no eigensolve.  The scan
-functions sweep entire orders exhaustively, in units that fix the low index
-bits of the suffix tree.  Every scan, of either kind, counts at the same
-four points, the gap endpoints and the margins beyond A_n's extremes, and
-checks each graph's interval count against its forecast (see
-``_pick_rows``).  A scan with rows (CSV output) solves the small
-eigenproblem of every graph; a scan without rows solves only the graphs its
-report needs, the ones that miss their forecast and the few whose inertia
-counts find an eigenvalue in (0, eta+(A_n)] or [eta-(A_n), -1) up to a
-small margin, since only those can hold an eta extreme.  A_n is solved
+The headline claim: apart from the trivial eigenvalues -1 and 0, no
+threshold graph has an eigenvalue in ((-1-sqrt(2))/2, (-1+sqrt(2))/2), open
+or closed alike (see ``check_gap``).  ``check_gap`` decides this for one
+graph by inertia counting on the creation sequence (an exact integer test),
+and ``check_antiregular_bounds`` decides it for A_n by the same counts and
+locates eta+(A_n) and eta-(A_n) at the positions the class sizes give, with
+no eigensolve.  The scan functions sweep entire orders exhaustively, in
+units that fix the low index bits of the suffix tree.  Every scan, of either
+kind, counts at the same four points, the gap endpoints and the margins
+beyond A_n's extremes, and checks each graph's interval count against its
+forecast (see ``_pick_rows``).  A scan with rows (CSV output) solves the
+small eigenproblem of every graph; a scan without rows solves only the
+graphs its report needs, the ones that miss their forecast and the few whose
+inertia counts find an eigenvalue in (0, eta+(A_n)] or [eta-(A_n), -1) up to
+a small margin, since only those can hold an eta extreme.  A_n is solved
 once, before any fork, and copied by a worker that picks it
 (``_prune_thresholds``).  Every row, A_n's included, takes its etas from
-``eta_extremes`` and its clearance from ``_clearance``, whatever the kind:
-the kind only shapes the report (``_run_scan``).  With k workers the scan
-forks k - 1 children, each of which sweeps a fixed stride of the units in
-one kernel workspace and pipes one result back, its solved rows, and
-sweeps the first stride itself (``_map``; POSIX only, as it needs
-``os.fork``).  A worker groups
-the graphs it solves by h, read off each index by a popcount, and solves
-each group in stacks of at most SCAN_BLOCK_ENTRIES quotient entries, rows *
-(2h)^2.  One sort puts the solved rows of all workers in index order, so
-ties go to the lowest index and failures come in index order, and neither
-the unit split nor the worker count can change a report.  The reduction
-machinery walks the same vertex-deletion chain the inductive argument
-walks: every non-anti-regular graph has a vertex whose removal drops
-exactly one trivial eigenvalue, and iterating lands on an anti-regular
-graph whose extreme nontrivial eigenvalues clear the interval strictly, by
-a margin that shrinks like ~1/n^2 (the endpoints are their large-n limits).
+``eta_extremes``, on its pinned quotient eigenvalues, and its clearance from
+``_clearance`` on those etas, whatever the kind: the kind only shapes the
+report (``_run_scan``).  With k workers the scan forks k - 1 children, each
+of which sweeps a fixed stride of the units in one kernel workspace and
+pipes one result back, its solved rows, and sweeps the first stride itself
+(``_map``; POSIX only, as it needs ``os.fork``).  A worker groups the graphs
+it solves by h, read off each index by a popcount, and solves each group in
+stacks of at most SCAN_BLOCK_ENTRIES quotient entries, rows * (2h)^2.  One
+sort puts the solved rows of all workers in index order, so ties go to the
+lowest index and failures come in index order, and neither the unit split
+nor the worker count can change a report.  The reduction machinery walks the
+same vertex-deletion chain the inductive argument walks: every
+non-anti-regular graph has a vertex whose removal drops exactly one trivial
+eigenvalue, and iterating lands on an anti-regular graph whose extreme
+nontrivial eigenvalues clear the interval strictly, by a margin that shrinks
+like ~1/n^2 (the endpoints are their large-n limits).
 """
 
 from __future__ import annotations
@@ -57,12 +57,12 @@ from .graphs import (
     parse_creation_sequence,
 )
 from .spectra import (
-    CLASSIFY_EPS,
     assemble_spectrum,
     count_eigs_leq,
     count_eigs_leq_sweep,
     eta_extremes,
     locate_eigenvalue,
+    pin_trivial,
     quotient_eigenvalues,
     quotient_stack,
     trivial_multiplicities,
@@ -216,15 +216,10 @@ class ScanReport:
         return ok
 
 
-def _clearance(values: np.ndarray) -> np.ndarray:
-    """How far the nontrivial eigenvalues stay clear of [GAP_LOWER, GAP_UPPER].
-
-    Reduces the last axis: 0 when a nontrivial eigenvalue lies inside, inf
-    when there is none.  Eigenvalues within CLASSIFY_EPS of 0 or -1 are trivial.
-    """
-    trivial = (np.abs(values) <= CLASSIFY_EPS) | (np.abs(values + 1.0) <= CLASSIFY_EPS)
-    outside = np.maximum(np.maximum(values - GAP_UPPER, GAP_LOWER - values), 0.0)
-    return np.where(trivial, np.inf, outside).min(axis=-1, initial=np.inf)
+def _clearance(eta_plus, eta_minus):
+    """How far eta+ and eta- stay clear of [GAP_LOWER, GAP_UPPER]: 0 when
+    one lies inside, inf when both are absent (+inf, -inf)."""
+    return np.maximum(np.minimum(eta_plus - GAP_UPPER, GAP_LOWER - eta_minus), 0.0)
 
 
 def check_gap(form: NsgForm) -> GapReport:
@@ -236,22 +231,16 @@ def check_gap(form: NsgForm) -> GapReport:
     the interval) may appear there.  Open or closed is the same question: the
     exact endpoints are roots of 4x^2 + 4x - 1, which is not monic, so neither
     is an algebraic integer and no integer matrix has either as an
-    eigenvalue.  Also reports how far the nearest nontrivial eigenvalue stays
-    clear of the closed interval, from the quotient's eigenvalues alone, as
-    a scan reads every row: the padding is trivial.
+    eigenvalue.  Also reports how far eta+ and eta- stay clear of the
+    closed interval, read off the quotient's eigenvalues alone, as a scan
+    reads every row: the padding is trivial.
     """
     seq = nsg_to_creation(form)
     count = count_eigs_leq(seq, GAP_UPPER) - count_eigs_leq(seq, GAP_LOWER)
     mults = trivial_multiplicities(form)
     expected = mults.mult0 + mults.multm1
-    return GapReport(
-        sequence=str(seq),
-        order=form.order,
-        count_in_interval=count,
-        expected_trivial=expected,
-        min_nontrivial_distance=float(_clearance(quotient_eigenvalues(form))),
-        passed=count == expected,
-    )
+    clearance = float(_clearance(*eta_extremes(quotient_eigenvalues(form))))
+    return GapReport(str(seq), form.order, count, expected, clearance, count == expected)
 
 
 def _first_vertex(form: NsgForm, vertex_class: tuple[str, int]) -> int:
@@ -348,29 +337,28 @@ def check_antiregular_bounds(order: int) -> BoundsReport:
 
     Requires eta_plus > GAP_UPPER and eta_minus < GAP_LOWER; the eta_minus
     side is vacuous when no eigenvalue lies below -1 (order 2).  The verdict
-    is read off counts: none in (CLASSIFY_EPS, GAP_UPPER] and none in
-    (GAP_LOWER, -1 - CLASSIFY_EPS], at four doubles that are not algebraic
-    integers, so not eigenvalues.  eta+ is the eigenvalue just above
-    count(CLASSIFY_EPS) and eta- the one at count(-1 - CLASSIFY_EPS), each
-    located within one ulp by :func:`locate_eigenvalue`, O(n) per pass and
-    with no eigensolve, from a first point beyond its endpoint by the
-    clearance law; :func:`eta_extremes` reads the two located values.
+    is count(U) = n - h and count(L) = r = h - [m_h = 1], at doubles that are
+    not algebraic integers, so not eigenvalues: then (L, U] holds the
+    trivial eigenvalues alone, and by position eta+ is eigenvalue n - h + 1
+    and eta- eigenvalue r, counted from the smallest.  Each is located within
+    one ulp by :func:`locate_eigenvalue`, O(n) per pass and with no
+    eigensolve, from a first point beyond its endpoint by the clearance law,
+    bracketed by that endpoint's count, or the other's where it fails;
+    :func:`eta_extremes` reads the two located values.
     """
-    seq = nsg_to_creation(anti_regular(order))
-    zero, upper = count_eigs_leq(seq, CLASSIFY_EPS), count_eigs_leq(seq, GAP_UPPER)
-    minus_one, lower = count_eigs_leq(seq, -1.0 - CLASSIFY_EPS), count_eigs_leq(seq, GAP_LOWER)
+    form = anti_regular(order)
+    seq = nsg_to_creation(form)
+    rest, r = order - form.h, form.h - (form.m[-1] == 1)  # how many are <= 0, < -1
+    upper, lower = count_eigs_leq(seq, GAP_UPPER), count_eigs_leq(seq, GAP_LOWER)
     width = _CLEARANCE_LAW / order ** 2
-    lo, below = (GAP_UPPER, upper) if upper == zero else (CLASSIFY_EPS, zero)
-    located = [locate_eigenvalue(seq, zero + 1, lo, math.inf, (below, order), GAP_UPPER + width)]
-    if minus_one:
-        hi, above = (GAP_LOWER, lower) if lower == minus_one else (-1.0 - CLASSIFY_EPS, minus_one)
-        located.append(locate_eigenvalue(seq, minus_one, -math.inf, hi, (0, above),
-                                         GAP_LOWER - width))
+    lo, below = (GAP_UPPER, upper) if upper == rest else (GAP_LOWER, lower)
+    located = [locate_eigenvalue(seq, rest + 1, lo, math.inf, (below, order), GAP_UPPER + width)]
+    if r:
+        hi, above = (GAP_LOWER, lower) if lower == r else (GAP_UPPER, upper)
+        located.append(locate_eigenvalue(seq, r, -math.inf, hi, (0, above), GAP_LOWER - width))
     plus, minus = eta_extremes(np.array(located))
-    eta_plus = float(plus) if plus < math.inf else None
-    eta_minus = float(minus) if minus > -math.inf else None
-    return BoundsReport(order=order, eta_plus=eta_plus, eta_minus=eta_minus,
-                        passed=upper == zero and lower == minus_one)
+    return BoundsReport(order, float(plus), float(minus) if minus > -math.inf else None,
+                        upper == rest and lower == r)
 
 
 def _check_scan_order(order: int, order_cap: int) -> None:
@@ -436,8 +424,8 @@ def _scan_forecast(order: int, top: int, lows) -> Iterator[np.ndarray]:
 def _prune_thresholds(order: int) -> tuple[float, float, int, list[np.ndarray]]:
     """eta+ and eta- of A_n, the bounds the order's eta extremes cannot miss,
     then A_n's index and its :func:`_solve` columns, from one solve: its
-    (1, 2h) ``eigvalsh`` stack, read by :func:`eta_extremes` and
-    :func:`_clearance` as :func:`_solve` reads every other row.
+    (1, 2h) ``eigvalsh`` stack, pinned and read by :func:`eta_extremes`, and
+    the clearance of its etas, as :func:`_solve` reads every other row.
 
     The smallest eta+ of the order is at most eta+(A_n) and the largest eta-
     at least eta-(A_n), so no row whose eigenvalues stay off (0, t+] and
@@ -446,8 +434,9 @@ def _prune_thresholds(order: int) -> tuple[float, float, int, list[np.ndarray]]:
     """
     form = anti_regular(order)
     text = str(nsg_to_creation(form))  # its index: symbols 0..n-2 in binary
-    eigs = np.linalg.eigvalsh(quotient_stack(np.array([form.m]), np.array([form.n])))
-    columns = [np.array([text], f"S{order}"), *eta_extremes(eigs), _clearance(eigs)]
+    m = np.array([form.m])
+    etas = eta_extremes(pin_trivial(np.linalg.eigvalsh(quotient_stack(m, np.array([form.n]))), m))
+    columns = [np.array([text], f"S{order}"), *etas, _clearance(*etas)]
     return float(columns[1][0]), max(float(columns[2][0]), -order), int(text[:-1], 2), columns
 
 
@@ -463,7 +452,7 @@ def _class_sizes(changes: np.ndarray, order: int, h: int) -> tuple[np.ndarray, n
 
 def _solve(order: int, index: np.ndarray, known=(-1, ())) -> list[np.ndarray]:
     """Text, eta+, eta- and clearance of the connected sequences at
-    ``index`` of one order, the etas by :func:`eta_extremes` and the
+    ``index`` of one order, the etas by :func:`eta_extremes` and their
     clearance by :func:`_clearance`, whatever the scan's kind.
 
     The rows are grouped by h within runs of 2^_SWEEP_UNIT_BITS, so that the
@@ -491,10 +480,10 @@ def _solve(order: int, index: np.ndarray, known=(-1, ())) -> list[np.ndarray]:
                 rows = group[start:start + size]
                 symbols = _block_symbols(order, index[rows])
                 m, n = _class_sizes(symbols[:, 1:] != symbols[:, :-1], order, h)
-                eigs = np.linalg.eigvalsh(quotient_stack(m, n))
+                etas = eta_extremes(pin_trivial(np.linalg.eigvalsh(quotient_stack(m, n)), m))
                 columns[0][rows] = (symbols + ord("0")).view(f"S{order}").ravel()
-                columns[1][rows], columns[2][rows] = eta_extremes(eigs)
-                columns[3][rows] = _clearance(eigs)
+                columns[1][rows], columns[2][rows] = etas
+                columns[3][rows] = _clearance(*etas)
     return columns
 
 

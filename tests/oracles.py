@@ -18,6 +18,7 @@ import numpy as np
 
 from thresholdlab.formats import EDGE_ORDER_CAP
 from thresholdlab.graphs import NsgForm
+from thresholdlab.verify import GAP_LOWER, GAP_UPPER
 
 # (induced edge count, sorted degree multiset) signatures on 4 vertices
 _P4 = (3, (1, 1, 2, 2))
@@ -218,6 +219,24 @@ def creation_to_nsg_reference(symbols: str) -> NsgForm:
     h = len(one_sizes)
     trailing = zero_sizes[h] if len(zero_sizes) > h else 0
     return NsgForm(tuple(reversed(zero_sizes[:h])), tuple(reversed(one_sizes)), trailing)
+
+
+def eta_extremes_reference(values):
+    """(smallest eigenvalue > 0, largest < -1) over the last axis, by a
+    tolerance: eigenvalues within 1e-8 of 0 or -1 are trivial and count for
+    neither slot; an empty slot reads +inf and -inf."""
+    plus = np.where(values > 1e-8, values, np.inf).min(axis=-1, initial=np.inf)
+    minus = np.where(values < -1.0 - 1e-8, values, -np.inf).max(axis=-1, initial=-np.inf)
+    return plus, minus
+
+
+def clearance_reference(values):
+    """How far the eigenvalues that are not within 1e-8 of 0 or -1 stay clear
+    of [GAP_LOWER, GAP_UPPER], over the last axis: 0 when one lies inside,
+    inf when there is none."""
+    trivial = (np.abs(values) <= 1e-8) | (np.abs(values + 1.0) <= 1e-8)
+    outside = np.maximum(np.maximum(values - GAP_UPPER, GAP_LOWER - values), 0.0)
+    return np.where(trivial, np.inf, outside).min(axis=-1, initial=np.inf)
 
 
 def count_eigs_leq_reference(symbols: str, x: float) -> int:

@@ -18,7 +18,6 @@ from thresholdlab.graphs import (
     parse_creation_sequence,
 )
 from thresholdlab.spectra import (
-    CLASSIFY_EPS,
     TrivialMults,
     _fixed_point_newton,
     _inertia,
@@ -27,6 +26,8 @@ from thresholdlab.spectra import (
     count_eigs_leq_sweep,
     eta_extremes,
     locate_eigenvalue,
+    pin_trivial,
+    quotient_eigenvalues,
     quotient_stack,
     trivial_multiplicities,
 )
@@ -335,8 +336,8 @@ def test_count_eigs_leq_clustered_spectrum():
 def test_count_eigs_leq_sweep_equals_scalar_kernel():
     # the suffix-tree sweep against the scalar kernel on every connected
     # graph up to order 14, at the points scans without rows count (both
-    # interval endpoints, the pruning bounds around A_n's eta and the
-    # conjecture scan's CLASSIFY_EPS points) and at four integers where
+    # interval endpoints, the pruning bounds around A_n's eta and points
+    # 5e-9 from the trivial eigenvalues) and at four integers where
     # pivots are exactly 0, so the clamp runs: at x = 0 and x = -1 the
     # first one is at depth 0 or 1, at x = -2 and x = 5 (order 12: depths
     # 8 and 11, and 5) deep in the tree, below states already stepped.
@@ -348,8 +349,8 @@ def test_count_eigs_leq_sweep_equals_scalar_kernel():
     for order in range(2, 15):
         seqs = list(enumerate_threshold(order, connected_only=True))
         t_plus, t_minus, *_ = _prune_thresholds(order)
-        points = (GAP_LOWER, GAP_UPPER, CLASSIFY_EPS / 2, t_plus + PRUNE_MARGIN,
-                  t_minus - PRUNE_MARGIN, -1.0 - CLASSIFY_EPS / 2, 0.0, -1.0, -2.0, 5.0)
+        points = (GAP_LOWER, GAP_UPPER, 5e-9, t_plus + PRUNE_MARGIN,
+                  t_minus - PRUNE_MARGIN, -1.0 - 5e-9, 0.0, -1.0, -2.0, 5.0)
         scalar = [[count_eigs_leq(seq, x) for seq in seqs] for x in points]
         for top in sorted({0, min(2, order - 2), order - 2}):
             swept = np.zeros((len(points), len(seqs)), dtype=np.int64)
@@ -401,12 +402,63 @@ def test_eta_extremes_examples():
     assert minus == pytest.approx(PAW_SPECTRUM[3], abs=1e-9)
 
 
-def test_eta_extremes_tolerance_policy():
-    assert eta_extremes(np.array([0.5, -1.0 - 5e-9])) == (0.5, -np.inf)
-    assert eta_extremes(np.array([0.5, -1.0 - 5e-8])) == (0.5, -1.0 - 5e-8)
+def test_eta_extremes_strict_rule():
+    # no tolerance: any value above 0.0 or below -1.0 fills its slot, and
+    # only the exact trivial values 0.0 and -1.0 count for neither
+    assert eta_extremes(np.array([0.5, -1.0 - 5e-9])) == (0.5, -1.0 - 5e-9)
+    assert eta_extremes(np.array([5e-324, -1.0, 0.0])) == (5e-324, -np.inf)
+    assert eta_extremes(np.array([0.0, -1.0, math.nextafter(-1.0, -2.0)])) == (
+        np.inf, math.nextafter(-1.0, -2.0))
     assert eta_extremes(np.zeros(3)) == (np.inf, -np.inf)
+    assert eta_extremes(np.full(3, -1.0)) == (np.inf, -np.inf)
     assert eta_extremes(np.empty(0)) == (np.inf, -np.inf)
-    # a (k, w) stack gets the same policy row by row
-    plus, minus = eta_extremes(np.array([[0.5, -1.0 - 5e-9], [0.5, -1.0 - 5e-8], [0.0, 0.0]]))
-    assert plus.tolist() == [0.5, 0.5, np.inf]
-    assert minus.tolist() == [-np.inf, -1.0 - 5e-8, -np.inf]
+    # a (k, w) stack is read row by row
+    plus, minus = eta_extremes(np.array([[0.5, -1.0 - 5e-9], [0.0, -1.0], [2.0, -3.0]]))
+    assert plus.tolist() == [0.5, np.inf, 2.0]
+    assert minus.tolist() == [-1.0 - 5e-9, -np.inf, -3.0]
+
+
+def test_pin_trivial_sets_exactly_one_value_per_top_singleton_row():
+    # in every quotient of a connected graph to order 14, the m_h = 1 rows
+    # get exactly one value set, the one nearest -1, to -1.0, and every
+    # other value, and every value of an m_h >= 2 row, stays eigvalsh's
+    # bit for bit.  eigvalsh's -1 lies below -1 in 1,375 of the 4,096
+    # m_h = 1 forms, so a stack that is never pinned would give a false eta-
+    below = singletons = 0
+    for h in range(1, 8):
+        forms = [form for order in range(2 * h, 15) for seq in
+                 enumerate_threshold(order, connected_only=True)
+                 if (form := creation_to_nsg(seq)).h == h]
+        m, n = np.array([f.m for f in forms]), np.array([f.n for f in forms])
+        raw = np.linalg.eigvalsh(quotient_stack(m, n))
+        pinned = pin_trivial(raw.copy(), m)
+        changed = pinned != raw
+        top = m[:, -1] == 1
+        assert not changed[~top].any(), h
+        assert (np.count_nonzero(pinned[top] == -1.0, axis=1) == 1).all(), h
+        assert (np.count_nonzero(changed[top], axis=1) <= 1).all(), h
+        nearest = np.abs(raw[top] + 1.0).argmin(axis=1)
+        assert (pinned[top][np.arange(len(nearest)), nearest] == -1.0).all(), h
+        assert (np.abs(raw[top][np.arange(len(nearest)), nearest] + 1.0) < 1e-12).all(), h
+        below += int(np.count_nonzero(raw[top] < -1.0) - np.count_nonzero(raw[top] < GAP_LOWER))
+        singletons += int(np.count_nonzero(top))
+        for form, values in zip(forms, pinned):
+            assert quotient_eigenvalues(form).tobytes() == values.tobytes(), form
+    assert (below, singletons) == (1375, 4096)
+
+
+def test_etas_sit_at_the_positions_the_counts_give():
+    # on every connected graph to order 14 that meets its forecast, with e
+    # the pinned ascending quotient spectrum, eta- is e[count(L) - 1] and
+    # eta+ is e[2h - (n - count(U))]: the padding lies in (L, U], and so
+    # does nothing nontrivial
+    for order in range(2, 15):
+        for seq in enumerate_threshold(order, connected_only=True):
+            form = creation_to_nsg(seq)
+            e = quotient_eigenvalues(form)
+            upper, lower = count_eigs_leq(seq, GAP_UPPER), count_eigs_leq(seq, GAP_LOWER)
+            mults = trivial_multiplicities(form)
+            assert upper - lower == mults.mult0 + mults.multm1, str(seq)
+            plus, minus = eta_extremes(e)
+            assert plus == e[2 * form.h - (order - upper)], str(seq)
+            assert minus == (e[lower - 1] if lower else -np.inf), str(seq)

@@ -28,7 +28,6 @@ from thresholdlab.graphs import (
 from thresholdlab import cli, verify
 from thresholdlab.cli import scan_csv
 from thresholdlab.spectra import (
-    CLASSIFY_EPS,
     assemble_spectrum,
     eta_extremes,
     quotient_eigenvalues,
@@ -136,12 +135,42 @@ def test_check_gap_builds_no_dense_matrix(monkeypatch):
 
 
 def test_check_gap_clearance_is_that_of_the_whole_spectrum():
-    # read off the quotient's eigenvalues, the clearance is bit for bit what
-    # the assembled spectrum gives: its padding is trivial
+    # read off the etas of the quotient's eigenvalues, the clearance is bit
+    # for bit what the tolerance rule gives on the assembled spectrum: its
+    # padding is trivial
     forms = [creation_to_nsg(s) for order in range(1, 13) for s in enumerate_threshold(order)]
     for form in forms + [NsgForm([], [], 3), NsgForm([1], [1])]:
-        whole = float(verify._clearance(assemble_spectrum(form)))
+        whole = float(oracles.clearance_reference(assemble_spectrum(form)))
         assert check_gap(form).min_nontrivial_distance.hex() == whole.hex(), form
+
+
+def test_trivial_values_by_position_match_the_tolerance_rule():
+    # the pinned route gives bit for bit what the tolerance rule (values
+    # within 1e-8 of 0 or -1 are trivial) gives on the unpinned eigvalsh
+    # spectra: eta_extremes on the assembled spectrum and check_gap's
+    # clearance on every graph to order 12, and every _solve row of the
+    # connected graphs to order 14
+    for order in range(1, 13):
+        for seq in enumerate_threshold(order):
+            form = creation_to_nsg(seq)
+            m, n = np.array([form.m]), np.array([form.n])
+            raw = np.linalg.eigvalsh(verify.quotient_stack(m, n))[0]
+            padded = np.concatenate([raw, np.zeros(trivial_multiplicities(form).mult0),
+                                     np.full(sum(form.n) - form.h, -1.0)])
+            assert (eta_extremes(assemble_spectrum(form))
+                    == oracles.eta_extremes_reference(padded)), str(seq)
+            assert (check_gap(form).min_nontrivial_distance
+                    == oracles.clearance_reference(raw)), str(seq)
+    for order in range(2, 15):
+        index = np.arange(2 ** (order - 2))
+        _, eta_plus, eta_minus, clearance = verify._solve(order, index)
+        for i in index.tolist():
+            form = creation_to_nsg(sequence_at(order, i, connected_only=True))
+            m, n = np.array([form.m]), np.array([form.n])
+            raw = np.linalg.eigvalsh(verify.quotient_stack(m, n))[0]
+            plus, minus = oracles.eta_extremes_reference(raw)
+            assert (eta_plus[i], eta_minus[i]) == (plus, minus), (order, i)
+            assert clearance[i] == oracles.clearance_reference(raw), (order, i)
 
 
 def test_check_gap_order_9_exhaustive():
@@ -340,18 +369,26 @@ def _within_one_ulp(symbols: str, value: float, k: int) -> bool:
             for side in (-math.inf, math.inf)] == [k - 1, k]
 
 
+def _eta_positions(order: int) -> tuple[int, int]:
+    # eta+ is eigenvalue n - h + 1 and eta- eigenvalue h - [m_h = 1] of
+    # A_n, counted from the smallest
+    form = anti_regular(order)
+    return order - form.h + 1, form.h - (form.m[-1] == 1)
+
+
 def test_antiregular_etas_lie_within_one_ulp_of_the_exact_eigenvalues():
-    # eta+ is eigenvalue count(CLASSIFY_EPS) + 1 and eta- is eigenvalue
-    # count(-1 - CLASSIFY_EPS), by exact counts, and each located value lies
-    # within one ulp of it.  eigvalsh's values on A_n's quotient, which
+    # eta+ and eta- sit at their positions, which exact counts at 1e-8 and
+    # -1 - 1e-8 confirm, and each located value lies within one ulp of its
+    # eigenvalue.  eigvalsh's values on A_n's quotient, which
     # check_antiregular_bounds reported before, fail the same check: order
     # 13's eta+ is 39 ulps off and order 40's 53.  So does a located value
     # moved by two ulps
     for order in [*range(2, 65), 100, 150, 200]:
         symbols = str(nsg_to_creation(anti_regular(order)))
         report = check_antiregular_bounds(order)
-        plus = oracles.count_eigs_leq_exact(symbols, CLASSIFY_EPS) + 1
-        minus = oracles.count_eigs_leq_exact(symbols, -1.0 - CLASSIFY_EPS)
+        plus, minus = _eta_positions(order)
+        assert plus == oracles.count_eigs_leq_exact(symbols, 1e-8) + 1, order
+        assert minus == oracles.count_eigs_leq_exact(symbols, -1.0 - 1e-8), order
         assert _within_one_ulp(symbols, report.eta_plus, plus), order
         assert (report.eta_minus is None) == (minus == 0), order
         if minus:
@@ -360,7 +397,7 @@ def test_antiregular_etas_lie_within_one_ulp_of_the_exact_eigenvalues():
         assert not _within_one_ulp(symbols, moved, plus), order
     for order in (13, 40):
         symbols = str(nsg_to_creation(anti_regular(order)))
-        plus = oracles.count_eigs_leq_exact(symbols, CLASSIFY_EPS) + 1
+        plus, _ = _eta_positions(order)
         old_plus, _ = eta_extremes(quotient_eigenvalues(anti_regular(order)))
         assert not _within_one_ulp(symbols, float(old_plus), plus), order
 
@@ -864,12 +901,13 @@ def test_antiregular_row_is_solved_once_bit_for_bit():
 
 
 def test_scans_take_every_row_from_eta_extremes_and_clearance(monkeypatch, capsys):
-    # a wrong eta+ or clearance, injected where every solved row is read
-    # (A_n's row of _prune_thresholds included), reaches every report: both
-    # kinds' eta+ extreme, with and without rows and with 1 or 2 workers,
-    # and every row's eta+ and, in a gap scan, its clearance.  Without
-    # rows, A_n is the only row solved up to order 24, so a value that
-    # bypasses these two functions would leave the reports unchanged
+    # a wrong eta+, and in a second pass a wrong clearance, injected where
+    # every solved row is read (A_n's row of _prune_thresholds included),
+    # reaches every report: both kinds' eta+ extreme, with and without rows
+    # and with 1 or 2 workers, and every row's eta+ and, in a gap scan, its
+    # clearance.  Without rows, A_n is the only row solved up to order 24,
+    # so a value that bypasses these two functions would leave the reports
+    # unchanged.  The clearance is read off the etas, so the passes are apart
     shift = 1e-6
     honest_eta, honest_clearance = verify.eta_extremes, verify._clearance
     cases = [(scan, order, keep_rows, workers) for scan in (scan_gap, scan_conjecture)
@@ -883,7 +921,6 @@ def test_scans_take_every_row_from_eta_extremes_and_clearance(monkeypatch, capsy
         return plus + shift, minus
 
     monkeypatch.setattr(verify, "eta_extremes", wrong_eta)
-    monkeypatch.setattr(verify, "_clearance", lambda values: honest_clearance(values) + shift)
     for case, report in honest.items():
         scan, order, keep_rows, workers = case
         shifted = scan(order, workers=workers, keep_rows=keep_rows)
@@ -892,12 +929,18 @@ def test_scans_take_every_row_from_eta_extremes_and_clearance(monkeypatch, capsy
         if keep_rows:
             assert np.array_equal(shifted.rows.eta_plus, report.rows.eta_plus + shift), case
             assert np.array_equal(shifted.rows.eta_minus, report.rows.eta_minus), case
-            if scan is scan_gap:
-                assert np.array_equal(shifted.rows.min_nontrivial_distance,
-                                      report.rows.min_nontrivial_distance + shift), case
     assert_no_children()
     cli.main(["scan-gap", "--order", "13", "--format", "json"])
     assert capsys.readouterr().out != honest_out
+    monkeypatch.setattr(verify, "eta_extremes", honest_eta)
+    monkeypatch.setattr(verify, "_clearance", lambda *etas: honest_clearance(*etas) + shift)
+    for case, report in honest.items():
+        scan, order, keep_rows, workers = case
+        if keep_rows and scan is scan_gap:
+            shifted = scan(order, workers=workers, keep_rows=keep_rows)
+            assert np.array_equal(shifted.rows.min_nontrivial_distance,
+                                  report.rows.min_nontrivial_distance + shift), case
+    assert_no_children()
 
 
 def test_scans_stack_antiregular_once_before_the_strides(monkeypatch, tmp_path):

@@ -13,15 +13,17 @@ each stage, for
   * ``handler``: the command's handler, rendering included;
   * ``run_scan``: ``verify._run_scan``;
   * ``prune``: ``verify._prune_thresholds``;
-  * ``sweep``: ``spectra.count_eigs_leq_sweep``, summed over its steps.
+  * ``sweep``: ``spectra.count_eigs_leq_sweep``, summed over its steps;
+  * ``locate``: ``verify.locate_eigenvalue``, ``fixed_point`` included;
+  * ``fixed_point``: ``spectra._fixed_point_newton``.
 
 Each figure is CPU microseconds per call of this process (``time.process_time``;
 a forked scan worker's time is not counted), the best of the rounds.  A
-stage the request does not reach reads 0, and the stage timers add their own
-cost to the stages, which is why ``main`` comes from the bare calls.  The
-result is one JSON object on stdout, and in ``--out`` if given; it says
-whether every tree printed the same stdout and stderr and exited with the
-same code on a first, untimed call.
+stage the request does not reach, or that the tree lacks, reads 0, and the
+stage timers add their own cost to the stages, which is why ``main`` comes
+from the bare calls.  The result is one JSON object on stdout, and in
+``--out`` if given; it says whether every tree printed the same stdout and
+stderr and exited with the same code on a first, untimed call.
 
 As ``bench_scan_csv.py`` does, a ``--rounds`` or ``--calls`` below 1, an
 ``--out`` whose directory does not exist, and a ``--src`` with no
@@ -47,9 +49,10 @@ from bench_scan_csv import refusal
 
 CHILD = """\
 import argparse, contextlib, hashlib, io, json, os, sys, time
-from thresholdlab import cli, verify
+from thresholdlab import cli, spectra, verify
 argv, calls, now = sys.argv[2:], int(sys.argv[1]), time.process_time_ns
-spent = dict.fromkeys(("parse", "handler", "run_scan", "prune", "sweep"), 0)
+spent = dict.fromkeys(("parse", "handler", "run_scan", "prune", "sweep", "locate",
+                       "fixed_point"), 0)
 entered = [0]  # when the call being timed started
 
 def timed(name, fn):
@@ -68,7 +71,7 @@ def handled(fn):
     return timed("handler", handler)
 
 def sweep(*args, **kwargs):
-    steps = bare["count_eigs_leq_sweep"](*args, **kwargs)
+    steps = bare[verify, "count_eigs_leq_sweep"](*args, **kwargs)
     while True:
         start = now()
         counts = next(steps, None)
@@ -77,21 +80,22 @@ def sweep(*args, **kwargs):
             return
         yield counts
 
-bare = {name: getattr(verify, name)
-        for name in ("_run_scan", "_prune_thresholds", "count_eigs_leq_sweep")}
+stage_of = {(verify, "_run_scan"): "run_scan", (verify, "_prune_thresholds"): "prune",
+            (verify, "count_eigs_leq_sweep"): "sweep", (verify, "locate_eigenvalue"): "locate",
+            (spectra, "_fixed_point_newton"): "fixed_point"}
+bare = {key: getattr(*key) for key in stage_of if hasattr(*key)}
 # every command's parser, by argparse's table of them (each tree has it)
 commands = next(action.choices for action in cli.build_parser()._actions
                 if isinstance(action, argparse._SubParsersAction))
 handlers = {name: sub.get_default("handler") for name, sub in commands.items()}
-timers = {"_run_scan": timed("run_scan", bare["_run_scan"]),
-          "_prune_thresholds": timed("prune", bare["_prune_thresholds"]),
-          "count_eigs_leq_sweep": sweep}
+timers = {key: sweep if stage_of[key] == "sweep" else timed(stage_of[key], fn)
+          for key, fn in bare.items()}
 
 def stages(on):
     for name, sub in commands.items():
         sub.set_defaults(handler=handled(handlers[name]) if on else handlers[name])
-    for name, timer in timers.items():
-        setattr(verify, name, timer if on else bare[name])
+    for (module, name), timer in timers.items():
+        setattr(module, name, timer if on else bare[module, name])
 
 out, err = io.StringIO(), io.StringIO()
 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -325,11 +325,9 @@ def recognize(edges, order: int) -> CreationSequence | NotThreshold:
         else:
             stuck = np.zeros(order, dtype=bool)
             stuck[by_degree[lo:hi + 1]] = True
-            inside = stuck[small] & stuck[large]
-            small, large = small[inside], large[inside]
-            rank = np.lexsort((large, small))
+            keys = np.sort((small * order + large)[stuck[small] & stuck[large]])
             return NotThreshold(tuple(np.flatnonzero(stuck).tolist()),
-                                tuple(zip(small[rank].tolist(), large[rank].tolist())))
+                                tuple(zip((keys // order).tolist(), (keys % order).tolist())))
     symbols_rev.append(ISOLATED)
     return CreationSequence("".join(reversed(symbols_rev)))
 

@@ -6,8 +6,11 @@ or closed alike (see ``check_gap``).  ``check_gap`` decides this for one
 graph by inertia counting on the creation sequence (an exact integer test),
 and ``check_antiregular_bounds`` decides it for A_n by the same counts and
 locates eta+(A_n) and eta-(A_n) at the positions the class sizes give, with
-no eigensolve.  The scan functions sweep entire orders exhaustively, in
-units that fix the low index bits of the suffix tree.  Every scan, of either
+no eigensolve, in four passes of the counting kernel: each search starts a
+few ulps beyond A_n's eta in closed form, as A_n's characteristic polynomial
+is a Chebyshev polynomial of a 2 x 2 transfer matrix (``_antiregular_eta``).
+The scan functions sweep entire orders exhaustively, in units that fix the
+low index bits of the suffix tree.  Every scan, of either
 kind, counts at the same four points, the gap endpoints and the margins
 beyond A_n's extremes, and checks each graph's interval count against its
 forecast (see ``_pick_rows``).  A scan with rows (CSV output) solves the
@@ -79,10 +82,14 @@ DEFAULT_ORDER_CAP = 22
 # a 2h x 2h quotient of norm <= order, about 2h * eps * order <= 1e-12, is
 # still far below PRUNE_MARGIN.
 ORDER_CEILING = 64
-# n^2 times the clearance of eta+-(A_n) over the interval tends to pi^2/(4
-# sqrt(2)) = 1.7447 (2 <= n <= 500: within [1.58, 10.9]), so the search for
-# each eta starts that far beyond its endpoint
-_CLEARANCE_LAW = math.pi ** 2 / (4.0 * math.sqrt(2.0))
+# check_antiregular_bounds starts each search this many ulps beyond A_n's
+# closed-form eta, away from its endpoint: more than the closed form's error
+# (2 ulps to order 2000), and well inside the Newton step that
+# locate_eigenvalue takes as settled
+_START_ULPS = 16
+# At most this many secant steps in _antiregular_eta; 2 to 9 settled it at
+# every order 2 to 2000 and at 10^4 to 10^8
+_SECANT_STEPS = 40
 # A scan run without rows solves a row that meets its forecast only when the
 # kernel finds an eigenvalue within this margin beyond A_n's eta (see
 # _pick_rows).  It must exceed eigvalsh's absolute error on the row's
@@ -342,23 +349,81 @@ def check_antiregular_bounds(order: int) -> BoundsReport:
     trivial eigenvalues alone, and by position eta+ is eigenvalue n - h + 1
     and eta- eigenvalue r, counted from the smallest.  Each is located within
     one ulp by :func:`locate_eigenvalue`, O(n) per pass and with no
-    eigensolve, from a first point beyond its endpoint by the clearance law,
-    bracketed by that endpoint's count, or the other's where it fails;
-    :func:`eta_extremes` reads the two located values.
+    eigensolve, bracketed by its endpoint's count, or the other's where it
+    fails, from a first point _START_ULPS ulps beyond :func:`_antiregular_eta`.
+    That pass's count closes the bracket and its Newton step is settled, so
+    each eta costs one pass and the fixed-point step: four passes in all.
+    The closed form only places the first point; a wrong one costs passes,
+    not a wrong value.  :func:`eta_extremes` reads the two located values.
     """
     form = anti_regular(order)
     seq = nsg_to_creation(form)
     rest, r = order - form.h, form.h - (form.m[-1] == 1)  # how many are <= 0, < -1
     upper, lower = count_eigs_leq(seq, GAP_UPPER), count_eigs_leq(seq, GAP_LOWER)
-    width = _CLEARANCE_LAW / order ** 2
+
+    def start(sign: float) -> float:
+        eta = _antiregular_eta(order, sign)
+        return eta + sign * _START_ULPS * math.ulp(eta)
+
     lo, below = (GAP_UPPER, upper) if upper == rest else (GAP_LOWER, lower)
-    located = [locate_eigenvalue(seq, rest + 1, lo, math.inf, (below, order), GAP_UPPER + width)]
+    located = [locate_eigenvalue(seq, rest + 1, lo, math.inf, (below, order), start(1.0))]
     if r:
         hi, above = (GAP_LOWER, lower) if lower == r else (GAP_UPPER, upper)
-        located.append(locate_eigenvalue(seq, r, -math.inf, hi, (0, above), GAP_LOWER - width))
+        located.append(locate_eigenvalue(seq, r, -math.inf, hi, (0, above), start(-1.0)))
     plus, minus = eta_extremes(np.array(located))
     return BoundsReport(order, float(plus), float(minus) if minus > -math.inf else None,
                         upper == rest and lower == r)
+
+
+def _antiregular_eta(order: int, sign: float) -> float:
+    """eta+(A_n) for ``sign`` 1.0, or eta-(A_n) for -1.0 (order >= 3), in
+    closed form and O(1), within a few ulps.
+
+    With a = x + b, :func:`spectra._inertia`'s step on (u, w), d = u/w, is
+    M_b = [[-2a, -a^2], [1, 0]], and det(A_n - xI) = u_(n-1) from v = (-x,
+    1), as the tested pivots multiply to it.  A_n's symbols, read from the
+    last, alternate 1, 0, so two steps make P = M_0 M_1, of trace 2s - 1 and
+    determinant s^2, s = x^2 + x.  Beyond the gap endpoints, the roots of s =
+    1/4, P^j is then a Chebyshev polynomial in cos(pi - phi), with
+    sin^2(phi/2) = (s - 1/4)/s and phi in (0, pi), and det(A_n - xI) =
+    (-1)^(j-1) s^(j-1) g / sin(phi), g = sin(j phi) A + s sin((j-1) phi) B,
+    j = (n-1) // 2.  For odd n, A = (Pv)_1 = x(2 - x^2) and B = -x; for even
+    n, A = (M_1 P v)_1 = (x+1)(x^3 - x^2 - 3x + 1) and B = (M_1 v)_1 = x^2 - 1.
+
+    eta on either side is g's first root in phi, at distance e from its
+    endpoint, e(e + sqrt(2)) = s - 1/4 = tan^2(phi/2)/4.  g is |Z| sin(j phi
+    + arg Z), Z = A + sB e^(-i phi), and arg Z is about kappa phi, kappa =
+    -sB/(A + sB) at the endpoint, so secant steps on g start from pi/(j +
+    kappa).
+    """
+    j, odd = (order - 1) // 2, order % 2
+    end = (-1.0 + sign * math.sqrt(2.0)) / 2.0  # GAP_UPPER's or GAP_LOWER's double, s = 1/4
+
+    def at(phi: float) -> float:
+        q = math.tan(phi / 2.0) ** 2 / 4.0
+        return end + sign * 2.0 * q / (math.sqrt(2.0) + math.sqrt(2.0 + 4.0 * q))
+
+    def terms(x: float) -> tuple[float, float, float]:  # s, A and B
+        if odd:
+            return x * x + x, x * (2.0 - x * x), -x
+        return x * x + x, (x + 1.0) * (x * (x * (x - 1.0) - 3.0) + 1.0), x * x - 1.0
+
+    def g(phi: float) -> float:
+        s, a, b = terms(at(phi))
+        return math.sin(j * phi) * a + s * math.sin((j - 1) * phi) * b
+
+    s, a, b = terms(end)
+    last = math.pi / (j - s * b / (a + s * b))
+    phi = last * (1.0 - 1e-3)
+    g_last, g_phi = g(last), g(phi)
+    for _ in range(_SECANT_STEPS):
+        if g_phi == g_last:
+            break
+        last, phi = phi, phi - g_phi * (phi - last) / (g_phi - g_last)
+        if abs(phi - last) <= 2.0 * math.ulp(phi):
+            break
+        g_last, g_phi = g_phi, g(phi)
+    return at(phi)
 
 
 def _check_scan_order(order: int, order_cap: int) -> None:

@@ -25,10 +25,11 @@ from thresholdlab.graphs import (
     parse_creation_sequence,
     sequence_at,
 )
-from thresholdlab import cli, verify
+from thresholdlab import cli, spectra, verify
 from thresholdlab.cli import scan_csv
 from thresholdlab.spectra import (
     assemble_spectrum,
+    count_eigs_leq,
     eta_extremes,
     quotient_eigenvalues,
     trivial_multiplicities,
@@ -400,6 +401,81 @@ def test_antiregular_etas_lie_within_one_ulp_of_the_exact_eigenvalues():
         plus, _ = _eta_positions(order)
         old_plus, _ = eta_extremes(quotient_eigenvalues(anti_regular(order)))
         assert not _within_one_ulp(symbols, float(old_plus), plus), order
+
+
+def test_closed_form_etas_lie_within_eight_ulps_of_the_located_ones():
+    for order in [*range(2, 501), 1000, 2000]:
+        report = check_antiregular_bounds(order)
+        plus = verify._antiregular_eta(order, 1.0)
+        assert abs(plus - report.eta_plus) <= 8 * math.ulp(report.eta_plus), order
+        if report.eta_minus is not None:
+            minus = verify._antiregular_eta(order, -1.0)
+            assert abs(minus - report.eta_minus) <= 8 * math.ulp(report.eta_minus), order
+
+
+def test_closed_form_etas_are_bracketed_by_counts_at_order_ten_thousand():
+    # each count steps by exactly one across its closed-form eta: eta+ is
+    # eigenvalue n - h + 1 and eta- eigenvalue r, counted from the smallest
+    order = 10_000
+    seq = nsg_to_creation(anti_regular(order))
+    plus, minus = _eta_positions(order)
+    eta_plus, eta_minus = (verify._antiregular_eta(order, sign) for sign in (1.0, -1.0))
+    assert [count_eigs_leq(seq, eta_plus + offset) for offset in (-1e-10, 1e-10)] == \
+        [plus - 1, plus]
+    assert [count_eigs_leq(seq, eta_minus + offset) for offset in (-1e-10, 1e-10)] == \
+        [minus - 1, minus]
+
+
+def test_closed_form_eta_plus_follows_the_clearance_law_at_order_a_million():
+    # n^2 (eta+ - U) tends to pi^2 / (4 sqrt(2)); at n = 10^6 one ulp of
+    # eta+ moves it by 3e-5, and the closed form costs O(1) at any order
+    order = 10 ** 6
+    scaled = order ** 2 * (verify._antiregular_eta(order, 1.0) - GAP_UPPER)
+    assert abs(scaled - math.pi ** 2 / (4.0 * math.sqrt(2.0))) < 1e-4
+
+
+def _count_passes(monkeypatch) -> dict:
+    # wraps _inertia and _fixed_point_newton to count their calls
+    calls = dict.fromkeys(("_inertia", "_fixed_point_newton"), 0)
+    for name in calls:
+        def wrapped(*args, _name=name, _bare=getattr(spectra, name)):
+            calls[_name] += 1
+            return _bare(*args)
+        monkeypatch.setattr(spectra, name, wrapped)
+    return calls
+
+
+def _bounds_and_passes(calls: dict, order: int) -> tuple:
+    calls.update(dict.fromkeys(calls, 0))
+    return check_antiregular_bounds(order), *calls.values()
+
+
+def test_antiregular_bounds_take_four_passes_from_the_closed_form(monkeypatch):
+    # the counts at U and L, then one pass and one fixed-point step per eta:
+    # the first pass's count closes the bracket and its Newton step is
+    # settled.  A_2 has no eta-.  From the clearance-law point it took 8 to
+    # 14 passes
+    calls = _count_passes(monkeypatch)
+    for order in range(2, 501):
+        _, passes, steps = _bounds_and_passes(calls, order)
+        assert (passes, steps) == ((3, 1) if order == 2 else (4, 2)), order
+
+
+def test_antiregular_reports_do_not_depend_on_the_start(monkeypatch):
+    # started from the clearance-law point instead, every report is the
+    # same (its floats equal, so the same doubles), at more passes: the
+    # locator decides each value
+    calls = _count_passes(monkeypatch)
+    orders = range(2, 201)
+    seeded = [_bounds_and_passes(calls, order) for order in orders]
+    law = math.pi ** 2 / (4.0 * math.sqrt(2.0))
+    monkeypatch.setattr(verify, "_antiregular_eta",
+                        lambda order, sign: (GAP_UPPER if sign > 0 else GAP_LOWER) +
+                        sign * law / order ** 2)
+    for order, (report, passes, _) in zip(orders, seeded):
+        law_report, law_passes, _ = _bounds_and_passes(calls, order)
+        assert law_report == report, order
+        assert law_passes > passes, order
 
 
 # ---------------------------------------------------------------- scans

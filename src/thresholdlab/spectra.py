@@ -17,10 +17,9 @@ the signs of the pivots of a congruence that runs on the creation sequence in
 O(n) with no matrix at all, which returns exact integers even for clustered
 spectra.  The same pass also sums p'/p for p(x) = det(A - xI), as the
 pivots multiply to p (:func:`_inertia`), so :func:`locate_eigenvalue` finds
-one eigenvalue within one ulp, with no eigensolve: safeguarded Newton steps
-inside a bracket that every pass's count narrows, and a last Newton step in
-fixed-point integers.  From a first point a few ulps beyond the eigenvalue,
-as A_n's closed form in ``verify`` gives, one pass and that last step do.
+one eigenvalue within one ulp, with no eigensolve: from a first point a few
+ulps beyond it, as A_n's closed form in ``verify`` gives, one pass and a
+Newton step in fixed-point integers, and bisection by counts otherwise.
 
 Exhaustive scans work on many graphs at a time.  They count by
 :func:`count_eigs_leq_sweep`, which runs the congruence over the suffix tree
@@ -45,7 +44,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .graphs import DOMINATING, ISOLATED, CreationSequence, NsgForm
+from .graphs import DOMINATING, ISOLATED, CreationSequence, NsgForm, sequence_at
 
 _SAFMIN = float(np.finfo(np.float64).tiny)
 # A Newton step this many ulps long or shorter leaves only float noise for
@@ -184,51 +183,36 @@ def locate_eigenvalue(seq: CreationSequence, k: int, lo: float, hi: float,
     """The k-th smallest eigenvalue of the graph's adjacency, within one ulp.
 
     (lo, hi] must hold it, as :func:`count_eigs_leq` certifies: ``counts``
-    are the counts at lo and hi, count(lo) < k <= count(hi), and the end
-    away from x may be infinite.  Each pass of :func:`_inertia` at x, the
-    given x first, moves the end on its side of the eigenvalue to x.  Once
-    the bracket holds eigenvalue k alone, the next x is Newton's point x -
-    p/p' on det(A - xI), from x or else from the other end, kept one ulp
-    inside the bracket, if it moves x at most half as far as the move before
-    the last.  Otherwise x moves from its end toward the other one, twice as
-    far as its last move but no further than the midpoint, as it does to
-    reach an infinite end.  It stops once that Newton point lies within
-    _SETTLED_ULPS ulps of x, or when lo and hi are adjacent doubles, and
-    then takes one Newton step in fixed point (:func:`_fixed_point_newton`)
-    from that point, or from the end nearer the last Newton point.
+    are the counts at lo and hi, count(lo) < k <= count(hi), and both ends
+    are finite.  Each pass of :func:`_inertia` at x, the given x first,
+    moves the end on its side of the eigenvalue to x.  It stops once the
+    bracket holds eigenvalue k alone and Newton's point x - p/p' on det(A -
+    xI) lies inside it within _SETTLED_ULPS ulps of x, and then takes one
+    Newton step in fixed point (:func:`_fixed_point_newton`) from that
+    point.  Otherwise x moves to the bracket's midpoint, bisection by counts
+    (Barth, Martin and Wilkinson 1967), until lo and hi are adjacent
+    doubles; the fixed-point step then starts from the end nearer the last
+    Newton point.
     """
     below, above = counts
     if not below < k <= above:
         raise ValueError(f"counts {counts} at ({lo}, {hi}] do not bracket eigenvalue {k}")
-    if not lo < x < hi or math.isinf(lo) and math.isinf(hi):
-        raise ValueError(f"{x} is not inside ({lo}, {hi}], or neither end is finite")
-    moves = [math.inf, x - lo if math.isfinite(lo) else hi - x]
-    newton = [math.nan, math.nan]  # from lo, from hi
+    if not -math.inf < lo < x < hi < math.inf:
+        raise ValueError(f"{x} is not inside ({lo}, {hi}], or an end is not finite")
     while math.nextafter(lo, hi) != hi:
         count, ratio = _inertia(seq, x)
-        held = above - below  # eigenvalues in the bracket when the last move was chosen
-        side = count >= k
-        if side:
+        if count >= k:
             hi, above = x, count
         else:
             lo, below = x, count
-        newton[side] = x - 1.0 / ratio if ratio else math.nan
-        if above - below == 1 and lo <= newton[side] <= hi and \
-                abs(newton[side] - x) <= _SETTLED_ULPS * math.ulp(x):
-            x = newton[side]
+        newton = x - 1.0 / ratio if ratio else math.nan
+        if above - below == 1 and lo <= newton <= hi and \
+                abs(newton - x) <= _SETTLED_ULPS * math.ulp(x):
+            x = newton
             break
-        reach = min((hi - lo) / 2.0, 2.0 * moves[1])
-        target = hi - reach if side else lo + reach
-        for point in newton[side], newton[not side]:
-            if above - below == 1 and lo <= point <= hi:
-                point = min(max(point, math.nextafter(lo, hi)), math.nextafter(hi, lo))
-                if 2.0 * abs(point - x) <= moves[0]:
-                    target = point
-                break
-        moves = [moves[1] if held == 1 else math.inf, abs(target - x)]
-        x = target
+        x = (lo + hi) / 2.0
     else:
-        x = lo if abs(newton[side] - lo) < abs(newton[side] - hi) else hi
+        x = lo if abs(newton - lo) < abs(newton - hi) else hi
     return _fixed_point_newton(seq, x)
 
 
@@ -296,15 +280,11 @@ def count_eigs_leq_sweep(order: int, xs, top: int, lows) -> Iterator[np.ndarray]
     per step sums the flags along each path into the leaves' counts: three
     numpy calls per free level.  A guard counts the states that are
     stepped from and lie below minus that pivmin.  If none lies within it
-    of zero, their flags are exact too.  Otherwise one more pass goes down
-    the levels: the states within their own point's pivmin of zero are
-    clamped to minus it, as the scalar kernel clamps them, and from the
-    first level that needed a clamp on, each level is stepped again into
-    the next before that one is looked at; then no state is within pivmin
-    of zero, and the flags of the states stepped from are d <= 0.  Leaves
-    are never stepped from, so they need no clamp, and the counts equal the
-    scalar kernel's exactly.  Until it is clamped, a state at 0 divides by
-    0, so the first steps ignore floating-point errors, and only they do.
+    of zero, their flags are exact too, and the counts equal the scalar
+    kernel's exactly.  Otherwise the unit's counts are the scalar kernel's,
+    one sequence at a time, at every point; no scan of order 23 or less
+    needs that.  The steps ignore floating-point errors: a state at 0
+    divides by 0, and its unit is then recounted.
 
     All units share one workspace, allocated once: the two blocks of
     states, their flags and the guard's mask.  Each step reads a (points,
@@ -357,20 +337,13 @@ def count_eigs_leq_sweep(order: int, xs, top: int, lows) -> Iterator[np.ndarray]
                 np.subtract(minuend, child, out=child)
         np.less_equal(inner, limit, out=stepped_from)
         if np.count_nonzero(np.less(inner, -limit, out=strict)) < np.count_nonzero(stepped_from):
-            clamped, clamped_above = -pivmin, False
-            for (numerator, minuend), (parent, child, _, _) in zip(tables, steps):
-                states = parent[:, 0]  # (points, width)
-                near = (states <= pivmin) & (states > clamped)  # -pivmin needs no clamp
-                if near.any():
-                    np.copyto(states, clamped, where=near)
-                    clamped_above = True
-                if clamped_above:
-                    np.divide(numerator, parent, out=child)
-                    np.subtract(minuend, child, out=child)
-            np.less_equal(inner, 0.0, out=stepped_from)
-        np.less_equal(leaves, pivmin, out=leaf_flags)
-        for _, _, parent, child in steps:
-            np.add(child, parent, out=child)
+            seqs = [sequence_at(order, (j << top) | low, connected_only=True)
+                    for j in range(leaves.shape[1])]
+            counts[:] = [[count_eigs_leq(seq, x) for seq in seqs] for x in xs]
+        else:
+            np.less_equal(leaves, pivmin, out=leaf_flags)
+            for _, _, parent, child in steps:
+                np.add(child, parent, out=child)
         yield counts
 
 

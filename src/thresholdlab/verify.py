@@ -350,7 +350,8 @@ def check_antiregular_bounds(order: int) -> BoundsReport:
     and eta- eigenvalue r, counted from the smallest.  Each is located within
     one ulp by :func:`locate_eigenvalue`, O(n) per pass and with no
     eigensolve, bracketed by its endpoint's count, or the other's where it
-    fails, from a first point _START_ULPS ulps beyond :func:`_antiregular_eta`.
+    fails, and by order or -order, beyond every eigenvalue, from a first
+    point _START_ULPS ulps beyond :func:`_antiregular_eta`.
     That pass's count closes the bracket and its Newton step is settled, so
     each eta costs one pass and the fixed-point step: four passes in all.
     The closed form only places the first point; a wrong one costs passes,
@@ -366,10 +367,10 @@ def check_antiregular_bounds(order: int) -> BoundsReport:
         return eta + sign * _START_ULPS * math.ulp(eta)
 
     lo, below = (GAP_UPPER, upper) if upper == rest else (GAP_LOWER, lower)
-    located = [locate_eigenvalue(seq, rest + 1, lo, math.inf, (below, order), start(1.0))]
+    located = [locate_eigenvalue(seq, rest + 1, lo, order, (below, order), start(1.0))]
     if r:
         hi, above = (GAP_LOWER, lower) if lower == r else (GAP_UPPER, upper)
-        located.append(locate_eigenvalue(seq, r, -math.inf, hi, (0, above), start(-1.0)))
+        located.append(locate_eigenvalue(seq, r, -order, hi, (0, above), start(-1.0)))
     plus, minus = eta_extremes(np.array(located))
     return BoundsReport(order, float(plus), float(minus) if minus > -math.inf else None,
                         upper == rest and lower == r)

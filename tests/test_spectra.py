@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from thresholdlab import spectra
 from thresholdlab.graphs import (
     NsgForm,
     anti_regular,
@@ -275,26 +276,49 @@ def test_inertia_ratio_is_the_log_derivative_of_the_characteristic_polynomial():
 
 
 def test_locate_eigenvalue_finds_every_nontrivial_eigenvalue():
-    # from brackets with an infinite end on either side, and from a finite
-    # one, each nontrivial eigenvalue of every connected graph to order 9 is
-    # found within 1e-12 of the dense solve.  A bracket whose counts do not
-    # hold eigenvalue k, or a first point outside it or with both ends
-    # infinite, is refused
+    # from first points on either side of the spectrum's middle, in the
+    # bracket (-order, order] that holds every eigenvalue, each nontrivial
+    # eigenvalue of every connected graph to order 9 is found within 1e-12
+    # of the dense solve.  A bracket whose counts do not hold eigenvalue k,
+    # or a first point outside it, or an infinite end, which bisection could
+    # never halve, is refused before any pass
     for order in range(2, 10):
         for seq in enumerate_threshold(order, connected_only=True):
             values = np.sort(oracles.dense_spectrum(build_adjacency(seq)))
             for k, value in enumerate(values.tolist(), start=1):
                 if min(abs(value), abs(value + 1.0)) < 1e-9:
                     continue
-                for lo, hi, x in ((-math.inf, order, 0.5), (-order, math.inf, -0.5),
-                                  (-order, order, 0.25)):
-                    assert locate_eigenvalue(seq, k, lo, hi, (0, order), x) == \
-                        pytest.approx(value, abs=1e-12), (str(seq), k, lo, hi)
+                for x in 0.5, -0.5, 0.25:
+                    assert locate_eigenvalue(seq, k, -order, order, (0, order), x) == \
+                        pytest.approx(value, abs=1e-12), (str(seq), k, x)
     seq = parse_creation_sequence("01")  # eigenvalues -1 and 1
     for lo, hi, counts, x in ((-2.0, 0.5, (0, 1), 0.0), (-math.inf, math.inf, (0, 2), 0.0),
+                              (-math.inf, 2.0, (0, 2), 0.0), (-2.0, math.inf, (0, 2), 0.0),
                               (-2.0, 2.0, (0, 2), 3.0)):
         with pytest.raises(ValueError):
             locate_eigenvalue(seq, 2, lo, hi, counts, x)
+
+
+def test_locate_eigenvalue_ends_at_adjacent_doubles_on_a_multiple_eigenvalue():
+    # a bracket around a multiple eigenvalue never holds eigenvalue k alone,
+    # so no Newton point settles: bisection runs until the ends are adjacent
+    # doubles, and the fixed-point step starts from one of them.  The 4-fold
+    # -1 of nsg(1,1;3,2) lands within one ulp of -1.0.  The 39-fold 0 of
+    # nsg(40;2) lands within sqrt(pivmin) of 0: closer in, a^2 = x^2 falls
+    # below pivmin and soon underflows, and the float count may be off
+    # (3 at -1.5511347082480516e-161, where the exact count is 2)
+    root_pivmin = math.sqrt(float(np.finfo(np.float64).tiny)) * (42 + 1.0)  # order 42, x = 0
+    for form, multiplicity, low, high in (
+            (NsgForm([1, 1], [3, 2]), 4, math.nextafter(-1.0, -2.0), math.nextafter(-1.0, 0.0)),
+            (NsgForm([40], [2]), 39, -root_pivmin, root_pivmin)):
+        seq = nsg_to_creation(form)
+        order = seq.order
+        below, above = count_eigs_leq(seq, low - 1e-9), count_eigs_leq(seq, high + 1e-9)
+        assert above - below == multiplicity
+        for k in below + 1, above:
+            for x in 0.5, -0.5, high + 0.25:
+                located = locate_eigenvalue(seq, k, -order, order, (0, order), x)
+                assert low <= located <= high, (str(seq), k, x, located)
 
 
 def test_fixed_point_newton_step_lands_on_the_eigenvalue():
@@ -333,38 +357,51 @@ def test_count_eigs_leq_clustered_spectrum():
     assert count_eigs_leq(seq, 1e-9) - count_eigs_leq(seq, -1e-9) == 39
 
 
-def test_count_eigs_leq_sweep_equals_scalar_kernel():
-    # the suffix-tree sweep against the scalar kernel on every connected
+def test_count_eigs_leq_sweep_equals_scalar_kernel(monkeypatch):
+    # the suffix-tree sweep against the oracle's count on every connected
     # graph up to order 14, at the points scans without rows count (both
     # interval endpoints, the pruning bounds around A_n's eta and points
-    # 5e-9 from the trivial eigenvalues) and at four integers where
-    # pivots are exactly 0, so the clamp runs: at x = 0 and x = -1 the
-    # first one is at depth 0 or 1, at x = -2 and x = 5 (order 12: depths
-    # 8 and 11, and 5) deep in the tree, below states already stepped.
-    # Units that fix 0, 2 or all order-2 index bits put leaf j of unit
-    # ``low`` at index j * 2^top + low, and all units of one call share one
-    # workspace.  The unclamped steps divide by 0, which must neither warn
-    # nor leave the floating-point error state changed at any yield
+    # 5e-9 from the trivial eigenvalues), where no unit falls back, and at
+    # four integers where pivots are exactly 0, so the guard hands units to
+    # the scalar kernel: at x = 0 and x = -1 the first one is at depth 0 or
+    # 1, at x = -2 and x = 5 (order 12: depths 8 and 11, and 5) deep in the
+    # tree, below states already stepped.  Each integer is swept alone, and
+    # each falls back for some unit.  Units that fix 0, 2 or all order-2
+    # index bits put leaf j of unit ``low`` at index j * 2^top + low, and
+    # all units of one call share one workspace.  The steps from a state at
+    # 0 divide by 0, which must neither warn nor leave the floating-point
+    # error state changed at any yield
     errors = np.geterr()
+    fell_back = set()
+    bare = spectra.count_eigs_leq
+
+    def recording(seq, x):
+        fell_back.add(x)
+        return bare(seq, x)
+
+    monkeypatch.setattr(spectra, "count_eigs_leq", recording)
     for order in range(2, 15):
         seqs = list(enumerate_threshold(order, connected_only=True))
         t_plus, t_minus, *_ = _prune_thresholds(order)
-        points = (GAP_LOWER, GAP_UPPER, 5e-9, t_plus + PRUNE_MARGIN,
-                  t_minus - PRUNE_MARGIN, -1.0 - 5e-9, 0.0, -1.0, -2.0, 5.0)
-        scalar = [[count_eigs_leq(seq, x) for seq in seqs] for x in points]
-        for top in sorted({0, min(2, order - 2), order - 2}):
-            swept = np.zeros((len(points), len(seqs)), dtype=np.int64)
-            first = None
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                for low, counts in enumerate(count_eigs_leq_sweep(order, points, top,
-                                                                  range(2 ** top))):
-                    assert np.geterr() == errors, (order, top, low)
-                    assert counts.shape == (len(points), 2 ** (order - 2 - top))
-                    first = counts if first is None else first
-                    assert np.shares_memory(counts, first), (order, top, low)
-                    swept[:, low::2 ** top] = counts
-            assert swept.tolist() == scalar, (order, top)
+        scan_points = (GAP_LOWER, GAP_UPPER, 5e-9, t_plus + PRUNE_MARGIN,
+                       t_minus - PRUNE_MARGIN, -1.0 - 5e-9)
+        for points in scan_points, (0.0,), (-1.0,), (-2.0,), (5.0,):
+            reference = [[oracles.count_eigs_leq_reference(seq.symbols, x) for seq in seqs]
+                         for x in points]
+            for top in sorted({0, min(2, order - 2), order - 2}):
+                swept = np.zeros((len(points), len(seqs)), dtype=np.int64)
+                first = None
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    for low, counts in enumerate(count_eigs_leq_sweep(order, points, top,
+                                                                      range(2 ** top))):
+                        assert np.geterr() == errors, (order, top, low)
+                        assert counts.shape == (len(points), 2 ** (order - 2 - top))
+                        first = counts if first is None else first
+                        assert np.shares_memory(counts, first), (order, top, low)
+                        swept[:, low::2 ** top] = counts
+                assert swept.tolist() == reference, (order, points, top)
+    assert fell_back == {0.0, -1.0, -2.0, 5.0}
     assert next(count_eigs_leq_sweep(5, (), 1, [0])).shape == (0, 4)
 
 

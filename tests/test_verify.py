@@ -462,20 +462,22 @@ def test_antiregular_bounds_take_four_passes_from_the_closed_form(monkeypatch):
 
 
 def test_antiregular_reports_do_not_depend_on_the_start(monkeypatch):
-    # started from the clearance-law point instead, every report is the
-    # same (its floats equal, so the same doubles), at more passes: the
-    # locator decides each value
+    # started from the clearance-law point instead, or 0.5 beyond each
+    # endpoint, every report is the same (its floats equal, so the same
+    # doubles), at more passes: the locator decides each value.  From the
+    # clearance-law point the searches bisect, at most 64 passes per eta
     calls = _count_passes(monkeypatch)
     orders = range(2, 201)
     seeded = [_bounds_and_passes(calls, order) for order in orders]
     law = math.pi ** 2 / (4.0 * math.sqrt(2.0))
-    monkeypatch.setattr(verify, "_antiregular_eta",
-                        lambda order, sign: (GAP_UPPER if sign > 0 else GAP_LOWER) +
-                        sign * law / order ** 2)
-    for order, (report, passes, _) in zip(orders, seeded):
-        law_report, law_passes, _ = _bounds_and_passes(calls, order)
-        assert law_report == report, order
-        assert law_passes > passes, order
+    for offset, most in (lambda order: law / order ** 2, 2 + 2 * 64), (lambda order: 0.5, math.inf):
+        monkeypatch.setattr(verify, "_antiregular_eta",
+                            lambda order, sign: (GAP_UPPER if sign > 0 else GAP_LOWER) +
+                            sign * offset(order))
+        for order, (report, passes, _) in zip(orders, seeded):
+            moved_report, moved_passes, _ = _bounds_and_passes(calls, order)
+            assert moved_report == report, (order, offset(order))
+            assert passes < moved_passes <= most, (order, offset(order))
 
 
 # ---------------------------------------------------------------- scans
@@ -671,6 +673,25 @@ def test_scans_sweep_their_own_points(monkeypatch):
                 swept.clear()
                 scan(order, keep_rows=keep_rows)
                 assert swept == points, (scan.__name__, order, keep_rows)
+
+
+def test_scans_never_hand_a_unit_to_the_scalar_kernel(monkeypatch):
+    # no state that a scan's sweep steps from lies within pivmin of zero at
+    # any order to 16, for either kind, with or without rows, so the
+    # scalar kernel never recounts a unit (see count_eigs_leq_sweep)
+    recounted = []
+    bare = spectra.count_eigs_leq
+
+    def recording(seq, x):
+        recounted.append(x)
+        return bare(seq, x)
+
+    monkeypatch.setattr(spectra, "count_eigs_leq", recording)
+    for order in range(2, 17):
+        for scan in (scan_gap, scan_conjecture):
+            for keep_rows in (False, True):
+                scan(order, workers=1, keep_rows=keep_rows)
+                assert not recounted, (scan.__name__, order, keep_rows)
 
 
 def test_scan_deterministic_across_workers():

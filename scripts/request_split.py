@@ -14,7 +14,10 @@ each stage, for
   * ``run_scan``: ``verify._run_scan``;
   * ``prune``: ``verify._prune_thresholds``;
   * ``sweep``: ``spectra.count_eigs_leq_sweep``, summed over its steps;
-  * ``locate``: ``verify.locate_eigenvalue``, ``fixed_point`` included;
+  * ``count``: ``count_eigs_leq``, as ``verify`` and ``spectra`` call it,
+    so the locator's count passes included;
+  * ``locate``: ``verify.locate_eigenvalue``, ``count`` passes and
+    ``fixed_point`` included;
   * ``fixed_point``: ``spectra._fixed_point_newton``.
 
 Each figure is CPU microseconds per call of this process (``time.process_time``;
@@ -51,7 +54,7 @@ CHILD = """\
 import argparse, contextlib, hashlib, io, json, os, sys, time
 from thresholdlab import cli, spectra, verify
 argv, calls, now = sys.argv[2:], int(sys.argv[1]), time.process_time_ns
-spent = dict.fromkeys(("parse", "handler", "run_scan", "prune", "sweep", "locate",
+spent = dict.fromkeys(("parse", "handler", "run_scan", "prune", "sweep", "count", "locate",
                        "fixed_point"), 0)
 entered = [0]  # when the call being timed started
 
@@ -81,7 +84,8 @@ def sweep(*args, **kwargs):
         yield counts
 
 stage_of = {(verify, "_run_scan"): "run_scan", (verify, "_prune_thresholds"): "prune",
-            (verify, "count_eigs_leq_sweep"): "sweep", (verify, "locate_eigenvalue"): "locate",
+            (verify, "count_eigs_leq_sweep"): "sweep", (verify, "count_eigs_leq"): "count",
+            (spectra, "count_eigs_leq"): "count", (verify, "locate_eigenvalue"): "locate",
             (spectra, "_fixed_point_newton"): "fixed_point"}
 bare = {key: getattr(*key) for key in stage_of if hasattr(*key)}
 # every command's parser, by argparse's table of them (each tree has it)

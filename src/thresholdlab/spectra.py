@@ -15,11 +15,11 @@ Interval membership questions are never answered by comparing computed
 eigenvalues against endpoints; :func:`count_eigs_leq` counts eigenvalues by
 the signs of the pivots of a congruence that runs on the creation sequence in
 O(n) with no matrix at all, which returns exact integers even for clustered
-spectra.  The same pass also sums p'/p for p(x) = det(A - xI), as the
-pivots multiply to p (:func:`_inertia`), so :func:`locate_eigenvalue` finds
-one eigenvalue within one ulp, with no eigensolve: from a first point a few
-ulps beyond it, as A_n's closed form in ``verify`` gives, one pass and a
-Newton step in fixed-point integers, and bisection by counts otherwise.
+spectra.  The pivots multiply to p(x) = det(A - xI), so one Newton step on
+fixed-point pivots (:func:`_fixed_point_newton`) lets :func:`locate_eigenvalue`
+find one eigenvalue within one ulp, with no eigensolve: from a point a few
+ulps beyond it, as A_n's closed form in ``verify`` gives, one count and that
+step, and bisection by counts otherwise.
 
 Exhaustive scans work on many graphs at a time.  They count by
 :func:`count_eigs_leq_sweep`, which runs the congruence over the suffix tree
@@ -47,8 +47,8 @@ import numpy as np
 from .graphs import DOMINATING, ISOLATED, CreationSequence, NsgForm, sequence_at
 
 _SAFMIN = float(np.finfo(np.float64).tiny)
-# A Newton step this many ulps long or shorter leaves only float noise for
-# the fixed-point step to correct (see locate_eigenvalue)
+# locate_eigenvalue accepts a Newton step this many ulps long or shorter,
+# taken from a point whose count bracket holds the one eigenvalue
 _SETTLED_ULPS = 64
 
 
@@ -138,95 +138,76 @@ def assemble_spectrum(form: NsgForm) -> np.ndarray:
 def count_eigs_leq(seq: CreationSequence, x: float) -> int:
     """Number of eigenvalues of the threshold graph's adjacency that are <= x.
 
-    Exact integer whenever x is not within rounding distance of an
-    eigenvalue, no matter how clustered the spectrum is; at an exact
-    eigenvalue the answer is between the strict and the inclusive count.
-    It is the count of :func:`_inertia`'s pass.
-    """
-    return _inertia(seq, x)[0]
-
-
-def _inertia(seq: CreationSequence, x: float) -> tuple[int, float]:
-    """(count, p'(x) / p(x)) at x, p(x) = det(A - xI), from one pass.
+    Exact integer, no matter how clustered the spectrum is, whenever x is
+    neither within rounding distance of an eigenvalue nor within
+    sqrt(pivmin) of an eigenvalue 0, where x^2 falls below pivmin (3 on
+    nsg(40;2) at -1.55e-161, where the exact count is 2); at an exact
+    eigenvalue it is between the strict and the inclusive count.
 
     Counts the negative pivots of a congruence on A - xI that eliminates the
     vertices from the last to the first.  For i < j the entry A_ij is the
     j-th creation symbol b_j, so after each step the block that is left has
     one shared diagonal d and off-diagonal entries d + x + b_j: the scalar d
     is the whole state, and eliminating a vertex with symbol b maps it to
-    -2a - a^2/d with a = x + b, by each symbol's (a, -2a, a^2).  Pivots
+    -2a - a^2/d with a = x + b, by each symbol's pair (-2a, a^2).  Pivots
     within pivmin of zero are clamped negative, which keeps the next step
-    finite.  The tested pivots d_0 = -x, d_1, ... multiply to p(x), so the
-    same pass sums d'_k / d_k into p'/p, with d'_0 = -1 and d'_(k+1) = -2 -
-    2q + q^2 d'_k, q = a / d_k.
+    finite.
     """
     x = float(x)
     pivmin = _SAFMIN * (seq.order + abs(x) + 1.0) ** 2
     a = x + 1.0
-    steps = {ISOLATED: (x, -2.0 * x, x * x), DOMINATING: (a, -2.0 * a, a * a)}
-    count, ratio, d, slope = 0, 0.0, -x, -1.0
+    steps = {ISOLATED: (-2.0 * x, x * x), DOMINATING: (-2.0 * a, a * a)}
+    count, d = 0, -x
     for symbol in reversed(seq.symbols):
         if abs(d) <= pivmin:
             d = -pivmin
         if d < 0.0:
             count += 1
-        ratio += slope / d
-        a, twice, square = steps[symbol]
-        q = a / d
-        slope = -2.0 - 2.0 * q + q * q * slope
+        twice, square = steps[symbol]
         d = twice - square / d
-    return count, ratio
+    return count
 
 
 def locate_eigenvalue(seq: CreationSequence, k: int, lo: float, hi: float,
                       counts: tuple[int, int], x: float) -> float:
-    """The k-th smallest eigenvalue of the graph's adjacency, within one ulp.
-
-    (lo, hi] must hold it, as :func:`count_eigs_leq` certifies: ``counts``
-    are the counts at lo and hi, count(lo) < k <= count(hi), and both ends
-    are finite.  Each pass of :func:`_inertia` at x, the given x first,
-    moves the end on its side of the eigenvalue to x.  It stops once the
-    bracket holds eigenvalue k alone and Newton's point x - p/p' on det(A -
-    xI) lies inside it within _SETTLED_ULPS ulps of x, and then takes one
-    Newton step in fixed point (:func:`_fixed_point_newton`) from that
-    point.  Otherwise x moves to the bracket's midpoint, bisection by counts
-    (Barth, Martin and Wilkinson 1967), until lo and hi are adjacent
-    doubles; the fixed-point step then starts from the end nearer the last
-    Newton point.
-    """
+    """The k-th smallest eigenvalue, within one ulp, from x in the finite
+    bracket (lo, hi] whose ``counts`` are count(lo) < k <= count(hi): the
+    Newton point from x if x's count leaves k alone in the bracket and the
+    point lies in it within _SETTLED_ULPS ulps of x, else the one from hi
+    after bisection by counts (Barth, Martin and Wilkinson 1967) down to
+    adjacent doubles."""
     below, above = counts
     if not below < k <= above:
         raise ValueError(f"counts {counts} at ({lo}, {hi}] do not bracket eigenvalue {k}")
     if not -math.inf < lo < x < hi < math.inf:
         raise ValueError(f"{x} is not inside ({lo}, {hi}], or an end is not finite")
-    while math.nextafter(lo, hi) != hi:
-        count, ratio = _inertia(seq, x)
-        if count >= k:
-            hi, above = x, count
-        else:
-            lo, below = x, count
-        newton = x - 1.0 / ratio if ratio else math.nan
-        if above - below == 1 and lo <= newton <= hi and \
-                abs(newton - x) <= _SETTLED_ULPS * math.ulp(x):
-            x = newton
-            break
-        x = (lo + hi) / 2.0
+    count = count_eigs_leq(seq, x)
+    if count >= k:
+        hi, above = x, count
     else:
-        x = lo if abs(newton - lo) < abs(newton - hi) else hi
-    return _fixed_point_newton(seq, x)
+        lo, below = x, count
+    if above - below == 1:
+        newton = _fixed_point_newton(seq, x)
+        if lo <= newton <= hi and abs(newton - x) <= _SETTLED_ULPS * math.ulp(x):
+            return newton
+    while math.nextafter(lo, hi) != hi:
+        x = (lo + hi) / 2.0
+        lo, hi = (lo, x) if count_eigs_leq(seq, x) >= k else (x, hi)
+    return _fixed_point_newton(seq, hi)
 
 
 def _fixed_point_newton(seq: CreationSequence, x: float) -> float:
-    """Newton's point x - p(x)/p'(x) of :func:`_inertia`, rounded once.
+    """Newton's point x - p(x)/p'(x) on p(x) = det(A - xI), rounded once.
 
-    The pivots run on integers scaled by 2^K, with K 64 bits below the last
-    bit of x, so a = x + b is exact and each step is off by one unit at
-    most; the sum p'/p runs in floats on them.  Near an eigenvalue the float
-    pivots lose the digits that place it within the last few ulps of a
-    double.  Here, from x within a few ulps, the Newton step needs p'/p to
-    few digits only, and the Newton point is that eigenvalue to far below
-    one ulp.  A pivot that is zero or infinite as a double, or a step that
-    is not finite, leaves x as it is.
+    :func:`count_eigs_leq`'s pivots d_0 = -x, d_1, ... multiply to p, so p'/p
+    sums d'_k / d_k, d'_0 = -1 and d'_(k+1) = -2 - 2q + q^2 d'_k, q = a / d_k.
+    The pivots run on integers scaled by 2^K, K 64 bits below the last bit
+    of x, so a = x + b is exact and each step is off by one unit at most;
+    the sum runs in floats on them.  Float pivots lose the digits that place
+    an eigenvalue within its last few ulps; from x within a few ulps, the
+    step needs p'/p to few digits only, and lands far below one ulp.  A
+    pivot that is zero or infinite as a double, or a step that is not
+    finite, leaves x as it is.
     """
     numerator, denominator = float(x).as_integer_ratio()
     bits = denominator.bit_length() + 63

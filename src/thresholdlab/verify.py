@@ -6,9 +6,10 @@ or closed alike (see ``check_gap``).  ``check_gap`` decides this for one
 graph by inertia counting on the creation sequence (an exact integer test),
 and ``check_antiregular_bounds`` decides it for A_n by the same counts and
 locates eta+(A_n) and eta-(A_n) at the positions the class sizes give, with
-no eigensolve, in four passes of the counting kernel: each search starts a
-few ulps beyond A_n's eta in closed form, as A_n's characteristic polynomial
-is a Chebyshev polynomial of a 2 x 2 transfer matrix (``_antiregular_eta``).
+no eigensolve, in four count passes and two fixed-point Newton steps: each
+search starts a few ulps beyond A_n's eta in closed form, as A_n's
+characteristic polynomial is a Chebyshev polynomial of a 2 x 2 transfer
+matrix (``_antiregular_eta``).
 The scan functions sweep entire orders exhaustively, in units that fix the
 low index bits of the suffix tree.  Every scan, of either
 kind, counts at the same four points, the gap endpoints and the margins
@@ -84,8 +85,8 @@ DEFAULT_ORDER_CAP = 22
 ORDER_CEILING = 64
 # check_antiregular_bounds starts each search this many ulps beyond A_n's
 # closed-form eta, away from its endpoint: more than the closed form's error
-# (2 ulps to order 2000), and well inside the Newton step that
-# locate_eigenvalue takes as settled
+# (2 ulps to order 2000), and well inside the _SETTLED_ULPS Newton step that
+# locate_eigenvalue accepts
 _START_ULPS = 16
 # At most this many secant steps in _antiregular_eta; 2 to 9 settled it at
 # every order 2 to 2000 and at 10^4 to 10^8
@@ -352,8 +353,8 @@ def check_antiregular_bounds(order: int) -> BoundsReport:
     eigensolve, bracketed by its endpoint's count, or the other's where it
     fails, and by order or -order, beyond every eigenvalue, from a first
     point _START_ULPS ulps beyond :func:`_antiregular_eta`.
-    That pass's count closes the bracket and its Newton step is settled, so
-    each eta costs one pass and the fixed-point step: four passes in all.
+    That point's count closes the bracket and the Newton step from it
+    settles: four count passes and two fixed-point steps in all.
     The closed form only places the first point; a wrong one costs passes,
     not a wrong value.  :func:`eta_extremes` reads the two located values.
     """
@@ -380,16 +381,17 @@ def _antiregular_eta(order: int, sign: float) -> float:
     """eta+(A_n) for ``sign`` 1.0, or eta-(A_n) for -1.0 (order >= 3), in
     closed form and O(1), within a few ulps.
 
-    With a = x + b, :func:`spectra._inertia`'s step on (u, w), d = u/w, is
-    M_b = [[-2a, -a^2], [1, 0]], and det(A_n - xI) = u_(n-1) from v = (-x,
-    1), as the tested pivots multiply to it.  A_n's symbols, read from the
-    last, alternate 1, 0, so two steps make P = M_0 M_1, of trace 2s - 1 and
-    determinant s^2, s = x^2 + x.  Beyond the gap endpoints, the roots of s =
-    1/4, P^j is then a Chebyshev polynomial in cos(pi - phi), with
-    sin^2(phi/2) = (s - 1/4)/s and phi in (0, pi), and det(A_n - xI) =
-    (-1)^(j-1) s^(j-1) g / sin(phi), g = sin(j phi) A + s sin((j-1) phi) B,
-    j = (n-1) // 2.  For odd n, A = (Pv)_1 = x(2 - x^2) and B = -x; for even
-    n, A = (M_1 P v)_1 = (x+1)(x^3 - x^2 - 3x + 1) and B = (M_1 v)_1 = x^2 - 1.
+    With a = x + b, the step of :func:`spectra.count_eigs_leq` on (u, w),
+    d = u/w, is M_b = [[-2a, -a^2], [1, 0]], and det(A_n - xI) = u_(n-1)
+    from v = (-x, 1), as the tested pivots multiply to it.  A_n's symbols,
+    read from the last, alternate 1, 0, so two steps make P = M_0 M_1, of
+    trace 2s - 1 and determinant s^2, s = x^2 + x.  Beyond the gap
+    endpoints, the roots of s = 1/4, P^j is then a Chebyshev polynomial in
+    cos(pi - phi), with sin^2(phi/2) = (s - 1/4)/s and phi in (0, pi), and
+    det(A_n - xI) = (-1)^(j-1) s^(j-1) g / sin(phi), g = sin(j phi) A + s
+    sin((j-1) phi) B, j = (n-1) // 2.  For odd n, A = (Pv)_1 = x(2 - x^2)
+    and B = -x; for even n, A = (M_1 P v)_1 = (x+1)(x^3 - x^2 - 3x + 1)
+    and B = (M_1 v)_1 = x^2 - 1.
 
     eta on either side is g's first root in phi, at distance e from its
     endpoint, e(e + sqrt(2)) = s - 1/4 = tan^2(phi/2)/4.  g is |Z| sin(j phi

@@ -920,12 +920,15 @@ def test_scripts_run(tmp_path, capsys, monkeypatch):
     assert split["same_output"] and [tree["exit_code"] for tree in split["trees"]] == [0, 0]
     assert all(tree[stage] > 0 for tree in split["trees"]
                for stage in ("main", "parse", "handler", "run_scan", "prune", "sweep"))
-    assert all(tree["locate"] == tree["fixed_point"] == 0 for tree in split["trees"])
-    # check-antiregular splits into its locator and the fixed-point steps within it
+    assert all(tree["count"] == tree["locate"] == tree["fixed_point"] == 0
+               for tree in split["trees"])
+    # check-antiregular splits into its counts, its locator and the
+    # fixed-point steps within it
     lines = run_script(tmp_path, "request_split.py", "--src", src, "--rounds", "1", "--calls",
                        "1", "--", "check-antiregular", "--order", "40")
     tree = json.loads("\n".join(lines))["trees"][0]
     assert tree["locate"] >= tree["fixed_point"] > 0 == tree["sweep"]
+    assert tree["count"] > 0
     for argv, message in ((("--src", src, "--rounds", "0"), "--rounds must be at least 1, got 0"),
                           (("--src", src, "--calls", "0"), "--calls must be at least 1, got 0"),
                           (("--src", src, "--out", "missing/split.json"),

@@ -435,13 +435,15 @@ def test_closed_form_eta_plus_follows_the_clearance_law_at_order_a_million():
 
 
 def _count_passes(monkeypatch) -> dict:
-    # wraps _inertia and _fixed_point_newton to count their calls
-    calls = dict.fromkeys(("_inertia", "_fixed_point_newton"), 0)
-    for name in calls:
-        def wrapped(*args, _name=name, _bare=getattr(spectra, name)):
+    # wraps count_eigs_leq, in spectra and in verify, which imports the
+    # name, and _fixed_point_newton to count their calls
+    calls = dict.fromkeys(("count_eigs_leq", "_fixed_point_newton"), 0)
+    for module, name in ((spectra, "count_eigs_leq"), (verify, "count_eigs_leq"),
+                         (spectra, "_fixed_point_newton")):
+        def wrapped(*args, _name=name, _bare=getattr(module, name)):
             calls[_name] += 1
             return _bare(*args)
-        monkeypatch.setattr(spectra, name, wrapped)
+        monkeypatch.setattr(module, name, wrapped)
     return calls
 
 
@@ -451,9 +453,9 @@ def _bounds_and_passes(calls: dict, order: int) -> tuple:
 
 
 def test_antiregular_bounds_take_four_passes_from_the_closed_form(monkeypatch):
-    # the counts at U and L, then one pass and one fixed-point step per eta:
-    # the first pass's count closes the bracket and its Newton step is
-    # settled.  A_2 has no eta-.  From the clearance-law point it took 8 to
+    # the counts at U and L, then one count and one fixed-point step per
+    # eta: the count at the first point closes the bracket and the Newton
+    # step from it is settled.  A_2 has no eta-.  From the clearance-law point it took 8 to
     # 14 passes
     calls = _count_passes(monkeypatch)
     for order in range(2, 501):

@@ -36,7 +36,6 @@ from .verify import (
     ScanRows,
     check_antiregular_bounds,
     check_gap,
-    check_interlacing,
     check_reduction,
     reducing_vertex,
     reduction_chain,

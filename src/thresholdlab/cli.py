@@ -308,7 +308,7 @@ def _cmd_recognize(args) -> int:
     result = graphs.recognize(edges, order)
     if isinstance(result, graphs.NotThreshold):
         record = {"threshold_graph": False, "witness_vertices": list(result.vertices),
-                  "witness_edges": list(result.edges)}
+                  "witness_edges": result.edges}
     else:
         record = {"threshold_graph": True, "sequence": str(result),
                   "nsg": graphs.creation_to_nsg(result)}

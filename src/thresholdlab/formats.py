@@ -12,15 +12,18 @@ Formats:
     count lines and words, and one ``np.fromstring`` reads every integer.
 
 Command output is rendered from records: ordered dicts of numbers, strings,
-``NsgForm``s, lists, arrays and (u, v) edge tuples.  ``to_plain`` and
-``to_json`` turn them into ``key: value`` lines and JSON; ``to_csv`` takes
-them as columns, a list per key.  Floats print at 12 significant digits
-(``sig12``) in plain and CSV.  ``to_json`` prints exactly what
-``json.dumps(indent=2)`` would, but by its own small recursive emitter: the
-json module's C string encoder, ``repr`` for numbers, one join per list of
-ints, and one ``%`` over a repeated ``%d`` row template per int table.  With
-an indent, ``json.dumps`` runs its pure-Python encoder (on 3.10 to 3.12
-always), which takes a generator step per number.
+``NsgForm``s, lists, tuples and arrays.  An int table, such as a witness's
+or ``gen``'s edges, stays a 2-D int array from the routine that builds it to
+its text.  ``to_plain`` and ``to_json`` turn records into ``key: value``
+lines and JSON; ``to_csv`` takes them as columns, a list per key.  Floats
+print at 12 significant digits (``sig12``) in plain and CSV, and an int
+table as space-joined ``u-v`` cells, by one ``%`` over a row template.
+``to_json`` prints exactly what ``json.dumps(indent=2)`` would, but by its
+own small recursive emitter: the json module's C string encoder, ``repr``
+for numbers, one join per list of ints, and one ``%`` over a repeated
+``%d`` row template per int table.  With an indent, ``json.dumps`` runs its
+pure-Python encoder (on 3.10 to 3.12 always), which takes a generator step
+per number.
 """
 
 from __future__ import annotations
@@ -28,9 +31,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterable
 
 import numpy as np
 
@@ -110,9 +111,12 @@ def parse_nsg(text: str) -> NsgForm:
     return NsgForm(_sizes(parts[0]), _sizes(parts[1]), isolated)
 
 
-def format_edge_list(order: int, edges: Iterable[tuple[int, int]]) -> str:
-    lines = [f"{u} {v}" for u, v in edges]
-    return "\n".join([f"{order} {len(lines)}"] + lines) + "\n"
+def format_edge_list(order: int, edges) -> str:
+    """The edge-list text of ``edges``, an ``(m, 2)`` int array or a sequence
+    of (u, v) pairs: the header ``order m``, then one ``%d %d`` line per edge,
+    filled from the flat array at once."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return f"{order} {len(edges)}\n" + "%d %d\n" * len(edges) % tuple(edges.ravel().tolist())
 
 
 def parse_edge_list(text: str) -> tuple[int, np.ndarray]:
@@ -210,12 +214,18 @@ def read_edge_list(path) -> tuple[int, np.ndarray]:
         return parse_edge_list(fh.read())
 
 
+def _int_table(value) -> bool:
+    """True for a nonempty 2-D int array, such as an edge table."""
+    return (isinstance(value, np.ndarray) and value.ndim == 2 and value.size > 0
+            and value.dtype.kind in "iu")
+
+
 def _json(obj, nl: str) -> str:
     """``obj`` as ``json.dumps(obj, indent=2)`` prints it, at the indent ``nl``
-    (a newline and two spaces per level).  Lists of ints, and lists of
-    equal-length int rows such as edge lists, take one join or one ``%``
-    over a repeated row template instead of a call per number; bools are
-    not ints here."""
+    (a newline and two spaces per level).  A list of ints, or a 1-D int
+    array, takes one join, and a 2-D int array such as an edge table one
+    ``%`` over a repeated row template, instead of a call per number; bools
+    are not ints here.  Any other array or numpy scalar goes by ``tolist``."""
     if isinstance(obj, str):
         return _quote(obj)
     if obj is None or obj is True or obj is False:
@@ -226,24 +236,22 @@ def _json(obj, nl: str) -> str:
         return float.__repr__(obj) if math.isfinite(obj) else "null"
     if isinstance(obj, NsgForm):
         return _quote(format_nsg(obj))
-    if not isinstance(obj, (list, tuple, dict)):
-        return _json(obj.tolist(), nl)  # an array or a numpy scalar
-    if not obj:
+    if not isinstance(obj, (list, tuple, dict)):  # an array or a numpy scalar
+        if not _int_table(obj):
+            return _json(obj.tolist(), nl)
+    elif not obj:
         return "{}" if isinstance(obj, dict) else "[]"
     inner = nl + "  "
     sep = "," + inner
     if isinstance(obj, dict):
         body = sep.join(f"{_quote(key)}: {_json(value, inner)}" for key, value in obj.items())
         return "{" + inner + body + nl + "}"
-    types = {*map(type, obj)}
-    cells = (tuple(chain.from_iterable(obj))
-             if types <= {list, tuple} and len({*map(len, obj)}) == 1 else ())
-    if types == {int}:
-        body = sep.join(map(int.__repr__, obj))
-    elif cells and {*map(type, cells)} == {int}:
+    if isinstance(obj, np.ndarray):
         cell = "," + inner + "  "
-        row = "[" + cell[1:] + cell.join(["%d"] * (len(cells) // len(obj))) + inner + "]"
-        body = sep.join([row] * len(obj)) % cells
+        row = "[" + cell[1:] + cell.join(["%d"] * obj.shape[1]) + inner + "]"
+        body = sep.join([row] * len(obj)) % tuple(obj.ravel().tolist())
+    elif {*map(type, obj)} == {int}:
+        body = sep.join(map(int.__repr__, obj))
     else:
         body = sep.join(_json(item, inner) for item in obj)
     return f"[{inner}{body}{nl}]"  # one copy of a long body, not one per +
@@ -260,7 +268,8 @@ def to_json(obj) -> str:
 def _text(value, csv: bool = False) -> str:
     """One plain or CSV value: None absent (CSV: empty), bools true/false
     (CSV: True/False), NSG text (quoted in CSV), floats at 12 significant
-    digits, lists and arrays space-joined, (u, v) edges as u-v."""
+    digits, lists and arrays space-joined, (u, v) edges and the rows of a
+    2-D int array as u-v."""
     if value is None:
         return "" if csv else "absent"
     if isinstance(value, bool):
@@ -271,6 +280,9 @@ def _text(value, csv: bool = False) -> str:
         return f'"{format_nsg(value)}"' if csv else format_nsg(value)
     if isinstance(value, tuple):
         return "-".join(map(str, value))
+    if _int_table(value):
+        cell = "-".join(["%d"] * value.shape[1])
+        return " ".join([cell] * len(value)) % tuple(value.ravel().tolist())
     if isinstance(value, (list, np.ndarray)):
         return " ".join(_text(item, csv) for item in value)
     return str(value)

@@ -135,16 +135,23 @@ class WeightRealization:
     weights: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NotThreshold:
     """Witness returned when recognition gets stuck.
 
     The induced subgraph on ``vertices`` has no isolated and no dominating
-    vertex, which certifies the input is not a threshold graph.
+    vertex, which certifies the input is not a threshold graph.  ``edges``
+    holds its edges (u, v), u < v, in row-major order, as a ``(k, 2)`` int64
+    array.  Two are equal when their vertices and their edges are.
     """
 
     vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, NotThreshold):
+            return NotImplemented
+        return self.vertices == other.vertices and np.array_equal(self.edges, other.edges)
 
 
 def parse_creation_sequence(text: str) -> CreationSequence:
@@ -202,11 +209,13 @@ def build_adjacency(seq: CreationSequence) -> np.ndarray:
     return a
 
 
-def sequence_edges(seq: CreationSequence) -> list[tuple[int, int]]:
-    """Edges in row-major order, read off the sequence: for i < j, vertex j
-    is adjacent to vertex i iff symbol j is dominating."""
-    dominating = [j for j, c in enumerate(seq.symbols) if c == DOMINATING]
-    return [(i, j) for i in range(seq.order) for j in dominating if j > i]
+def sequence_edges(seq: CreationSequence) -> np.ndarray:
+    """Edges (i, j) as a ``(k, 2)`` int64 array in row-major order, read off
+    the sequence: for i < j, vertex j is adjacent to vertex i iff symbol j is
+    dominating."""
+    index = np.arange(seq.order)
+    dominating = np.frombuffer(seq.symbols.encode(), np.uint8) == ord(DOMINATING)
+    return np.argwhere(np.less.outer(index, index) & dominating)
 
 
 def anti_regular(order: int) -> NsgForm:
@@ -305,7 +314,8 @@ def recognize(edges, order: int) -> CreationSequence | NotThreshold:
     and the n degrees to peel makes O(m log m + n log n).  Success yields the
     canonical creation sequence of an isomorphic threshold graph; otherwise
     the stuck subgraph (no isolated, no dominating vertex) is returned as a
-    checkable witness.
+    checkable witness, its edges split off the sorted pair keys by one
+    ``divmod`` into a ``(k, 2)`` array.
     """
     small, large = _edge_pairs(order, edges)
     counts = np.bincount(small, minlength=order) + np.bincount(large, minlength=order)
@@ -327,7 +337,7 @@ def recognize(edges, order: int) -> CreationSequence | NotThreshold:
             stuck[by_degree[lo:hi + 1]] = True
             keys = np.sort((small * order + large)[stuck[small] & stuck[large]])
             return NotThreshold(tuple(np.flatnonzero(stuck).tolist()),
-                                tuple(zip((keys // order).tolist(), (keys % order).tolist())))
+                                np.stack(np.divmod(keys, order), axis=1))
     symbols_rev.append(ISOLATED)
     return CreationSequence("".join(reversed(symbols_rev)))
 

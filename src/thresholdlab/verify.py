@@ -56,12 +56,9 @@ from .graphs import (
     OrderTooSmallError,
     anti_regular,
     count_threshold,
-    creation_to_nsg,
     nsg_to_creation,
-    parse_creation_sequence,
 )
 from .spectra import (
-    assemble_spectrum,
     count_eigs_leq,
     count_eigs_leq_sweep,
     eta_extremes,
@@ -114,15 +111,10 @@ _SWEEP_UNIT_BITS = 16
 # (one fewer, as the parent is one) before any unit runs.  A constant, not the
 # core count, so that reports can be compared across worker counts on any host.
 MAX_WORKERS = 64
-INTERLACING_TOL = 1e-7
 
 
 class DisconnectedError(ValueError):
     """Operation requires a connected graph."""
-
-
-class EmptyClassError(ValueError):
-    """Referenced vertex class does not exist or is empty."""
 
 
 class OrderCapExceededError(ValueError):
@@ -146,16 +138,6 @@ class GapReport:
     expected_trivial: int
     min_nontrivial_distance: float
     passed: bool
-
-
-@dataclass(frozen=True)
-class InterlacingReport:
-    """Verdict of one vertex-deletion interlacing check."""
-
-    sequence: str
-    deleted_class: tuple[str, int]
-    passed: bool
-    witness: int | None  # first index i (0-based) violating the weave
 
 
 @dataclass(frozen=True)
@@ -249,48 +231,6 @@ def check_gap(form: NsgForm) -> GapReport:
     expected = mults.mult0 + mults.multm1
     clearance = float(_clearance(*eta_extremes(quotient_eigenvalues(form))))
     return GapReport(str(seq), form.order, count, expected, clearance, count == expected)
-
-
-def _first_vertex(form: NsgForm, vertex_class: tuple[str, int]) -> int:
-    """Position in the creation sequence of the class's first vertex.
-
-    The sequence is 0^m_h 1^n_h ... 0^m_1 1^n_1 0^isolated, so U_i starts
-    after the classes of index above i and V_i right after U_i; the
-    isolated vertices are the class ("iso", 0).
-    """
-    kind, index = vertex_class
-    if kind in ("U", "V") and 1 <= index <= form.h:
-        start = sum(form.m[index:]) + sum(form.n[index:])
-        return start if kind == "U" else start + form.m[index - 1]
-    if vertex_class == ("iso", 0) and form.isolated:
-        return form.order - form.isolated
-    raise EmptyClassError(f"graph has no class {kind}_{index}")
-
-
-def check_interlacing(form: NsgForm, vertex_class: tuple[str, int]) -> InterlacingReport:
-    """Delete one vertex of the class and verify the eigenvalue weave.
-
-    With parent eigenvalues l_1 >= ... >= l_n and child eigenvalues
-    m_1 >= ... >= m_(n-1), requires l_i + tol >= m_i >= l_(i+1) - tol.  The
-    child is the induced subgraph, whose creation sequence is the parent's
-    with the vertex's symbol deleted (the new first symbol read as 0).
-    """
-    symbols = str(nsg_to_creation(form))
-    vertex = _first_vertex(form, vertex_class)
-    rest = symbols[:vertex] + symbols[vertex + 1:]
-    lams = assemble_spectrum(form)
-    mus = assemble_spectrum(creation_to_nsg(parse_creation_sequence(rest))) if rest else []
-    witness = None
-    for i, mu in enumerate(mus):
-        if not (lams[i] + INTERLACING_TOL >= mu >= lams[i + 1] - INTERLACING_TOL):
-            witness = i
-            break
-    return InterlacingReport(
-        sequence=symbols,
-        deleted_class=vertex_class,
-        passed=witness is None,
-        witness=witness,
-    )
 
 
 def reducing_vertex(form: NsgForm) -> ReductionStep | None:

@@ -13,11 +13,13 @@ import os
 import re
 import sys
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
 from thresholdlab.formats import EDGE_ORDER_CAP
-from thresholdlab.graphs import NsgForm
+from thresholdlab.graphs import NsgForm, creation_to_nsg, nsg_to_creation, parse_creation_sequence
+from thresholdlab.spectra import assemble_spectrum
 from thresholdlab.verify import GAP_LOWER, GAP_UPPER
 
 # (induced edge count, sorted degree multiset) signatures on 4 vertices
@@ -160,6 +162,65 @@ def interlacing_witness(lams, mus, tol):
         if not (lams[i] + tol >= mu >= lams[i + 1] - tol):
             return i
     return None
+
+
+# The interlacing check under a vertex deletion, on the assembled spectra.
+# No command runs it; the tests hold it to the dense deletion.
+INTERLACING_TOL = 1e-7
+
+
+class EmptyClassError(ValueError):
+    """Referenced vertex class does not exist or is empty."""
+
+
+@dataclass(frozen=True)
+class InterlacingReport:
+    """Verdict of one vertex-deletion interlacing check."""
+
+    sequence: str
+    deleted_class: tuple[str, int]
+    passed: bool
+    witness: int | None  # first index i (0-based) violating the weave
+
+
+def _first_vertex(form: NsgForm, vertex_class: tuple[str, int]) -> int:
+    """Position in the creation sequence of the class's first vertex.
+
+    The sequence is 0^m_h 1^n_h ... 0^m_1 1^n_1 0^isolated, so U_i starts
+    after the classes of index above i and V_i right after U_i; the
+    isolated vertices are the class ("iso", 0).
+    """
+    kind, index = vertex_class
+    if kind in ("U", "V") and 1 <= index <= form.h:
+        start = sum(form.m[index:]) + sum(form.n[index:])
+        return start if kind == "U" else start + form.m[index - 1]
+    if vertex_class == ("iso", 0) and form.isolated:
+        return form.order - form.isolated
+    raise EmptyClassError(f"graph has no class {kind}_{index}")
+
+
+def check_interlacing(form: NsgForm, vertex_class: tuple[str, int]) -> InterlacingReport:
+    """Delete one vertex of the class and verify the eigenvalue weave.
+
+    With parent eigenvalues l_1 >= ... >= l_n and child eigenvalues
+    m_1 >= ... >= m_(n-1), requires l_i + tol >= m_i >= l_(i+1) - tol.  The
+    child is the induced subgraph, whose creation sequence is the parent's
+    with the vertex's symbol deleted (the new first symbol read as 0).
+    """
+    symbols = str(nsg_to_creation(form))
+    vertex = _first_vertex(form, vertex_class)
+    rest = symbols[:vertex] + symbols[vertex + 1:]
+    lams = assemble_spectrum(form)
+    mus = assemble_spectrum(creation_to_nsg(parse_creation_sequence(rest))) if rest else []
+    witness = interlacing_witness(lams, mus, INTERLACING_TOL)
+    return InterlacingReport(symbols, vertex_class, witness is None, witness)
+
+
+def sequence_edges_reference(symbols: str):
+    """(i, j) pairs in row-major order by one comprehension: for i < j,
+    vertex j is adjacent to vertex i iff symbol j is '1'."""
+    dominating = [j for j, c in enumerate(symbols) if c == "1"]
+    return [(i, j) for i in range(len(symbols)) for j in dominating if j > i]
 
 
 def degree_multiset(adjacency):

@@ -467,6 +467,51 @@ def test_recognize_paw_json(tmp_path, capsys):
     }
 
 
+def test_recognize_prints_the_dense_peel_witness_as_tuples_print(tmp_path, capsys):
+    # single-checks' recognize inputs: half-dense graphs with one edge
+    # toggled at the middle vertex, relabelled and shuffled.  The witness is
+    # the dense rescan's, and every format prints the bytes that
+    # json.dumps(indent=2) and the renderers print for it as tuples.
+    rng = np.random.default_rng(20261022)
+    witnesses = 0
+    for order in (4, 8, 9, 13, 16, 21, 33, 45, 64, 100, 157, 200):
+        target = order * (order - 1) / 4
+        while True:
+            symbols = "0" + "".join(rng.choice(["0", "1"], size=order - 2)) + "1"
+            if abs(sum(i for i, c in enumerate(symbols) if c == "1") - target) <= 0.02 * target:
+                break
+        middle = order // 2
+        edges = set(oracles.sequence_edges_reference(symbols))
+        edges ^= {(int(rng.integers(middle)), middle)}
+        perm = rng.permutation(order).tolist()
+        edges = [(perm[u], perm[v]) if rng.random() < 0.5 else (perm[v], perm[u])
+                 for u, v in sorted(edges)]
+        rng.shuffle(edges)
+        path = tmp_path / f"recognize-{order}.txt"
+        path.write_text(format_edge_list(order, edges))
+        witness = graphs.recognize(edges, order)
+        expected = oracles.peel_dense(oracles.adjacency_from_edges(order, edges))
+        if isinstance(expected, str):  # the toggle left a threshold graph
+            assert str(witness) == expected, order
+            continue
+        witnesses += 1
+        vertices, pairs = expected
+        assert type(witness.edges) is np.ndarray and witness.edges.dtype == np.int64
+        assert witness == graphs.NotThreshold(vertices, np.array(pairs)), order
+        assert witness.edges.tolist() == list(map(list, pairs)), order
+        record = {"threshold_graph": False, "witness_vertices": list(vertices),
+                  "witness_edges": list(pairs)}
+        plain = {k: v for k, v in record.items() if k != "threshold_graph"}
+        for fmt, text in (
+            ("json", json.dumps(record, indent=2) + "\n"),
+            ("plain", "NotThreshold\n" + to_plain([plain])),
+            ("csv", to_csv(list(record), [[value] for value in record.values()])),
+        ):
+            assert run(capsys, "recognize", "--edges", str(path), "--format", fmt) == (
+                2, text, ""), (order, fmt)
+    assert witnesses >= 6
+
+
 def test_check_gap_rejects_non_threshold_edges(tmp_path, capsys):
     path = tmp_path / "c4.txt"
     path.write_text(C4_TEXT)

@@ -283,7 +283,20 @@ def test_sequence_at_matches_enumeration():
 
 def test_sequence_edges_match_dense_build():
     for seq in all_sequences(9):
-        assert sequence_edges(seq) == oracles.dense_edges(build_adjacency(seq))
+        edges = sequence_edges(seq)
+        assert type(edges) is np.ndarray and edges.dtype == np.int64
+        assert edges.tolist() == list(map(list, oracles.dense_edges(build_adjacency(seq))))
+
+
+def test_sequence_edges_equal_the_comprehension_reference():
+    # an int64 array in the reference's row-major order, from one vertex to
+    # A_2000's million edges
+    sequences = [seq for order in range(1, 11) for seq in enumerate_threshold(order)]
+    for seq in sequences + [nsg_to_creation(anti_regular(2000))]:
+        edges = sequence_edges(seq)
+        assert type(edges) is np.ndarray and edges.dtype == np.int64
+        assert edges.shape == (len(edges), 2)
+        assert edges.tolist() == list(map(list, oracles.sequence_edges_reference(str(seq))))
 
 
 def test_enumerated_graphs_pass_recognition():
@@ -335,7 +348,10 @@ def test_recognize_rejects_bad_edges():
     # any iterable of pairs is read in its own order
     assert recognize({(0, 1)}, 2) == CreationSequence("01")
     assert recognize(((u, 2) for u in range(2)), 3) == CreationSequence("001")
-    assert recognize(zip([2, 0], [3, 1]), 4) == NotThreshold((0, 1, 2, 3), ((0, 1), (2, 3)))
+    witness = recognize(zip([2, 0], [3, 1]), 4)
+    assert witness == NotThreshold((0, 1, 2, 3), np.array([[0, 1], [2, 3]]))
+    assert witness != NotThreshold((0, 1, 2, 3), np.array([[0, 1], [2, 4]]))
+    assert witness.edges.tolist() == [[0, 1], [2, 3]]
     with pytest.raises(InvalidEdgeError, match=re.escape("self-loop at vertex 2")):
         recognize(iter([(0, 1), (2, 2), (0, 1)]), 3)
     # no reshaping of what is not a list of pairs, no OverflowError
@@ -349,7 +365,9 @@ def _same_as_dense_peeling(edges, order):
     result = recognize(edges, order)
     expected = oracles.peel_dense(oracles.adjacency_from_edges(order, edges))
     if isinstance(result, NotThreshold):
-        return (result.vertices, result.edges) == expected
+        assert type(result.edges) is np.ndarray and result.edges.dtype == np.int64
+        vertices, pairs = expected
+        return (result.vertices, result.edges.tolist()) == (vertices, list(map(list, pairs)))
     return result.symbols == expected
 
 
@@ -379,7 +397,7 @@ def test_recognize_matches_dense_peeling_oracle():
             symbols = "0" + "".join(rng.choice(["0", "1"], size=order - 1))
             if abs(sum(i for i, c in enumerate(symbols) if c == "1") - target) <= 0.05 * target:
                 break
-        edges = set(sequence_edges(CreationSequence(symbols)))
+        edges = set(map(tuple, sequence_edges(CreationSequence(symbols)).tolist()))
         edges ^= {tuple(sorted(rng.choice(order, size=2, replace=False).tolist()))}
         perm = rng.permutation(order).tolist()
         edges = [(perm[u], perm[v]) if rng.random() < 0.5 else (perm[v], perm[u])

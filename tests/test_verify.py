@@ -42,7 +42,6 @@ from thresholdlab.verify import (
     PRUNE_MARGIN,
     SCAN_BLOCK_ENTRIES,
     DisconnectedError,
-    EmptyClassError,
     GapReport,
     OrderCapExceededError,
     ReductionCase,
@@ -51,7 +50,6 @@ from thresholdlab.verify import (
     ScanRows,
     check_antiregular_bounds,
     check_gap,
-    check_interlacing,
     check_reduction,
     reducing_vertex,
     reduction_chain,
@@ -131,8 +129,8 @@ def test_check_gap_builds_no_dense_matrix(monkeypatch):
     assert report.passed
     assert report.count_in_interval == report.expected_trivial == 99999
     # interlacing deletes a symbol of the creation sequence, not a matrix row
-    assert check_interlacing(NsgForm([3], [2]), ("V", 1)).passed
-    assert check_interlacing(NsgForm([2000, 1], [1, 1]), ("U", 1)).passed
+    assert oracles.check_interlacing(NsgForm([3], [2]), ("V", 1)).passed
+    assert oracles.check_interlacing(NsgForm([2000, 1], [1, 1]), ("U", 1)).passed
 
 
 def test_check_gap_clearance_is_that_of_the_whole_spectrum():
@@ -183,7 +181,7 @@ def test_check_gap_order_9_exhaustive():
 
 
 def test_interlacing_nsg_3_2_delete_v1():
-    report = check_interlacing(NsgForm([3], [2]), ("V", 1))
+    report = oracles.check_interlacing(NsgForm([3], [2]), ("V", 1))
     assert report.passed
     assert report.witness is None
     # the child is the star K_{1,3}
@@ -193,14 +191,14 @@ def test_interlacing_nsg_3_2_delete_v1():
 
 
 def test_interlacing_k2():
-    assert check_interlacing(NsgForm([1], [1]), ("V", 1)).passed
+    assert oracles.check_interlacing(NsgForm([1], [1]), ("V", 1)).passed
 
 
 def test_interlacing_missing_class():
-    with pytest.raises(EmptyClassError):
-        check_interlacing(NsgForm([1], [1]), ("V", 2))
-    with pytest.raises(EmptyClassError):
-        check_interlacing(NsgForm([1], [1]), ("U", 9))
+    with pytest.raises(oracles.EmptyClassError):
+        oracles.check_interlacing(NsgForm([1], [1]), ("V", 2))
+    with pytest.raises(oracles.EmptyClassError):
+        oracles.check_interlacing(NsgForm([1], [1]), ("U", 9))
 
 
 def test_interlacing_matches_dense_deletion_oracle():
@@ -214,14 +212,14 @@ def test_interlacing_matches_dense_deletion_oracle():
             parent = build_adjacency(seq).astype(float)
             lams = oracles.dense_spectrum(parent)
             for vertex_class, v in oracles.class_first_vertices(str(seq)).items():
-                assert verify._first_vertex(form, vertex_class) == v
+                assert oracles._first_vertex(form, vertex_class) == v
                 child = np.delete(np.delete(parent, v, axis=0), v, axis=1)
                 rest = str(seq)[:v] + str(seq)[v + 1:]
                 if rest:
                     assert np.array_equal(child, build_adjacency(parse_creation_sequence(rest)))
                 witness = oracles.interlacing_witness(
-                    lams, oracles.dense_spectrum(child), verify.INTERLACING_TOL)
-                report = check_interlacing(form, vertex_class)
+                    lams, oracles.dense_spectrum(child), oracles.INTERLACING_TOL)
+                report = oracles.check_interlacing(form, vertex_class)
                 assert (report.passed, report.witness) == (witness is None, witness)
                 assert report.sequence == str(seq)
 
@@ -231,7 +229,7 @@ def test_interlacing_matches_dense_deletion_oracle():
 def test_interlacing_random_class(form, data):
     kind = data.draw(st.sampled_from("UV"))
     index = data.draw(st.integers(min_value=1, max_value=form.h))
-    assert check_interlacing(form, (kind, index)).passed
+    assert oracles.check_interlacing(form, (kind, index)).passed
 
 
 # ---------------------------------------------------------------- reduction
